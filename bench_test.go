@@ -662,53 +662,6 @@ func BenchmarkParallelStepFaults(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedStep crosses lock-stripe counts with worker-pool
-// sizes on the same tick loop as BenchmarkParallelStep. The event
-// stream is byte-identical at every (shards, workers) point (see
-// internal/simtest); this quantifies the wall-clock side: with
-// physical cores available, higher shard counts cut planner/apply
-// rendezvous on the platform's stripes, and shards=1 reproduces the
-// old single-global-lock layout as the baseline.
-func BenchmarkShardedStep(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				totalTicks, totalEvents := 0, 0
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cfg := footsteps.NewTest(
-						footsteps.WithDays(10),
-						footsteps.WithWorkers(workers),
-						footsteps.WithShards(shards),
-					)
-					w := core.NewWorld(cfg)
-					w.RunAll()
-					deadline := w.Plat.Now().Add(time.Duration(cfg.Days) * clock.Day)
-					events := 0
-					w.Plat.Log().Subscribe(func(platform.Event) { events++ })
-					b.StartTimer()
-					for {
-						at, ran := w.Sched.StepTick()
-						if ran == 0 || at.After(deadline) {
-							break
-						}
-						totalTicks++
-					}
-					totalEvents += events
-				}
-				b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-				b.ReportMetric(float64(totalEvents)/float64(b.N), "events/op")
-				if totalTicks > 0 {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-				}
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(totalEvents)/secs, "events/sec")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationAPI quantifies why AASs spoof the private mobile API:
 // the public OAuth surface is rate-limited into uselessness (§2).
 func BenchmarkAblationAPI(b *testing.B) {

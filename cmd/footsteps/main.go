@@ -202,7 +202,6 @@ func main() {
 	days := flag.Int("days", 90, "measurement window in days")
 	quick := flag.Bool("quick", false, "small fast configuration")
 	workers := flag.Int("workers", 0, "worker pool size for parallel stepping (0 = sequential; same output either way)")
-	shards := flag.Int("shards", 0, "lock-stripe count for platform state (0 = default; same output at any count)")
 	outDir := flag.String("o", "", "directory for machine-readable TSV exports (optional)")
 	record := flag.String("record", "", "write the full event stream to this FSEV1 capture file (business, record, replay)")
 	checkpointDir := flag.String("checkpoint-dir", "", "write FSNAP1 world checkpoints into this directory (record only)")
@@ -332,7 +331,6 @@ func main() {
 		cfg.Scale = *scale
 		cfg.Days = *days
 		cfg.Workers = *workers
-		cfg.Shards = *shards
 		cfg.Telemetry = telReg
 		cfg.Trace = traceTracer
 		cfg.Faults = faultProfile

@@ -9,7 +9,7 @@ import (
 // Option mutates a Config during construction. Options compose left to
 // right over a base config, so new knobs stop widening struct literals:
 //
-//	cfg := core.New(core.WithWorkers(8), core.WithShards(16), core.WithFaults("storm"))
+//	cfg := core.New(core.WithWorkers(8), core.WithFaults("storm"))
 //
 // The plain Config struct keeps working — options are a front door, not
 // a replacement.
@@ -44,9 +44,6 @@ func WithDays(days int) Option { return func(c *Config) { c.Days = days } }
 
 // WithWorkers sets the intent-planning worker count.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithShards sets the lock-stripe count for platform and graph state.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 
 // WithGraphWrites toggles full social-graph fidelity.
 func WithGraphWrites(on bool) Option { return func(c *Config) { c.GraphWrites = on } }

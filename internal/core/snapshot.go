@@ -29,8 +29,8 @@ import (
 // resumed world replays the identical timeline.
 
 // Snapshot writes the world's complete mutable state to out as one
-// FSNAP1 stream. Call only at a quiescent instant (a day boundary, as
-// RunDays does): no tick may be mid-flight.
+// FSNAP2 stream (persistence.Version). Call only at a quiescent instant
+// (a day boundary, as RunDays does): no tick may be mid-flight.
 func (w *World) Snapshot(out io.Writer) error {
 	h := persistence.Header{
 		Version:     persistence.Version,
@@ -79,8 +79,10 @@ func (w *World) snapshotState() *persistence.WorldState {
 // config must describe the same semantic world: the snapshot's seed and
 // config fingerprint are checked against cfg and a *persistence.
 // MismatchError is returned on disagreement. Performance knobs (Workers,
-// Shards, Telemetry) are free to differ — the restored timeline is
-// byte-identical regardless.
+// Telemetry) are free to differ — the restored timeline is
+// byte-identical regardless. A snapshot whose platform or graph state
+// breaks a structural invariant (duplicate, descending or out-of-range
+// IDs) yields a *persistence.StateError.
 //
 // The returned world sits at the snapshot instant with lifecycle
 // schedules live (RunAll has been applied); drive it with RunDays. No
@@ -96,6 +98,9 @@ func RestoreWorld(cfg Config, r io.Reader) (*World, error) {
 	}
 	if fp := cfg.Fingerprint(); h.Fingerprint != fp {
 		return nil, &persistence.MismatchError{Field: "config fingerprint", Got: h.Fingerprint, Want: fp}
+	}
+	if err := checkIDCounters(st); err != nil {
+		return nil, err
 	}
 
 	// Rebuild all static structure exactly as the original run did.
@@ -113,8 +118,12 @@ func RestoreWorld(cfg Config, r io.Reader) (*World, error) {
 	// Overwrite every component's mutable state.
 	w.RNG.SetState(st.Root)
 	w.Reg.RestoreAlloc(st.NetAlloc)
-	w.Plat.RestoreState(st.Platform)
-	w.graph.RestoreState(st.Graph)
+	if err := w.Plat.RestoreState(st.Platform); err != nil {
+		return nil, &persistence.StateError{Component: "platform", Err: err}
+	}
+	if err := w.graph.RestoreState(st.Graph); err != nil {
+		return nil, &persistence.StateError{Component: "graph", Err: err}
+	}
 	w.Pop.RestoreState(st.Behavior)
 	w.Honeypots.RestoreState(st.Honeypots)
 	if w.Guard != nil && st.Guard != nil {
@@ -161,6 +170,28 @@ func RestoreWorld(cfg Config, r io.Reader) (*World, error) {
 		w.Coll[nc.Name].RestoreRetries(nc.State.Base.Retries)
 	}
 	return w, nil
+}
+
+// checkIDCounters cross-checks the graph's ID counters against the
+// platform's account and post lists before either is restored. The
+// graph sizes its tables by its counters, so they must be bounded by
+// something the snapshot's own length bounds: every minted account ID
+// has a platform row, and every minted post ID is listed by its
+// author's platform row.
+func checkIDCounters(st *persistence.WorldState) error {
+	accounts, posts := len(st.Platform.Accounts), 0
+	for i := range st.Platform.Accounts {
+		posts += len(st.Platform.Accounts[i].Posts)
+	}
+	if n := uint64(st.Graph.NextAcct); n != uint64(accounts) {
+		return &persistence.StateError{Component: "graph",
+			Err: fmt.Errorf("account counter %d, but the platform lists %d accounts", n, accounts)}
+	}
+	if n := uint64(st.Graph.NextPost); n > uint64(posts) {
+		return &persistence.StateError{Component: "graph",
+			Err: fmt.Errorf("post counter %d exceeds the %d posts the platform lists", n, posts)}
+	}
+	return nil
 }
 
 // RestoreFile is RestoreWorld over a checkpoint file on disk.

@@ -40,8 +40,8 @@ type World struct {
 	// ProxyASNs back the evasion proxy networks of the §6.4 epilogue.
 	ProxyASNs []netsim.ASN
 
-	// Steps is the worker pool behind parallel per-tick stepping; nil
-	// when cfg.Workers <= 1, in which case planning runs inline.
+	// Steps is the worker pool behind per-tick stepping; with
+	// cfg.Workers <= 1 planning runs inline on the calling goroutine.
 	Steps *step.Pool
 
 	// Faults is the installed fault injector; nil when cfg.Faults is
@@ -105,9 +105,7 @@ func NewWorld(cfg Config) *World {
 
 	pcfg := platform.DefaultConfig()
 	pcfg.GraphWrites = cfg.GraphWrites
-	pcfg.Shards = cfg.Shards
-	graph := socialgraph.NewSharded(cfg.Shards)
-	graph.WireTelemetry(cfg.Telemetry)
+	graph := socialgraph.New()
 	plat := platform.New(pcfg, graph, reg, sched)
 	plat.WireTelemetry(cfg.Telemetry)
 	// Span tracing wires in before any traffic, like telemetry: the first
@@ -147,15 +145,16 @@ func NewWorld(cfg Config) *World {
 		plat.SetFaultInjector(w.Faults)
 	}
 
-	// With telemetry or tracing on, even a sequential run gets a
-	// (1-worker) pool so the tick tracer sees plan/apply phases; Run with
-	// workers <= 1 is the identical inline path, so this changes timing
-	// visibility, not bytes.
-	if cfg.Workers > 1 || cfg.Telemetry != nil || cfg.Trace != nil {
-		w.Steps = step.NewPool(cfg.Workers)
-		w.Steps.SetTracer(telemetry.NewTickTracer(cfg.Telemetry))
-		w.Steps.SetTrace(cfg.Trace)
-	}
+	// Every world gets a pool, even a sequential one: the pool carries
+	// the phase word that marks plan phases, and the platform and graph
+	// check it on every mutation (the single-writer rule; see
+	// step.Phase). Run with workers <= 1 is the inline path either way.
+	phase := new(step.Phase)
+	plat.SetPhase(phase)
+	w.Steps = step.NewPool(cfg.Workers)
+	w.Steps.SetPhase(phase)
+	w.Steps.SetTracer(telemetry.NewTickTracer(cfg.Telemetry))
+	w.Steps.SetTrace(cfg.Trace)
 
 	// Organic population: honeypot monitoring must observe reciprocation,
 	// so the framework subscribes before the population acts; subscriber

@@ -5,7 +5,7 @@
 //   - Segment files (seg-NNNNN.fseg): CRC32C-framed, length-prefixed
 //     batches of raw eventio record bytes, one segment per checkpoint
 //     period. A finished segment ends with a sealed footer frame.
-//   - Checkpoint files (ckpt-day-NNN.fsnap): FSNAP1 world snapshots
+//   - Checkpoint files (ckpt-day-NNN.fsnap): FSNAP2 world snapshots
 //     written atomically (tmp + fsync + rename + dir fsync).
 //   - MANIFEST: a tiny versioned, checksummed record of the latest
 //     consistent (checkpoint, live segment, byte offset) triple, also

@@ -43,7 +43,7 @@ func (o Options) withDefaults() Options {
 type Recovery struct {
 	CheckpointDay  int
 	CheckpointFile string // "" = genesis: restart the world from scratch
-	Checkpoint     []byte // FSNAP1 bytes (nil at genesis)
+	Checkpoint     []byte // FSNAP2 snapshot bytes (nil at genesis)
 	Events         uint64 // durable events retained
 	// DiscardedFrames / DiscardedEvents count intact frames beyond the
 	// checkpoint instant that were dropped — the resumed world

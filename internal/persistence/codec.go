@@ -81,6 +81,21 @@ func (e *TruncatedError) Error() string {
 
 func (e *TruncatedError) Unwrap() error { return e.Err }
 
+// StateError reports a snapshot that decoded cleanly but whose contents
+// break a structural invariant of the component restoring it: duplicate
+// or descending IDs, an ID past its allocator's counter, or counters
+// that disagree between components.
+type StateError struct {
+	Component string
+	Err       error
+}
+
+func (e *StateError) Error() string {
+	return fmt.Sprintf("persistence: corrupt %s state in snapshot: %v", e.Component, e.Err)
+}
+
+func (e *StateError) Unwrap() error { return e.Err }
+
 // Encoder builds a snapshot byte stream with append-only primitives.
 type Encoder struct {
 	buf []byte

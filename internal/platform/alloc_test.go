@@ -112,7 +112,7 @@ func TestAllocBudgetAppendRecentByTag(t *testing.T) {
 // in place rather than reallocated (the map[AccountID]*window layout
 // this replaced minted a heap object per account per hour).
 func TestAllocBudgetHourlyLimiter(t *testing.T) {
-	l := newHourlyLimiter()
+	var l hourlyLimiter
 	const rows = 1024
 	l.ensure(rows - 1)
 	base := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)

@@ -1,20 +1,12 @@
 package platform
 
-import (
-	"sync"
-
-	"footsteps/internal/intern"
-)
+import "footsteps/internal/intern"
 
 // hashtagIndex tracks recent posts per hashtag. Real feeds expose roughly
 // this surface: given a tag, fetch the most recent media — which is
 // exactly the discovery API the reciprocity AASs crawl when a customer
 // supplies a hashtag list (§3.3.1).
-// The index takes a read-write lock: tag feeds are crawled concurrently
-// by parallel intent generation (many readers) and written only from the
-// serialized apply path.
 type hashtagIndex struct {
-	mu     sync.RWMutex
 	byTag  map[string]*tagRing
 	keepup int
 }
@@ -36,8 +28,6 @@ func (h *hashtagIndex) add(tag string, pid PostID) {
 	if tag == "" {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	r := h.byTag[tag]
 	if r == nil {
 		// New tags are rare (campaign tag pools are small and fixed);
@@ -63,8 +53,6 @@ func (h *hashtagIndex) recent(tag string, k int) []PostID {
 // newest first, and returns the extended slice. Callers that crawl tag
 // feeds every tick pass a reused buffer to avoid per-query allocation.
 func (h *hashtagIndex) appendRecent(dst []PostID, tag string, k int) []PostID {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	r := h.byTag[tag]
 	if r == nil || k <= 0 {
 		return dst
@@ -91,6 +79,7 @@ func (h *hashtagIndex) appendRecent(dst []PostID, tag string, k int) []PostID {
 // they were part of the caption. World-building code uses this to tag
 // profile-seed photos; live posts carry tags on the post Request.
 func (p *Platform) TagPost(id AccountID, pid PostID, tags ...string) error {
+	p.phase.CheckWrite("platform.TagPost")
 	author, ok := p.PostAuthor(pid)
 	if !ok || author != id {
 		return ErrAccountGone

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"footsteps/internal/clock"
@@ -11,12 +10,12 @@ import (
 	"footsteps/internal/socialgraph"
 )
 
-// These tests hammer the platform from many goroutines at once — the
-// concurrent-read/serialized-apply contract the parallel stepping pool
-// relies on — and then check that shared state still reconciles exactly
-// with the event log. They are most meaningful under -race, which CI
-// runs them with. The simulated clock is held still during the
-// concurrent phase (Clock is not safe for concurrent mutation).
+// These tests interleave many live sessions' traffic in a random order —
+// the shape of one world tick, where apply replays every actor's intents
+// on the world's goroutine — and then check that shared state still
+// reconciles exactly with the event log. The platform is single-writer,
+// so the interleaving is sequential; what varies is which session acts
+// next.
 
 func newConcurrencyPlatform(cfg Config) (*Platform, *netsim.Registry) {
 	reg := netsim.NewRegistry()
@@ -25,13 +24,10 @@ func newConcurrencyPlatform(cfg Config) (*Platform, *netsim.Registry) {
 	return New(cfg, socialgraph.New(), reg, sched), reg
 }
 
-// TestConcurrentSessionsGraphMatchesEventLog: under an arbitrary
-// interleaving of concurrent follow/unfollow traffic, every account's
-// follower and following relations must equal what a replay of that
-// account's own event sequence predicts. Each goroutine drives its own
-// session, so per-actor log order is program order; edge state for a
-// (actor, target) pair is touched by exactly one goroutine, making the
-// replay exact rather than merely plausible.
+// TestConcurrentSessionsGraphMatchesEventLog: under a random interleaving
+// of many sessions' follow/unfollow traffic, every account's follower and
+// following relations must equal what a replay of that account's own
+// event sequence predicts.
 func TestConcurrentSessionsGraphMatchesEventLog(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
@@ -61,34 +57,23 @@ func TestConcurrentSessionsGraphMatchesEventLog(t *testing.T) {
 		sessions[i] = s
 	}
 
-	var mu sync.Mutex
 	perActor := make(map[AccountID][]Event)
 	p.Log().Subscribe(func(ev Event) {
-		if ev.Type != ActionFollow && ev.Type != ActionUnfollow {
-			return
+		if ev.Type == ActionFollow || ev.Type == ActionUnfollow {
+			perActor[ev.Actor] = append(perActor[ev.Actor], ev)
 		}
-		mu.Lock()
-		perActor[ev.Actor] = append(perActor[ev.Actor], ev)
-		mu.Unlock()
 	})
 
-	var wg sync.WaitGroup
-	for i, sess := range sessions {
-		wg.Add(1)
-		go func(i int, sess *Session) {
-			defer wg.Done()
-			r := rng.New(uint64(i) + 1)
-			for k := 0; k < opsPerActor; k++ {
-				tgt := targetIDs[r.Intn(len(targetIDs))]
-				if r.Bool(0.6) {
-					sess.Do(Request{Action: ActionFollow, Target: tgt})
-				} else {
-					sess.Do(Request{Action: ActionUnfollow, Target: tgt})
-				}
-			}
-		}(i, sess)
+	order := rng.New(1)
+	for k := 0; k < nActors*opsPerActor; k++ {
+		sess := sessions[order.Intn(nActors)]
+		tgt := targetIDs[order.Intn(len(targetIDs))]
+		if order.Bool(0.6) {
+			sess.Do(Request{Action: ActionFollow, Target: tgt})
+		} else {
+			sess.Do(Request{Action: ActionUnfollow, Target: tgt})
+		}
 	}
-	wg.Wait()
 
 	for _, sess := range sessions {
 		actor := sess.Account()
@@ -127,10 +112,11 @@ func TestConcurrentSessionsGraphMatchesEventLog(t *testing.T) {
 	}
 }
 
-// TestConcurrentRateLimitAccountingStaysInBounds: with concurrent
+// TestConcurrentRateLimitAccountingStaysInBounds: with many interleaved
 // sessions hammering a small hourly budget, the limiter's buckets must
-// never go negative or exceed the limit, and no account may land more
-// allowed actions in the log than the budget permits.
+// never go negative or exceed the limit, and every account must land
+// exactly the budget's worth of allowed actions in the log — no more,
+// and, with far more attempts than budget, no fewer.
 func TestConcurrentRateLimitAccountingStaysInBounds(t *testing.T) {
 	t.Parallel()
 	const limit = 25
@@ -162,49 +148,34 @@ func TestConcurrentRateLimitAccountingStaysInBounds(t *testing.T) {
 		sessions[i] = s
 	}
 
-	var mu sync.Mutex
 	allowedCount := make(map[AccountID]int)
 	p.Log().Subscribe(func(ev Event) {
 		if ev.Outcome == OutcomeAllowed && !ev.Enforcement {
-			mu.Lock()
 			allowedCount[ev.Actor]++
-			mu.Unlock()
 		}
 	})
 
-	var wg sync.WaitGroup
-	for i, sess := range sessions {
-		wg.Add(1)
-		go func(i int, sess *Session) {
-			defer wg.Done()
-			r := rng.New(uint64(i) + 99)
-			for k := 0; k < opsPerActor; k++ {
-				switch r.Intn(3) {
-				case 0:
-					sess.Do(Request{Action: ActionLike, Post: pid})
-				case 1:
-					sess.Do(Request{Action: ActionFollow, Target: tgt})
-				default:
-					sess.Do(Request{Action: ActionUnfollow, Target: tgt})
-				}
+	order := rng.New(99)
+	for k := 0; k < nActors*opsPerActor; k++ {
+		sess := sessions[order.Intn(nActors)]
+		switch order.Intn(3) {
+		case 0:
+			sess.Do(Request{Action: ActionLike, Post: pid})
+		case 1:
+			sess.Do(Request{Action: ActionFollow, Target: tgt})
+		default:
+			sess.Do(Request{Action: ActionUnfollow, Target: tgt})
+		}
+		for r, hour := range p.limiter.hours {
+			if n := p.limiter.counts[r]; hour != 0 && (n < 0 || int(n) > limit) {
+				t.Fatalf("op %d: limiter bucket for account %d holds %d, want within [0, %d]", k, r+1, n, limit)
 			}
-		}(i, sess)
-	}
-	wg.Wait()
-
-	for _, sess := range sessions {
-		if n := allowedCount[sess.Account()]; n > limit {
-			t.Errorf("account %d landed %d allowed actions, budget is %d", sess.Account(), n, limit)
 		}
 	}
-	for _, sh := range p.shards {
-		for r, hour := range sh.limiter.hours {
-			if hour == 0 {
-				continue
-			}
-			if n := sh.limiter.counts[r]; n < 0 || int(n) > limit {
-				t.Errorf("limiter bucket for account %d holds %d, want within [0, %d]", sh.tab.id(uint32(r)), n, limit)
-			}
+
+	for _, sess := range sessions {
+		if n := allowedCount[sess.Account()]; n != limit {
+			t.Errorf("account %d landed %d allowed actions, budget is %d", sess.Account(), n, limit)
 		}
 	}
 }

@@ -21,22 +21,21 @@
 // Session-validity checks, fault injection, rate limiting, gatekeeping,
 // state mutation, event emission, and telemetry all happen once, in
 // Do's pipeline, instead of being re-wired per action (see
-// docs/ARCHITECTURE.md). Mutable state is lock-striped across shards
-// keyed by a stable hash of AccountID (see shard.go), so the parallel
-// planning phase and independent mutations scale past a single lock.
+// docs/ARCHITECTURE.md). Mutable state lives in one struct-of-arrays
+// table addressed by ID (see table.go) and holds no locks: the world is
+// single-writer (see Platform).
 package platform
 
 import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"footsteps/internal/clock"
 	"footsteps/internal/netsim"
 	"footsteps/internal/socialgraph"
+	"footsteps/internal/step"
 	"footsteps/internal/telemetry"
 	"footsteps/internal/trace"
 )
@@ -91,11 +90,6 @@ type Config struct {
 	// OAuthHourlyLimit caps the public API "in a manner that precludes
 	// broad abusive use" (§2) — far below the private limit.
 	OAuthHourlyLimit int
-	// Shards is the lock-stripe count for mutable platform state
-	// (accounts, sessions, rate-limit buckets, post index). 0 means
-	// DefaultShards. Purely a concurrency knob: the event stream is
-	// byte-identical at every shard count (see docs/ARCHITECTURE.md).
-	Shards int
 }
 
 // DefaultConfig matches the study's standard world. The OAuth cap of a
@@ -140,16 +134,15 @@ type GatekeeperFunc func(req Event) Verdict
 // Check implements Gatekeeper.
 func (f GatekeeperFunc) Check(req Event) Verdict { return f(req) }
 
-// Platform is the simulated service. All exported methods are safe for
-// concurrent use. Mutable state is partitioned into lock-striped shards
-// keyed by a stable hash of AccountID (shard.go): pure queries (Exists,
-// LatestPost, PostAuthor, Posts, RecentByTag, …) take only the owning
-// stripe's read lock, so the parallel stepping engine's intent-generation
-// phase can interrogate platform state from many workers at once, and
-// mutations — registration, login, and the Do(Request) action pipeline
-// with its rate-limit and gatekeeper checks — lock only the stripes they
-// touch. In simulation, mutation runs on the single apply goroutine; the
-// striping is what lets many planners read while it writes.
+// Platform is the simulated service. It is single-writer and holds no
+// locks. Pure queries (Exists, LatestPost, PostAuthor, Posts,
+// RecentByTag, …) may run from many goroutines at once — the parallel
+// stepping engine's plan phase interrogates platform state from every
+// worker — while mutations (registration, login, the Do(Request) action
+// pipeline, restore) run only on the world's one goroutine, outside any
+// plan phase: in step apply, in scheduler callbacks, and at the ingress
+// drain point. The plan/apply barrier orders the two, so the rule needs
+// no lock; step.Phase enforces it in race-detector builds.
 type Platform struct {
 	cfg   Config
 	graph *socialgraph.Graph
@@ -159,24 +152,21 @@ type Platform struct {
 
 	tags *hashtagIndex
 
-	// shards stripe the account records and their rate-limit buckets by
-	// hash(AccountID); postIdx stripes the post→author index by
-	// hash(PostID). nextPost allocates post IDs in stateless
-	// (GraphWrites off) mode.
-	shards   []*shard
-	postIdx  []*postStripe
-	nextPost atomic.Uint64
+	// accts holds the account records and limiter their rate-limit
+	// buckets, both indexed by row AccountID-1. authors maps PostID-1 to
+	// the post's author (0 for a deleted author or an unknown post).
+	// nextPost is the last post ID minted in stateless (GraphWrites off)
+	// mode.
+	accts    accountTable
+	limiter  hourlyLimiter
+	authors  []AccountID
+	nextPost uint64
 
-	// nameMu guards the username index and serializes registration and
-	// deletion (the only paths that mutate it). Ranked before every
-	// shard lock; never acquired while one is held.
-	nameMu     sync.RWMutex
 	byUsername map[string]AccountID
 
-	// hookMu guards the enforcement and fault-injection hook pointers,
-	// which are installed at construction (faults) or between serial
-	// experiment phases (gatekeepers) and read on every request.
-	hookMu sync.RWMutex
+	// gate and faults are the enforcement and fault-injection hooks,
+	// installed at construction (faults) or between serial experiment
+	// phases (gatekeepers).
 	gate   Gatekeeper
 	faults FaultInjector
 
@@ -185,8 +175,7 @@ type Platform struct {
 	// enforce tracks the delayed-removal actions scheduled by
 	// VerdictDelayRemove that have not fired yet, in scheduling order.
 	// Keeping them in a table (the scheduler closure only points into it)
-	// is what lets snapshots serialize pending enforcement work. Touched
-	// only from the single-threaded apply/scheduler path.
+	// is what lets snapshots serialize pending enforcement work.
 	enforce []*pendingEnforcement
 
 	// tel holds pre-created instruments (nil = telemetry off). Set once
@@ -195,10 +184,12 @@ type Platform struct {
 
 	// tracer records per-request spans (nil = tracing off, the cost of
 	// one pointer check per request). Set once during world construction,
-	// before any traffic; see SetTracer. Like the event stream itself,
-	// span emission assumes requests run on the serial apply/scheduler
-	// goroutine.
+	// before any traffic; see SetTracer.
 	tracer *trace.Tracer
+
+	// phase is the world's plan/apply phase word, checked by every
+	// mutator (nil = unchecked); see SetPhase.
+	phase *step.Phase
 }
 
 // pendingEnforcement is one scheduled delayed-removal (§6.1): the follow
@@ -230,10 +221,7 @@ type platformMetrics struct {
 
 // WireTelemetry registers the platform's metric set in reg and starts
 // recording. Call during construction, before traffic; a nil registry is
-// a no-op (telemetry stays off). Besides the event and enforcement
-// counters, each lock stripe gets a contention counter
-// (platform.shard.NN.contention, platform.postshard.NN.contention)
-// counting acquisitions that found the stripe already held.
+// a no-op (telemetry stays off).
 func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -254,13 +242,6 @@ func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 			m.events[t][o] = reg.Counter("platform.events." + t.String() + "." + o.String())
 		}
 	}
-	reg.Gauge("platform.shards").Set(int64(len(p.shards)))
-	for i, sh := range p.shards {
-		sh.contention = reg.Counter(fmt.Sprintf("platform.shard.%02d.contention", i))
-	}
-	for i, ps := range p.postIdx {
-		ps.contention = reg.Counter(fmt.Sprintf("platform.postshard.%02d.contention", i))
-	}
 	p.tel = m
 }
 
@@ -270,51 +251,32 @@ func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 // change any event (enforced in internal/simtest).
 func (p *Platform) SetTracer(tr *trace.Tracer) { p.tracer = tr }
 
-// shardIndexOf reports the index of the stripe owning id, for span
-// attribution.
-func (p *Platform) shardIndexOf(id AccountID) uint32 {
-	return uint32(shardHash(uint64(id)) % uint64(len(p.shards)))
+// SetPhase installs the world's phase word on the platform and its
+// graph: every mutator of either checks it (see step.Phase). Call during
+// construction; nil, the default, checks nothing.
+func (p *Platform) SetPhase(ph *step.Phase) {
+	p.phase = ph
+	p.graph.SetPhase(ph)
 }
 
 // New assembles a platform over the given substrates.
 func New(cfg Config, g *socialgraph.Graph, net *netsim.Registry, sched *clock.Scheduler) *Platform {
-	n := normShards(cfg.Shards)
-	p := &Platform{
+	return &Platform{
 		cfg:        cfg,
 		graph:      g,
 		net:        net,
 		clk:        sched.Clock(),
 		sched:      sched,
 		tags:       newHashtagIndex(),
-		shards:     make([]*shard, n),
-		postIdx:    make([]*postStripe, n),
 		byUsername: make(map[string]AccountID),
 	}
-	for i := range p.shards {
-		p.shards[i] = newShard()
-	}
-	for i := range p.postIdx {
-		p.postIdx[i] = &postStripe{author: make(map[PostID]AccountID)}
-	}
-	return p
 }
-
-// Shards reports the configured lock-stripe count.
-func (p *Platform) Shards() int { return len(p.shards) }
 
 // NumAccounts reports the number of registered account rows, deleted
 // ones included: rows are tombstoned rather than freed, so this is the
 // resident table size — the denominator behind the bytes-per-account
 // telemetry.
-func (p *Platform) NumAccounts() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		n += sh.tab.len()
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (p *Platform) NumAccounts() int { return len(p.accts.usernames) }
 
 // Log exposes the event stream for subscribers (detection, monitors).
 func (p *Platform) Log() *EventLog { return &p.log }
@@ -330,38 +292,22 @@ func (p *Platform) Now() time.Time { return p.clk.Now() }
 
 // SetGatekeeper installs gk as the enforcement hook. Passing nil removes
 // all countermeasures.
-func (p *Platform) SetGatekeeper(gk Gatekeeper) {
-	p.hookMu.Lock()
-	p.gate = gk
-	p.hookMu.Unlock()
-}
-
-// hooks snapshots the gatekeeper and fault-injector pointers.
-func (p *Platform) hooks() (Gatekeeper, FaultInjector) {
-	p.hookMu.RLock()
-	g, f := p.gate, p.faults
-	p.hookMu.RUnlock()
-	return g, f
-}
+func (p *Platform) SetGatekeeper(gk Gatekeeper) { p.gate = gk }
 
 // RegisterAccount creates an account with the given credentials and profile
 // and returns its ID. The homeCountry is where the human behind the account
 // usually logs in from.
 func (p *Platform) RegisterAccount(username, password string, profile Profile, homeCountry string) (AccountID, error) {
-	p.nameMu.Lock()
-	defer p.nameMu.Unlock()
+	p.phase.CheckWrite("platform.RegisterAccount")
 	if _, taken := p.byUsername[username]; taken {
 		return 0, fmt.Errorf("%w: %q", ErrUsernameTaken, username)
 	}
 	id := p.graph.CreateAccount(p.clk.Now())
-	sh := p.shardFor(id)
-	sh.lock()
-	r := sh.tab.add(id, username, password, profile, homeCountry, p.clk.Now())
+	r := p.accts.add(id, username, password, profile, homeCountry, p.clk.Now())
 	// The profile's initial photos exist as posts.
 	for i := 0; i < profile.PhotoCount; i++ {
-		p.addPostLocked(sh, r)
+		p.addPost(r)
 	}
-	sh.mu.Unlock()
 	p.byUsername[username] = id
 	if m := p.tel; m != nil {
 		m.accounts.Add(1)
@@ -369,11 +315,9 @@ func (p *Platform) RegisterAccount(username, password string, profile Profile, h
 	return id, nil
 }
 
-// addPostLocked creates a post for row r of sh, whose lock the caller
-// holds. It takes the post-index stripe lock for the new ID — account
-// shard before post stripe is the canonical order.
-func (p *Platform) addPostLocked(sh *shard, r uint32) PostID {
-	id := sh.tab.id(r)
+// addPost creates a post for row r and indexes its author.
+func (p *Platform) addPost(r uint32) PostID {
+	id := AccountID(r + 1)
 	var pid PostID
 	if p.cfg.GraphWrites {
 		var err error
@@ -382,42 +326,40 @@ func (p *Platform) addPostLocked(sh *shard, r uint32) PostID {
 			panic(fmt.Sprintf("platform: graph post for live account: %v", err))
 		}
 	} else {
-		pid = PostID(p.nextPost.Add(1))
+		p.nextPost++
+		pid = PostID(p.nextPost)
 	}
-	sh.tab.posts[r] = append(sh.tab.posts[r], pid)
-	ps := p.postStripeFor(pid)
-	ps.lock()
-	ps.author[pid] = id
-	ps.mu.Unlock()
+	p.accts.posts[r] = append(p.accts.posts[r], pid)
+	p.setAuthor(pid, id)
 	return pid
+}
+
+// setAuthor records id as pid's author in the dense author index; 0
+// clears it. Post IDs are minted densely, so the index grows by one
+// cell per post.
+func (p *Platform) setAuthor(pid PostID, id AccountID) {
+	if n := int(pid) - len(p.authors); n > 0 {
+		p.authors = append(p.authors, make([]AccountID, n)...)
+	}
+	p.authors[pid-1] = id
 }
 
 // DeleteAccount removes the account and, per the paper's honeypot protocol,
 // all actions to or from it.
 func (p *Platform) DeleteAccount(id AccountID) error {
-	p.nameMu.Lock()
-	defer p.nameMu.Unlock()
-	sh := p.shardFor(id)
-	sh.lock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
-		sh.mu.Unlock()
+	p.phase.CheckWrite("platform.DeleteAccount")
+	r, ok := p.accts.live(id)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrAccountGone, id)
 	}
-	sh.tab.deleted[r] = true
-	sh.tab.sessionEpochs[r]++ // revoke sessions
-	username := sh.tab.usernames[r]
-	posts := sh.tab.posts[r]
-	sh.mu.Unlock()
-	delete(p.byUsername, username)
+	p.accts.deleted[r] = true
+	p.accts.sessionEpochs[r]++ // revoke sessions
+	delete(p.byUsername, p.accts.usernames[r])
 	if m := p.tel; m != nil {
 		m.accounts.Add(-1)
 	}
-	for _, pid := range posts {
-		ps := p.postStripeFor(pid)
-		ps.lock()
-		delete(ps.author, pid)
-		ps.mu.Unlock()
+	for _, pid := range p.accts.posts[r] {
+		p.authors[pid-1] = 0
 	}
 	if p.cfg.GraphWrites {
 		return p.graph.DeleteAccount(id)
@@ -428,61 +370,47 @@ func (p *Platform) DeleteAccount(id AccountID) error {
 // ResetPassword changes the account's password and revokes every live
 // session — the user-level remedy for evicting an AAS.
 func (p *Platform) ResetPassword(id AccountID, newPassword string) error {
-	sh := p.shardFor(id)
-	sh.lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	p.phase.CheckWrite("platform.ResetPassword")
+	r, ok := p.accts.live(id)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrAccountGone, id)
 	}
-	sh.tab.passwords[r] = newPassword
-	sh.tab.sessionEpochs[r]++
+	p.accts.passwords[r] = newPassword
+	p.accts.sessionEpochs[r]++
 	return nil
 }
 
 // Exists reports whether the account is live.
 func (p *Platform) Exists(id AccountID) bool {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	return ok && !sh.tab.deleted[r]
+	_, ok := p.accts.live(id)
+	return ok
 }
 
 // AccountProfile returns the account's profile.
 func (p *Platform) AccountProfile(id AccountID) (Profile, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.accts.live(id)
+	if !ok {
 		return Profile{}, false
 	}
-	return sh.tab.profiles[r], true
+	return p.accts.profiles[r], true
 }
 
 // Username returns the account's username.
 func (p *Platform) Username(id AccountID) (string, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.accts.live(id)
+	if !ok {
 		return "", false
 	}
-	return sh.tab.usernames[r], true
+	return p.accts.usernames[r], true
 }
 
 // CreatedAt returns the account's registration time.
 func (p *Platform) CreatedAt(id AccountID) (time.Time, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
+	r, ok := p.accts.row(id)
 	if !ok {
 		return time.Time{}, false
 	}
-	return sh.tab.created[r], true
+	return p.accts.created[r], true
 }
 
 // MostFrequentLoginCountry implements the paper's customer-location rule:
@@ -491,15 +419,12 @@ func (p *Platform) CreatedAt(id AccountID) (time.Time, bool) {
 // is sorted by country, so the first maximum is the tie-break winner
 // (smallest country string), matching the historical map-scan rule.
 func (p *Platform) MostFrequentLoginCountry(id AccountID) (string, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
+	r, ok := p.accts.row(id)
 	if !ok {
 		return "", false
 	}
 	best, n := "", 0
-	for _, cc := range sh.tab.logins[r] {
+	for _, cc := range p.accts.logins[r] {
 		if cc.N > n {
 			best, n = cc.Country, cc.N
 		}
@@ -509,39 +434,33 @@ func (p *Platform) MostFrequentLoginCountry(id AccountID) (string, bool) {
 
 // Posts returns the account's post IDs in creation order.
 func (p *Platform) Posts(id AccountID) []PostID {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.accts.live(id)
+	if !ok {
 		return nil
 	}
-	return append([]PostID(nil), sh.tab.posts[r]...)
+	return append([]PostID(nil), p.accts.posts[r]...)
 }
 
 // LatestPost returns the account's most recent post, if any.
 func (p *Platform) LatestPost(id AccountID) (PostID, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.accts.live(id)
+	if !ok {
 		return 0, false
 	}
-	posts := sh.tab.posts[r]
+	posts := p.accts.posts[r]
 	if len(posts) == 0 {
 		return 0, false
 	}
 	return posts[len(posts)-1], true
 }
 
-// PostAuthor resolves a post to its author.
+// PostAuthor resolves a post to its author. ID 0 wraps past every cell.
 func (p *Platform) PostAuthor(pid PostID) (AccountID, bool) {
-	ps := p.postStripeFor(pid)
-	ps.rlock()
-	defer ps.mu.RUnlock()
-	id, ok := ps.author[pid]
-	return id, ok
+	i := uint64(pid) - 1
+	if i >= uint64(len(p.authors)) || p.authors[i] == 0 {
+		return 0, false
+	}
+	return p.authors[i], true
 }
 
 // LikeCount returns the number of likes on pid as tracked by the platform
@@ -554,11 +473,8 @@ func (p *Platform) LikeCount(pid PostID) int {
 	if p.cfg.GraphWrites {
 		return p.graph.LikeCount(pid)
 	}
-	sh := p.shardFor(author)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	if r, ok := sh.tab.row(author); ok {
-		return sh.tab.likeCount(r, pid)
+	if r, ok := p.accts.row(author); ok {
+		return p.accts.likeCount(r, pid)
 	}
 	return 0
 }
@@ -573,57 +489,48 @@ type ClientInfo struct {
 // Login authenticates and returns a session bound to the client info. The
 // login is recorded as an event and feeds geolocation.
 func (p *Platform) Login(username, password string, ci ClientInfo) (*Session, error) {
-	p.nameMu.RLock()
+	p.phase.CheckWrite("platform.Login")
 	id, ok := p.byUsername[username]
-	p.nameMu.RUnlock()
 	if !ok {
 		return nil, ErrBadCredentials
 	}
 	var sp *trace.Active
 	if tr := p.tracer; tr != nil {
-		sp = tr.StartRequest(trace.KindLogin, uint64(id), p.shardIndexOf(id), uint8(ActionLogin))
+		sp = tr.StartRequest(trace.KindLogin, uint64(id), 0, uint8(ActionLogin))
 	}
-	_, faults := p.hooks()
-	sh := p.shardFor(id)
-	sh.lock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] || sh.tab.passwords[r] != password {
-		sh.mu.Unlock()
+	r, ok := p.accts.live(id)
+	if !ok || p.accts.passwords[r] != password {
 		sp.Stage(trace.StageSession, trace.VerdictFail)
 		sp.End(uint8(OutcomeFailed), 0, 0, 0)
 		return nil, ErrBadCredentials
 	}
 	sp.Stage(trace.StageSession, trace.VerdictOK)
-	if faults != nil {
+	if p.faults != nil {
 		asn, _ := p.net.Lookup(ci.IP)
-		if d := faults.Decide(p.clk.Now(), id, ActionLogin, asn, 0); d.Unavailable {
+		if d := p.faults.Decide(p.clk.Now(), id, ActionLogin, asn, 0); d.Unavailable {
 			// The auth frontend is down: no session, no event, and no
 			// geolocation update — the request never reached the app tier.
-			sh.mu.Unlock()
 			sp.Stage(trace.StageFaults, trace.VerdictUnavailable)
 			sp.End(uint8(OutcomeUnavailable), 0, 0, uint32(asn))
 			return nil, ErrUnavailable
 		}
 	}
 	sp.Stage(trace.StageFaults, trace.VerdictOK)
-	country := p.net.Country(ci.IP)
-	if country != "" {
-		sh.tab.bumpLogin(r, country)
+	if country := p.net.Country(ci.IP); country != "" {
+		p.accts.bumpLogin(r, country)
 	}
-	epoch := sh.tab.sessionEpochs[r]
-	now := p.clk.Now()
-	sh.mu.Unlock()
+	epoch := p.accts.sessionEpochs[r]
 
 	ev := p.emitSpan(Event{
-		Time: now, Type: ActionLogin, Actor: id, IP: ci.IP,
+		Time: p.clk.Now(), Type: ActionLogin, Actor: id, IP: ci.IP,
 		Client: ci.Fingerprint, API: ci.API, Outcome: OutcomeAllowed,
 	}, sp)
 	endSpan(sp, ev)
 	return &Session{p: p, id: id, epoch: epoch, client: ci}, nil
 }
 
-// emit resolves the ASN and delivers the event. Callers must NOT hold any
-// shard or stripe lock: subscribers may call back into the platform.
+// emit resolves the ASN and delivers the event. Subscribers may call back
+// into the platform.
 func (p *Platform) emit(ev Event) { p.emitSpan(ev, nil) }
 
 // emitSpan is emit with stage marks on an in-flight span: the telemetry

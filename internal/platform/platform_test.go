@@ -2,7 +2,6 @@ package platform
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -467,30 +466,6 @@ func TestActionTypeAndOutcomeStrings(t *testing.T) {
 	}
 }
 
-func TestConcurrentActionsAreSafe(t *testing.T) {
-	w := newWorld(t, DefaultConfig())
-	ids := make([]AccountID, 10)
-	for i := range ids {
-		ids[i] = w.register(t, fmt.Sprintf("user%d", i))
-	}
-	w.p.Log().Subscribe(func(Event) {})
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		i := i
-		go func() {
-			defer func() { done <- struct{}{} }()
-			s := w.login(t, fmt.Sprintf("user%d", i), 10)
-			for j := 0; j < 100; j++ {
-				s.Do(Request{Action: ActionFollow, Target: ids[(i+j+1)%len(ids)]})
-				s.Do(Request{Action: ActionUnfollow, Target: ids[(i+j+1)%len(ids)]})
-			}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-}
-
 func TestDuplicateActionsFlagged(t *testing.T) {
 	w := newWorld(t, DefaultConfig())
 	w.register(t, "alice")
@@ -580,4 +555,41 @@ func TestHashtagRingBounded(t *testing.T) {
 		t.Fatal("newest post not first")
 	}
 	_ = w
+}
+
+// TestRestoreStateRejectsBadIDs feeds RestoreState snapshots whose IDs
+// break the invariants the ID-addressed tables rely on and expects an
+// error — never a panic — with the platform left untouched.
+func TestRestoreStateRejectsBadIDs(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	cfg.GraphWrites = false
+	w := newWorld(t, cfg)
+	a := w.register(t, "a")
+	w.register(t, "b")
+	s := w.login(t, "a", 10)
+	s.Do(Request{Action: ActionPost})
+	for name, corrupt := range map[string]func(*State){
+		"duplicate account":   func(st *State) { st.Accounts[1].ID = st.Accounts[0].ID },
+		"descending accounts": func(st *State) { st.Accounts[0], st.Accounts[1] = st.Accounts[1], st.Accounts[0] },
+		"account gap":         func(st *State) { st.Accounts[1].ID = 3 },
+		"duplicate post":      func(st *State) { st.Accounts[1].Posts[0] = st.Accounts[0].Posts[0] },
+		"post past count":     func(st *State) { st.Accounts[0].Posts[0] = 1 << 40 },
+		"counter past posts":  func(st *State) { st.NextPost = 1 << 40 },
+		"limiter past accounts": func(st *State) {
+			st.Limiters = append(st.Limiters, LimiterState{ID: 3, Hour: 1, Count: 1})
+		},
+	} {
+		st := w.p.SnapshotState()
+		corrupt(st)
+		if err := w.p.RestoreState(st); err == nil {
+			t.Errorf("%s: RestoreState accepted the snapshot", name)
+		}
+	}
+	if !w.p.Exists(a) || w.p.NumAccounts() != 2 || len(w.p.Posts(a)) != 11 {
+		t.Error("a rejected restore modified the platform")
+	}
+	if err := w.p.RestoreState(w.p.SnapshotState()); err != nil {
+		t.Fatalf("clean snapshot rejected: %v", err)
+	}
 }

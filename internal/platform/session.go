@@ -4,8 +4,9 @@ package platform
 // exactly what customers hand to an AAS: whoever holds the session can act
 // as the account until the password is reset.
 //
-// A session is safe for concurrent use, but simulation code normally drives
-// it from scheduler callbacks on the single simulated timeline.
+// Like every platform mutation, Do on a session runs on the world's
+// goroutine: from scheduler callbacks, step apply, or the ingress drain
+// point, never from a plan phase (see Platform).
 //
 // Every action is submitted as a Request through Do — the single entry
 // point into the moderation pipeline. The former per-action shorthand

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"net/netip"
 	"sort"
 	"time"
@@ -10,13 +11,9 @@ import (
 // internal/persistence and docs/PERSISTENCE.md). SnapshotState enumerates
 // every piece of mutable platform state the request pipeline can touch;
 // RestoreState overwrites a freshly constructed platform with it. Both
-// run only at day boundaries on the single simulation timeline, with no
-// concurrent traffic.
-//
-// The representation is deliberately shard-independent: accounts, limiter
-// windows, and the post index are flattened and sorted by ID, so a
-// snapshot taken at one stripe count restores into any other — shard
-// count stays a pure performance knob even across a checkpoint.
+// run only at day boundaries on the world's goroutine, never during a
+// plan phase. Accounts and limiter windows are listed in ascending ID
+// order, which is row order.
 
 // State is the complete mutable state of a Platform.
 type State struct {
@@ -121,49 +118,39 @@ func (p *Platform) RestoreSession(st SessionState) *Session {
 
 // SnapshotState captures the platform's complete mutable state.
 func (p *Platform) SnapshotState() *State {
-	st := &State{
-		NextPost: p.nextPost.Load(),
-		LogSeq:   p.log.Seq(),
-	}
-	for _, sh := range p.shards {
-		sh.rlock()
-		// Table rows are in registration order; per-account tallies are
-		// maintained sorted, so the flattened form needs only the global
-		// by-ID sort below to be identical to the historical map walk.
-		for r := uint32(0); int(r) < sh.tab.len(); r++ {
-			as := AccountState{
-				ID:           sh.tab.id(r),
-				Username:     sh.tab.usernames[r],
-				Password:     sh.tab.passwords[r],
-				Profile:      sh.tab.profiles[r],
-				HomeCountry:  sh.tab.homeCountries[r],
-				Created:      sh.tab.created[r],
-				Deleted:      sh.tab.deleted[r],
-				SessionEpoch: sh.tab.sessionEpochs[r],
-				Posts:        append([]PostID(nil), sh.tab.posts[r]...),
-			}
-			if ls := sh.tab.logins[r]; len(ls) > 0 {
-				as.LoginCountries = append([]CountryCount(nil), ls...)
-			}
-			if lc := sh.tab.likeCounts[r]; len(lc) > 0 {
-				as.LikeCounts = append([]PostCount(nil), lc...)
-			}
-			st.Accounts = append(st.Accounts, as)
+	st := &State{NextPost: p.nextPost, LogSeq: p.log.Seq()}
+	t := &p.accts
+	// Per-account tallies are maintained sorted, so rows copy straight
+	// out in ID order.
+	for r := range t.usernames {
+		as := AccountState{
+			ID:           AccountID(r + 1),
+			Username:     t.usernames[r],
+			Password:     t.passwords[r],
+			Profile:      t.profiles[r],
+			HomeCountry:  t.homeCountries[r],
+			Created:      t.created[r],
+			Deleted:      t.deleted[r],
+			SessionEpoch: t.sessionEpochs[r],
+			Posts:        append([]PostID(nil), t.posts[r]...),
 		}
-		for r, hour := range sh.limiter.hours {
-			if hour == 0 {
-				continue // never touched
-			}
-			st.Limiters = append(st.Limiters, LimiterState{
-				ID: sh.tab.id(uint32(r)), Hour: hour, Count: int(sh.limiter.counts[r]),
-			})
+		if ls := t.logins[r]; len(ls) > 0 {
+			as.LoginCountries = append([]CountryCount(nil), ls...)
 		}
-		sh.mu.RUnlock()
+		if lc := t.likeCounts[r]; len(lc) > 0 {
+			as.LikeCounts = append([]PostCount(nil), lc...)
+		}
+		st.Accounts = append(st.Accounts, as)
 	}
-	sort.Slice(st.Accounts, func(i, j int) bool { return st.Accounts[i].ID < st.Accounts[j].ID })
-	sort.Slice(st.Limiters, func(i, j int) bool { return st.Limiters[i].ID < st.Limiters[j].ID })
+	for r, hour := range p.limiter.hours {
+		if hour == 0 {
+			continue // never touched
+		}
+		st.Limiters = append(st.Limiters, LimiterState{
+			ID: AccountID(r + 1), Hour: hour, Count: int(p.limiter.counts[r]),
+		})
+	}
 
-	p.tags.mu.RLock()
 	for tag, r := range p.tags.byTag {
 		ts := TagState{Tag: tag}
 		n := r.next
@@ -180,7 +167,6 @@ func (p *Platform) SnapshotState() *State {
 		}
 		st.Tags = append(st.Tags, ts)
 	}
-	p.tags.mu.RUnlock()
 	sort.Slice(st.Tags, func(i, j int) bool { return st.Tags[i].Tag < st.Tags[j].Tag })
 
 	for _, e := range p.enforce {
@@ -192,69 +178,87 @@ func (p *Platform) SnapshotState() *State {
 	return st
 }
 
+// validate checks the structural invariants RestoreState relies on.
+// Accounts must be exactly IDs 1..N in order — the platform registers
+// every minted account ID, deleted rows included. Every post ID must be
+// listed once, by one account, and lie in 1..P for the P posts listed,
+// because post IDs too are minted densely and only for platform posts.
+// Limiter windows and the post counter must stay within those bounds.
+// Together these bound every table RestoreState sizes by the snapshot's
+// own length.
+func (st *State) validate() error {
+	posts := 0
+	for i := range st.Accounts {
+		if want := AccountID(i + 1); st.Accounts[i].ID != want {
+			return fmt.Errorf("platform: account %d listed at position %d: IDs must run 1, 2, 3, … without gaps or repeats", st.Accounts[i].ID, i)
+		}
+		posts += len(st.Accounts[i].Posts)
+	}
+	if st.NextPost > uint64(posts) {
+		return fmt.Errorf("platform: post counter %d exceeds the %d posts listed", st.NextPost, posts)
+	}
+	seen := make([]bool, posts)
+	for i := range st.Accounts {
+		for _, pid := range st.Accounts[i].Posts {
+			if pid < 1 || uint64(pid) > uint64(posts) || seen[pid-1] {
+				return fmt.Errorf("platform: account %d lists post %d: post IDs must be unique and within [1, %d]", st.Accounts[i].ID, pid, posts)
+			}
+			seen[pid-1] = true
+		}
+	}
+	for _, ls := range st.Limiters {
+		if ls.ID < 1 || uint64(ls.ID) > uint64(len(st.Accounts)) {
+			return fmt.Errorf("platform: rate-limit window for unknown account %d", ls.ID)
+		}
+	}
+	return nil
+}
+
 // RestoreState overwrites the platform's mutable state with a snapshot.
 // The caller is responsible for re-registering the pending enforcements'
 // scheduler events via RestoreEnforcements (after the scheduler has been
-// fast-forwarded to the snapshot instant).
-func (p *Platform) RestoreState(st *State) {
-	p.nextPost.Store(st.NextPost)
+// fast-forwarded to the snapshot instant). A snapshot that breaks the
+// invariants validate checks is rejected before anything is
+// overwritten.
+func (p *Platform) RestoreState(st *State) error {
+	p.phase.CheckWrite("platform.RestoreState")
+	if err := st.validate(); err != nil {
+		return err
+	}
+	p.nextPost = st.NextPost
 	p.log.RestoreSeq(st.LogSeq)
-
-	p.nameMu.Lock()
 	clear(p.byUsername)
-	p.nameMu.Unlock()
-	for _, sh := range p.shards {
-		sh.lock()
-		sh.tab.reset()
-		sh.limiter.reset()
-		sh.mu.Unlock()
-	}
-	for _, ps := range p.postIdx {
-		ps.lock()
-		clear(ps.author)
-		ps.mu.Unlock()
-	}
+	p.accts.reset()
+	p.limiter.reset()
+	p.authors = p.authors[:0]
 
+	t := &p.accts
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
-		sh := p.shardFor(as.ID)
-		sh.lock()
-		r := sh.tab.add(as.ID, as.Username, as.Password, as.Profile, as.HomeCountry, as.Created)
-		sh.tab.deleted[r] = as.Deleted
-		sh.tab.sessionEpochs[r] = as.SessionEpoch
+		r := t.add(as.ID, as.Username, as.Password, as.Profile, as.HomeCountry, as.Created)
+		t.deleted[r] = as.Deleted
+		t.sessionEpochs[r] = as.SessionEpoch
 		if len(as.LoginCountries) > 0 {
-			sh.tab.logins[r] = append([]CountryCount(nil), as.LoginCountries...)
+			t.logins[r] = append([]CountryCount(nil), as.LoginCountries...)
 		}
 		if len(as.Posts) > 0 {
-			sh.tab.posts[r] = append([]PostID(nil), as.Posts...)
+			t.posts[r] = append([]PostID(nil), as.Posts...)
 		}
 		if len(as.LikeCounts) > 0 {
-			sh.tab.likeCounts[r] = append([]PostCount(nil), as.LikeCounts...)
+			t.likeCounts[r] = append([]PostCount(nil), as.LikeCounts...)
 		}
-		sh.mu.Unlock()
 		if !as.Deleted {
-			p.nameMu.Lock()
 			p.byUsername[as.Username] = as.ID
-			p.nameMu.Unlock()
 			for _, pid := range as.Posts {
-				ps := p.postStripeFor(pid)
-				ps.lock()
-				ps.author[pid] = as.ID
-				ps.mu.Unlock()
+				p.setAuthor(pid, as.ID)
 			}
 		}
 	}
 
 	for _, ls := range st.Limiters {
-		sh := p.shardFor(ls.ID)
-		sh.lock()
-		if r, ok := sh.tab.row(ls.ID); ok {
-			sh.limiter.set(r, ls.Hour, ls.Count)
-		}
-		sh.mu.Unlock()
+		p.limiter.set(uint32(ls.ID-1), ls.Hour, ls.Count)
 	}
 
-	p.tags.mu.Lock()
 	clear(p.tags.byTag)
 	for _, ts := range st.Tags {
 		r := &tagRing{posts: make([]PostID, p.tags.keepup)}
@@ -263,7 +267,7 @@ func (p *Platform) RestoreState(st *State) {
 		r.full = k == len(r.posts)
 		p.tags.byTag[ts.Tag] = r
 	}
-	p.tags.mu.Unlock()
+	return nil
 }
 
 // RestoreEnforcements re-registers the pending delayed-removals from a
@@ -271,6 +275,7 @@ func (p *Platform) RestoreState(st *State) {
 // has been fast-forwarded to the snapshot instant so the At targets are
 // in the future.
 func (p *Platform) RestoreEnforcements(sts []EnforcementState) {
+	p.phase.CheckWrite("platform.RestoreEnforcements")
 	p.enforce = p.enforce[:0]
 	for _, es := range sts {
 		e := &pendingEnforcement{from: es.From, to: es.To, due: es.Due}

@@ -3,31 +3,24 @@ package platform
 import (
 	"sort"
 	"time"
-
-	"footsteps/internal/intern"
 )
 
-// accountTable is one shard's account records laid out struct-of-arrays:
-// a dense-row allocator (intern.Dense) maps the sparse AccountID space
-// onto rows of parallel slices, one slice per field. Compared with the
-// map[AccountID]*account it replaced, the table stores an account in a
-// handful of contiguous array cells instead of a heap object plus two
-// maps — the difference between ~1 KB and ~200 B per account, which is
-// what lets a million-account world fit in a few GB (see
-// docs/PERFORMANCE.md, "Scaling to 1M accounts").
+// accountTable is the platform's account records laid out
+// struct-of-arrays: one slice per field, indexed by row. Account IDs are
+// minted densely from 1 by the social graph, and the platform registers
+// every account the moment its ID is minted, so the row of AccountID n
+// is n-1 and a lookup is a bounds check, not a map probe. The table
+// stores an account in a handful of contiguous array cells instead of a
+// heap object plus two maps — the difference between ~1 KB and ~200 B
+// per account, which is what lets a million-account world fit in a few
+// GB (see docs/PERFORMANCE.md, "Scaling to 1M accounts").
 //
-// Rows are assigned in first-registration order and never recycled: a
-// deleted account keeps its row with deleted[r] set, exactly as the map
-// kept tombstoned records. Per-account small collections (login-country
-// tallies, per-post like counts) are kept as sorted slices — they are
-// tiny in practice, a sorted slice is half the size of a map, and
-// keeping them sorted makes snapshot encoding a straight copy.
-//
-// The table is not internally locked; its owning shard's mutex covers
-// every access, exactly like the map it replaced.
+// Rows are never recycled: a deleted account keeps its row with
+// deleted[r] set. Per-account small collections (login-country tallies,
+// per-post like counts) are kept as sorted slices — they are tiny in
+// practice, a sorted slice is half the size of a map, and keeping them
+// sorted makes snapshot encoding a straight copy.
 type accountTable struct {
-	ids intern.Dense // AccountID ↔ dense row
-
 	usernames     []string
 	passwords     []string
 	profiles      []Profile
@@ -40,24 +33,25 @@ type accountTable struct {
 	likeCounts    [][]PostCount    // sorted by post ID (stateless-graph mode)
 }
 
-// row returns the dense row for id, if the account has ever been
-// registered on this shard (deleted rows included, like the old map).
+// row returns the row for id, if the account has ever been registered
+// (deleted rows included). ID 0 wraps past every row.
 func (t *accountTable) row(id AccountID) (uint32, bool) {
-	return t.ids.Lookup(uint64(id))
+	r := uint64(id) - 1
+	return uint32(r), r < uint64(len(t.usernames))
 }
 
-// id returns the AccountID occupying row r.
-func (t *accountTable) id(r uint32) AccountID { return AccountID(t.ids.ID(r)) }
+// live returns the row for id if the account exists and is not deleted.
+func (t *accountTable) live(id AccountID) (uint32, bool) {
+	r, ok := t.row(id)
+	return r, ok && !t.deleted[r]
+}
 
-// len reports the number of rows ever assigned (live + deleted).
-func (t *accountTable) len() int { return t.ids.Len() }
-
-// add appends a fresh account row and returns it.
+// add appends the row for id, which must be the next ID in sequence.
 func (t *accountTable) add(id AccountID, username, password string, prof Profile, home string, created time.Time) uint32 {
-	r := t.ids.Index(uint64(id))
-	if int(r) != len(t.usernames) {
-		panic("platform: account registered twice")
+	if uint64(id) != uint64(len(t.usernames))+1 {
+		panic("platform: account IDs must be registered densely in minting order")
 	}
+	r := uint32(id - 1)
 	t.usernames = append(t.usernames, username)
 	t.passwords = append(t.passwords, password)
 	t.profiles = append(t.profiles, prof)
@@ -71,9 +65,8 @@ func (t *accountTable) add(id AccountID, username, password string, prof Profile
 	return r
 }
 
-// reset drops every row (restore path).
+// reset drops every row, keeping capacity for the restore that follows.
 func (t *accountTable) reset() {
-	t.ids.Restore(nil)
 	t.usernames = t.usernames[:0]
 	t.passwords = t.passwords[:0]
 	t.profiles = t.profiles[:0]

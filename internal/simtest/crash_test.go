@@ -178,17 +178,17 @@ func crashMatrixCase(t *testing.T, cfg core.Config, baseline []byte, fracs []flo
 	}
 }
 
-// TestCrashRecoveryProperty is the tentpole matrix: shards {1,4,16} ×
-// workers {1,4,8}, faults off and on, three deterministic kill points
-// each (the failure mode at each point — short write, fsync error,
-// ENOSPC — is a SplitMix64 verdict of the kill op).
+// TestCrashRecoveryProperty is the tentpole matrix: workers {1,4,8},
+// faults off and on, three replica worlds per cell (see replicas), three
+// deterministic kill points each (the failure mode at each point — short
+// write, fsync error, ENOSPC — is a SplitMix64 verdict of the kill op).
 func TestCrashRecoveryProperty(t *testing.T) {
 	t.Parallel()
-	shardsList := []int{1, 4, 16}
+	replicaList := replicas
 	workersList := []int{1, 4, 8}
 	fracs := []float64{0.25, 0.55, 0.85}
 	if testing.Short() {
-		shardsList, workersList = []int{4}, []int{4}
+		replicaList, workersList = replicas[1:2], []int{4}
 	}
 	for _, faulted := range []bool{false, true} {
 		faulted := faulted
@@ -197,16 +197,15 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			base = faultedConfig(7, 1)
 		}
 		baseline := Capture(base)
-		for _, shards := range shardsList {
+		for _, replica := range replicaList {
 			for _, workers := range workersList {
-				shards, workers := shards, workers
-				t.Run(fmt.Sprintf("faults=%v/shards=%d/workers=%d", faulted, shards, workers), func(t *testing.T) {
+				workers := workers
+				t.Run(fmt.Sprintf("faults=%v/%s/workers=%d", faulted, replica, workers), func(t *testing.T) {
 					t.Parallel()
 					cfg := smallConfig(7, workers)
 					if faulted {
 						cfg = faultedConfig(7, workers)
 					}
-					cfg.Shards = shards
 					crashMatrixCase(t, cfg, baseline, fracs)
 				})
 			}

@@ -16,7 +16,7 @@ import (
 // docs/PERSISTENCE.md): a world restored from a day-N snapshot must
 // produce, for the remainder of the window, an FSEV1 event stream
 // byte-identical to the corresponding suffix of a straight-through run —
-// and must end in byte-identical world state. Like the worker/shard
+// and must end in byte-identical world state. Like the worker-count
 // tests, the comparison is over encoded bytes, so any divergence in
 // event content, order, timing, or final state fails loudly.
 
@@ -164,9 +164,9 @@ func TestResumeEquivalence(t *testing.T) {
 }
 
 // TestResumeAcrossShardsAndWorkers restores one day-3 snapshot at every
-// (shards, workers) combination and demands the identical suffix and
-// final state from each: concurrency knobs stay pure performance knobs
-// across a checkpoint boundary.
+// worker count, into three replica worlds each (see replicas), and
+// demands the identical suffix and final state from each: the worker
+// count stays a pure performance knob across a checkpoint boundary.
 func TestResumeAcrossShardsAndWorkers(t *testing.T) {
 	t.Parallel()
 	cfg := resumeConfig(2, 0)
@@ -182,13 +182,12 @@ func TestResumeAcrossShardsAndWorkers(t *testing.T) {
 		t.Fatalf("reference resume diverged: hash %s != %s", Hash(refStream), Hash(want))
 	}
 
-	for _, shards := range []int{1, 4, 16} {
+	for _, replica := range replicas {
 		for _, workers := range []int{1, 4, 8} {
-			shards, workers := shards, workers
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+			workers := workers
+			t.Run(fmt.Sprintf("%s/workers=%d", replica, workers), func(t *testing.T) {
 				t.Parallel()
 				rcfg := cfg
-				rcfg.Shards = shards
 				rcfg.Workers = workers
 				got, final := captureResumed(t, rcfg, snap)
 				if !bytes.Equal(want, got) {
@@ -258,9 +257,8 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	// Performance knobs are excluded from the fingerprint on purpose.
 	perfCfg := cfg
 	perfCfg.Workers = 8
-	perfCfg.Shards = 16
 	if _, err := core.RestoreWorld(perfCfg, bytes.NewReader(snap)); err != nil {
-		t.Errorf("worker/shard change must not invalidate a snapshot, got %v", err)
+		t.Errorf("worker change must not invalidate a snapshot, got %v", err)
 	}
 
 	// A truncated checkpoint must surface a TruncatedError with the
@@ -270,5 +268,60 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Errorf("truncated snapshot: want TruncatedError, got %v", err)
 	} else if te.Offset <= 0 || te.Offset > int64(len(snap)) {
 		t.Errorf("truncated snapshot: implausible offset %d", te.Offset)
+	}
+}
+
+// TestRestoreRejectsCorruptIDs feeds RestoreWorld snapshots that decode
+// cleanly but carry IDs that break the ID-addressed tables' invariants —
+// a duplicate, an ID past its allocator's counter, IDs out of order —
+// and demands a typed *persistence.StateError, never a panic.
+func TestRestoreRejectsCorruptIDs(t *testing.T) {
+	t.Parallel()
+	cfg := resumeConfig(4, 0)
+	cfg.GraphWrites = true
+	snaps := map[int]*bytes.Buffer{1: {}}
+	captureWithSnapshots(t, cfg, snaps)
+	snap := snaps[1].Bytes()
+	if _, err := core.RestoreWorld(cfg, bytes.NewReader(snap)); err != nil {
+		t.Fatalf("clean snapshot: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*persistence.WorldState)
+	}{
+		{"duplicate platform account", func(st *persistence.WorldState) {
+			st.Platform.Accounts[1].ID = st.Platform.Accounts[0].ID
+		}},
+		{"duplicate graph account", func(st *persistence.WorldState) {
+			st.Graph.Accounts[1].ID = st.Graph.Accounts[0].ID
+		}},
+		{"graph account past counter", func(st *persistence.WorldState) {
+			st.Graph.Accounts[len(st.Graph.Accounts)-1].ID = st.Graph.NextAcct + 1
+		}},
+		{"graph post past counter", func(st *persistence.WorldState) {
+			st.Graph.Posts[len(st.Graph.Posts)-1].ID = st.Graph.NextPost + 1
+		}},
+		{"graph counter past platform accounts", func(st *persistence.WorldState) {
+			st.Graph.NextAcct += 1 << 30
+		}},
+		{"descending platform accounts", func(st *persistence.WorldState) {
+			a := st.Platform.Accounts
+			a[0], a[1] = a[1], a[0]
+		}},
+		{"descending graph accounts", func(st *persistence.WorldState) {
+			a := st.Graph.Accounts
+			a[0], a[1] = a[1], a[0]
+		}},
+	} {
+		h, st, err := persistence.DecodeBytes(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(st)
+		var se *persistence.StateError
+		if _, err := core.RestoreWorld(cfg, bytes.NewReader(persistence.EncodeBytes(h, st))); !errors.As(err, &se) {
+			t.Errorf("%s: want *persistence.StateError, got %v", tc.name, err)
+		}
 	}
 }

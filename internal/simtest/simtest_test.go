@@ -13,6 +13,14 @@ import (
 	"footsteps/internal/telemetry"
 )
 
+// replicas labels the three independent worlds the crash and resume grids
+// run per (faults, workers) cell. Each replica builds its own world from
+// the same config, in parallel with the others, so state shared between
+// worlds in one process would show as a divergence. The labels are the
+// subtest names these grids used when the platform had a lock-stripe
+// count per cell; they are kept so the grids' test IDs stay stable.
+var replicas = []string{"shards=1", "shards=4", "shards=16"}
+
 // smallConfig is a world small enough to run nine times under -race in a
 // test, but still exercising every parallel path: both engine kinds, the
 // organic population, VPN users, honeypot wiring, and cross-enrollment.

@@ -8,20 +8,21 @@
 // paper's honeypot-deletion semantics: "when deleting a honeypot account,
 // all actions to or from the account are eventually removed").
 //
-// State is lock-striped across shards keyed by a stable hash of the ID
-// (see shard.go), so independent accounts and posts can be read and
-// mutated concurrently; cross-shard operations take their locks in
-// canonical order. Within each stripe, records are struct-of-arrays
-// tables with sorted-[]uint32 adjacency (see table.go), sized for
-// million-account worlds. All methods are safe for concurrent use.
+// Records are struct-of-arrays tables addressed by ID, with
+// sorted-[]uint32 adjacency (see table.go), sized for million-account
+// worlds. The graph is single-writer and holds no locks: reads may run
+// from many goroutines at once (the parallel plan phase), but every
+// mutation runs on the world's one goroutine, outside any plan phase —
+// the ownership rule step.Phase enforces in race-detector builds.
 package socialgraph
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
+
+	"footsteps/internal/step"
 )
 
 // AccountID identifies an account. IDs are assigned by the graph and are
@@ -47,233 +48,176 @@ type Comment struct {
 
 // Graph is the mutable social graph.
 type Graph struct {
-	ashards []*gShard
-	pshards []*pShard
+	accts acctTable
+	posts postTable
 
-	// idMu guards the ID counters. A leaf lock: held only to bump a
-	// counter, never while acquiring a shard.
-	idMu     sync.Mutex
+	// nextAcct and nextPost are the last IDs minted; the tables hold
+	// exactly that many rows.
 	nextAcct AccountID
 	nextPost PostID
+
+	phase *step.Phase
 }
 
-// New returns an empty graph with the default stripe count.
-func New() *Graph { return NewSharded(0) }
+// New returns an empty graph.
+func New() *Graph { return &Graph{} }
 
-// NewSharded returns an empty graph striped across n shards; n < 1 means
-// the default. Shard count only affects lock contention, never results.
-func NewSharded(n int) *Graph {
-	if n < 1 {
-		n = defaultShards
-	}
-	g := &Graph{
-		ashards: make([]*gShard, n),
-		pshards: make([]*pShard, n),
-	}
-	for i := range g.ashards {
-		g.ashards[i] = &gShard{}
-	}
-	for i := range g.pshards {
-		g.pshards[i] = &pShard{}
-	}
-	return g
-}
-
-// Shards reports the stripe count.
-func (g *Graph) Shards() int { return len(g.ashards) }
+// SetPhase installs the world's phase word; every mutator checks it
+// (see step.Phase). nil, the default, checks nothing.
+func (g *Graph) SetPhase(ph *step.Phase) { g.phase = ph }
 
 // CreateAccount adds a fresh account and returns its ID.
 func (g *Graph) CreateAccount(now time.Time) AccountID {
-	g.idMu.Lock()
-	g.nextAcct++
-	id := g.nextAcct
-	g.idMu.Unlock()
-	if uint64(id) > math.MaxUint32 {
+	g.phase.CheckWrite("socialgraph.CreateAccount")
+	if uint64(g.nextAcct) >= math.MaxUint32 {
 		panic("socialgraph: account ID space exceeds uint32 adjacency")
 	}
-	s := g.ashard(id)
-	s.lock()
-	s.tab.add(id, now)
-	s.mu.Unlock()
+	g.nextAcct++
+	id := g.nextAcct
+	g.accts.grow(1)
+	g.accts.revive(uint32(id-1), now)
 	return id
 }
 
 // Exists reports whether id is a live account.
 func (g *Graph) Exists(id AccountID) bool {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	_, ok := s.tab.row(id)
+	_, ok := g.accts.row(id)
 	return ok
 }
 
 // NumAccounts returns the number of live accounts.
-func (g *Graph) NumAccounts() int {
-	n := 0
-	for _, s := range g.ashards {
-		s.rlock()
-		n += s.tab.nLive
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (g *Graph) NumAccounts() int { return g.accts.nLive }
 
 // DeleteAccount removes the account and every trace of it: its posts (with
 // all likes and comments they received), its follow edges in both
-// directions, and all likes/comments it placed on others' posts. The
-// cascade can touch any account or post, so it takes every stripe — an
-// acceptable cost for the rare honeypot-deletion path.
+// directions, and all likes/comments it placed on others' posts.
 func (g *Graph) DeleteAccount(id AccountID) error {
-	unlock := g.lockAll()
-	defer unlock()
-	home := &g.ashards[g.aidx(id)].tab
-	r, ok := home.row(id)
+	g.phase.CheckWrite("socialgraph.DeleteAccount")
+	a, p := &g.accts, &g.posts
+	r, ok := a.row(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoAccount, id)
 	}
 	me := u32(uint64(id))
 	// Sever follow edges.
-	for _, f := range home.followers[r] {
-		ft := &g.ashards[g.aidx(AccountID(f))].tab
-		if fr, ok := ft.row(AccountID(f)); ok {
-			ft.followees[fr], _ = removeSorted(ft.followees[fr], me)
+	for _, f := range a.followers[r] {
+		if fr, ok := a.row(AccountID(f)); ok {
+			a.followees[fr], _ = removeSorted(a.followees[fr], me)
 		}
 	}
-	for _, f := range home.followees[r] {
-		ft := &g.ashards[g.aidx(AccountID(f))].tab
-		if fr, ok := ft.row(AccountID(f)); ok {
-			ft.followers[fr], _ = removeSorted(ft.followers[fr], me)
+	for _, f := range a.followees[r] {
+		if fr, ok := a.row(AccountID(f)); ok {
+			a.followers[fr], _ = removeSorted(a.followers[fr], me)
 		}
 	}
 	// Remove likes this account placed.
-	for _, pid := range home.likes[r] {
-		pt := &g.pshards[g.pidx(PostID(pid))].tab
-		if pr, ok := pt.row(PostID(pid)); ok {
-			pt.likes[pr], _ = removeSorted(pt.likes[pr], me)
+	for _, pid := range a.likes[r] {
+		if pr, ok := p.row(PostID(pid)); ok {
+			p.likes[pr], _ = removeSorted(p.likes[pr], me)
 		}
 	}
 	// Remove comments this account placed.
-	for _, pc := range home.commented[r] {
-		pt := &g.pshards[g.pidx(PostID(pc.pid))].tab
-		pr, ok := pt.row(PostID(pc.pid))
+	for _, pc := range a.commented[r] {
+		pr, ok := p.row(PostID(pc.pid))
 		if !ok {
 			continue
 		}
-		kept := pt.comments[pr][:0]
-		for _, c := range pt.comments[pr] {
+		kept := p.comments[pr][:0]
+		for _, c := range p.comments[pr] {
 			if c.Author != id {
 				kept = append(kept, c)
 			}
 		}
-		pt.comments[pr] = kept
+		p.comments[pr] = kept
 	}
 	// Remove this account's own posts and the actions on them.
-	for _, pid := range home.posts[r] {
-		pt := &g.pshards[g.pidx(pid)].tab
-		pr, ok := pt.row(pid)
+	for _, pid := range a.posts[r] {
+		pr, ok := p.row(pid)
 		if !ok {
 			continue
 		}
 		p32 := u32(uint64(pid))
-		for _, liker := range pt.likes[pr] {
-			lt := &g.ashards[g.aidx(AccountID(liker))].tab
-			if lr, ok := lt.row(AccountID(liker)); ok {
-				lt.likes[lr], _ = removeSorted(lt.likes[lr], p32)
+		for _, liker := range p.likes[pr] {
+			if lr, ok := a.row(AccountID(liker)); ok {
+				a.likes[lr], _ = removeSorted(a.likes[lr], p32)
 			}
 		}
-		for _, c := range pt.comments[pr] {
-			ct := &g.ashards[g.aidx(c.Author)].tab
-			if cr, ok := ct.row(c.Author); ok {
-				ct.bumpCommented(cr, p32, -1)
+		for _, c := range p.comments[pr] {
+			if cr, ok := a.row(c.Author); ok {
+				a.bumpCommented(cr, p32, -1)
 			}
 		}
-		pt.tombstone(pr)
+		p.tombstone(pr)
 	}
-	home.tombstone(r)
+	a.tombstone(r)
 	return nil
 }
 
 // Follow adds the edge from → to. Following twice is a no-op reported via
 // the bool result (false when the edge already existed).
 func (g *Graph) Follow(from, to AccountID) (bool, error) {
+	g.phase.CheckWrite("socialgraph.Follow")
 	if from == to {
 		return false, ErrSelfAction
 	}
-	lo, hi := g.lockAccounts(from, to)
-	defer unlockAccounts(lo, hi)
-	ft := &g.ashards[g.aidx(from)].tab
-	fr, ok := ft.row(from)
+	a := &g.accts
+	fr, ok := a.row(from)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, from)
 	}
-	tt := &g.ashards[g.aidx(to)].tab
-	tr, ok := tt.row(to)
+	tr, ok := a.row(to)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, to)
 	}
-	fees, added := insertSorted(ft.followees[fr], u32(uint64(to)))
+	fees, added := insertSorted(a.followees[fr], u32(uint64(to)))
 	if !added {
 		return false, nil
 	}
-	ft.followees[fr] = fees
-	tt.followers[tr], _ = insertSorted(tt.followers[tr], u32(uint64(from)))
+	a.followees[fr] = fees
+	a.followers[tr], _ = insertSorted(a.followers[tr], u32(uint64(from)))
 	return true, nil
 }
 
 // Unfollow removes the edge from → to. Removing a missing edge is a no-op
 // reported via the bool result.
 func (g *Graph) Unfollow(from, to AccountID) (bool, error) {
-	lo, hi := g.lockAccounts(from, to)
-	defer unlockAccounts(lo, hi)
-	ft := &g.ashards[g.aidx(from)].tab
-	fr, ok := ft.row(from)
+	g.phase.CheckWrite("socialgraph.Unfollow")
+	a := &g.accts
+	fr, ok := a.row(from)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, from)
 	}
-	tt := &g.ashards[g.aidx(to)].tab
-	tr, ok := tt.row(to)
+	tr, ok := a.row(to)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, to)
 	}
-	fees, had := removeSorted(ft.followees[fr], u32(uint64(to)))
+	fees, had := removeSorted(a.followees[fr], u32(uint64(to)))
 	if !had {
 		return false, nil
 	}
-	ft.followees[fr] = fees
-	tt.followers[tr], _ = removeSorted(tt.followers[tr], u32(uint64(from)))
+	a.followees[fr] = fees
+	a.followers[tr], _ = removeSorted(a.followers[tr], u32(uint64(from)))
 	return true, nil
 }
 
 // Follows reports whether the edge from → to exists.
 func (g *Graph) Follows(from, to AccountID) bool {
-	s := g.ashard(from)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(from)
-	if !ok {
-		return false
-	}
-	return containsSorted(s.tab.followees[r], u32(uint64(to)))
+	r, ok := g.accts.row(from)
+	return ok && containsSorted(g.accts.followees[r], u32(uint64(to)))
 }
 
 // InDegree returns the follower count (the paper's "followers").
 func (g *Graph) InDegree(id AccountID) int {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	if r, ok := s.tab.row(id); ok {
-		return len(s.tab.followers[r])
+	if r, ok := g.accts.row(id); ok {
+		return len(g.accts.followers[r])
 	}
 	return 0
 }
 
 // OutDegree returns the followee count (the paper's "following").
 func (g *Graph) OutDegree(id AccountID) int {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	if r, ok := s.tab.row(id); ok {
-		return len(s.tab.followees[r])
+	if r, ok := g.accts.row(id); ok {
+		return len(g.accts.followees[r])
 	}
 	return 0
 }
@@ -281,27 +225,21 @@ func (g *Graph) OutDegree(id AccountID) int {
 // Followers returns a snapshot of the accounts following id, in
 // ascending ID order.
 func (g *Graph) Followers(id AccountID) []AccountID {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(id)
+	r, ok := g.accts.row(id)
 	if !ok {
 		return nil
 	}
-	return widen[AccountID](s.tab.followers[r])
+	return widen[AccountID](g.accts.followers[r])
 }
 
 // Followees returns a snapshot of the accounts id follows, in ascending
 // ID order.
 func (g *Graph) Followees(id AccountID) []AccountID {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(id)
+	r, ok := g.accts.row(id)
 	if !ok {
 		return nil
 	}
-	return widen[AccountID](s.tab.followees[r])
+	return widen[AccountID](g.accts.followees[r])
 }
 
 // widen copies a compressed ID set out to the public 64-bit type.
@@ -318,110 +256,85 @@ func widen[T ~uint64](s []uint32) []T {
 
 // AddPost creates a post authored by id.
 func (g *Graph) AddPost(id AccountID, now time.Time) (PostID, error) {
-	s := g.ashard(id)
-	s.lock()
-	defer s.mu.Unlock()
-	r, ok := s.tab.row(id)
+	g.phase.CheckWrite("socialgraph.AddPost")
+	r, ok := g.accts.row(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoAccount, id)
 	}
-	g.idMu.Lock()
-	g.nextPost++
-	pid := g.nextPost
-	g.idMu.Unlock()
-	if uint64(pid) > math.MaxUint32 {
+	if uint64(g.nextPost) >= math.MaxUint32 {
 		panic("socialgraph: post ID space exceeds uint32 adjacency")
 	}
-	ps := g.pshard(pid)
-	ps.lock()
-	ps.tab.add(pid, id, now)
-	ps.mu.Unlock()
-	s.tab.posts[r] = append(s.tab.posts[r], pid)
+	g.nextPost++
+	pid := g.nextPost
+	g.posts.grow(1)
+	g.posts.revive(uint32(pid-1), id, now)
+	g.accts.posts[r] = append(g.accts.posts[r], pid)
 	return pid, nil
 }
 
 // Posts returns the IDs of id's posts in creation order.
 func (g *Graph) Posts(id AccountID) []PostID {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(id)
+	r, ok := g.accts.row(id)
 	if !ok {
 		return nil
 	}
-	return append([]PostID(nil), s.tab.posts[r]...)
+	return append([]PostID(nil), g.accts.posts[r]...)
 }
 
 // PostAuthor returns the author of pid.
 func (g *Graph) PostAuthor(pid PostID) (AccountID, error) {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(pid)
+	r, ok := g.posts.row(pid)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	return AccountID(s.tab.authors[r]), nil
+	return AccountID(g.posts.authors[r]), nil
 }
 
 // Like records who liking pid. Liking your own post is allowed (as on the
 // real platform); liking twice is a no-op reported via the bool result.
 func (g *Graph) Like(who AccountID, pid PostID) (bool, error) {
-	sa := g.ashard(who)
-	sa.lock()
-	defer sa.mu.Unlock()
-	ar, ok := sa.tab.row(who)
+	g.phase.CheckWrite("socialgraph.Like")
+	ar, ok := g.accts.row(who)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, who)
 	}
-	sp := g.pshard(pid)
-	sp.lock()
-	defer sp.mu.Unlock()
-	pr, ok := sp.tab.row(pid)
+	pr, ok := g.posts.row(pid)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	likes, added := insertSorted(sp.tab.likes[pr], u32(uint64(who)))
+	likes, added := insertSorted(g.posts.likes[pr], u32(uint64(who)))
 	if !added {
 		return false, nil
 	}
-	sp.tab.likes[pr] = likes
-	sa.tab.likes[ar], _ = insertSorted(sa.tab.likes[ar], u32(uint64(pid)))
+	g.posts.likes[pr] = likes
+	g.accts.likes[ar], _ = insertSorted(g.accts.likes[ar], u32(uint64(pid)))
 	return true, nil
 }
 
 // Unlike removes who's like from pid.
 func (g *Graph) Unlike(who AccountID, pid PostID) (bool, error) {
-	sa := g.ashard(who)
-	sa.lock()
-	defer sa.mu.Unlock()
-	ar, ok := sa.tab.row(who)
+	g.phase.CheckWrite("socialgraph.Unlike")
+	ar, ok := g.accts.row(who)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, who)
 	}
-	sp := g.pshard(pid)
-	sp.lock()
-	defer sp.mu.Unlock()
-	pr, ok := sp.tab.row(pid)
+	pr, ok := g.posts.row(pid)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	likes, had := removeSorted(sp.tab.likes[pr], u32(uint64(who)))
+	likes, had := removeSorted(g.posts.likes[pr], u32(uint64(who)))
 	if !had {
 		return false, nil
 	}
-	sp.tab.likes[pr] = likes
-	sa.tab.likes[ar], _ = removeSorted(sa.tab.likes[ar], u32(uint64(pid)))
+	g.posts.likes[pr] = likes
+	g.accts.likes[ar], _ = removeSorted(g.accts.likes[ar], u32(uint64(pid)))
 	return true, nil
 }
 
 // LikeCount returns the number of likes on pid.
 func (g *Graph) LikeCount(pid PostID) int {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	if r, ok := s.tab.row(pid); ok {
-		return len(s.tab.likes[r])
+	if r, ok := g.posts.row(pid); ok {
+		return len(g.posts.likes[r])
 	}
 	return 0
 }
@@ -429,47 +342,36 @@ func (g *Graph) LikeCount(pid PostID) int {
 // Likers returns a snapshot of the accounts that liked pid, in ascending
 // ID order.
 func (g *Graph) Likers(pid PostID) []AccountID {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(pid)
+	r, ok := g.posts.row(pid)
 	if !ok {
 		return nil
 	}
-	return widen[AccountID](s.tab.likes[r])
+	return widen[AccountID](g.posts.likes[r])
 }
 
 // AddComment appends a comment by who to pid.
 func (g *Graph) AddComment(who AccountID, pid PostID, text string, now time.Time) error {
-	sa := g.ashard(who)
-	sa.lock()
-	defer sa.mu.Unlock()
-	ar, ok := sa.tab.row(who)
+	g.phase.CheckWrite("socialgraph.AddComment")
+	ar, ok := g.accts.row(who)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoAccount, who)
 	}
-	sp := g.pshard(pid)
-	sp.lock()
-	defer sp.mu.Unlock()
-	pr, ok := sp.tab.row(pid)
+	pr, ok := g.posts.row(pid)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	sp.tab.comments[pr] = append(sp.tab.comments[pr], Comment{Author: who, Text: text, At: now})
-	sa.tab.bumpCommented(ar, u32(uint64(pid)), 1)
+	g.posts.comments[pr] = append(g.posts.comments[pr], Comment{Author: who, Text: text, At: now})
+	g.accts.bumpCommented(ar, u32(uint64(pid)), 1)
 	return nil
 }
 
 // Comments returns a snapshot of pid's comments in posting order.
 func (g *Graph) Comments(pid PostID) []Comment {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(pid)
+	r, ok := g.posts.row(pid)
 	if !ok {
 		return nil
 	}
-	return append([]Comment(nil), s.tab.comments[r]...)
+	return append([]Comment(nil), g.posts.comments[r]...)
 }
 
 // EngagementRate computes the influencer metric the services promote (§2):
@@ -477,28 +379,17 @@ func (g *Graph) Comments(pid PostID) []Comment {
 //	ER = (likes + comments on the user's posts) / followers
 //
 // It returns 0 for accounts with no followers, missing accounts, or
-// accounts with no posts. The follower count and post list are
-// snapshotted first, then each post is read under its own stripe — the
-// serial analysis paths that call this see a quiescent graph either way.
+// accounts with no posts.
 func (g *Graph) EngagementRate(id AccountID) float64 {
-	s := g.ashard(id)
-	s.rlock()
-	r, ok := s.tab.row(id)
-	if !ok || len(s.tab.followers[r]) == 0 {
-		s.mu.RUnlock()
+	r, ok := g.accts.row(id)
+	if !ok || len(g.accts.followers[r]) == 0 {
 		return 0
 	}
-	followers := len(s.tab.followers[r])
-	posts := append([]PostID(nil), s.tab.posts[r]...)
-	s.mu.RUnlock()
 	total := 0
-	for _, pid := range posts {
-		ps := g.pshard(pid)
-		ps.rlock()
-		if pr, ok := ps.tab.row(pid); ok {
-			total += len(ps.tab.likes[pr]) + len(ps.tab.comments[pr])
+	for _, pid := range g.accts.posts[r] {
+		if pr, ok := g.posts.row(pid); ok {
+			total += len(g.posts.likes[pr]) + len(g.posts.comments[pr])
 		}
-		ps.mu.RUnlock()
 	}
-	return float64(total) / float64(followers)
+	return float64(total) / float64(len(g.accts.followers[r]))
 }

@@ -2,10 +2,11 @@ package socialgraph
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"footsteps/internal/rng"
 )
 
 var t0 = time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -276,34 +277,119 @@ func TestDegreeConservation(t *testing.T) {
 	}
 }
 
-// The graph must tolerate concurrent mutation from many goroutines.
-func TestConcurrentSafety(t *testing.T) {
+// TestFollowUnfollowSymmetryProperty drives a long random follow/unfollow
+// sequence — symmetric pairs (a→b, then b→a) included — against a
+// reference edge set and checks after every operation that the graph
+// agrees with the model: the same edges exist, every edge is visible from
+// both endpoints, and Σ in-degree == Σ out-degree == edge count.
+func TestFollowUnfollowSymmetryProperty(t *testing.T) {
 	t.Parallel()
+	const accounts, ops = 24, 6000
 	g := New()
-	const n = 20
-	ids := make([]AccountID, n)
+	ids := make([]AccountID, accounts)
 	for i := range ids {
 		ids[i] = g.CreateAccount(t0)
 	}
-	pid, _ := g.AddPost(ids[0], t0)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				a := ids[(w+i)%n]
-				b := ids[(w+i+1)%n]
-				g.Follow(a, b)
-				g.Like(a, pid)
-				g.InDegree(b)
-				g.EngagementRate(b)
-				g.Unfollow(a, b)
+	type edge struct{ from, to AccountID }
+	model := make(map[edge]bool)
+	r := rng.New(7)
+	for k := 0; k < ops; k++ {
+		var from, to AccountID
+		if k%4 < 2 {
+			// Symmetric churn on a fixed pair, both directions.
+			from, to = ids[k%3], ids[(k+1)%3]
+			if k%4 == 1 {
+				from, to = to, from
 			}
-		}()
+		} else {
+			from, to = ids[r.Intn(accounts)], ids[r.Intn(accounts)]
+		}
+		e := edge{from, to}
+		if r.Bool(0.5) {
+			added, err := g.Follow(from, to)
+			if from == to {
+				if !errors.Is(err, ErrSelfAction) {
+					t.Fatalf("op %d: self-follow %d returned %v", k, from, err)
+				}
+				continue
+			}
+			if err != nil || added == model[e] {
+				t.Fatalf("op %d: Follow(%d, %d) = %v, %v; model has edge: %v", k, from, to, added, err, model[e])
+			}
+			model[e] = true
+		} else {
+			removed, err := g.Unfollow(from, to)
+			if err != nil || removed != model[e] {
+				t.Fatalf("op %d: Unfollow(%d, %d) = %v, %v; model has edge: %v", k, from, to, removed, err, model[e])
+			}
+			delete(model, e)
+		}
 	}
-	wg.Wait()
+
+	in, out := 0, 0
+	for _, a := range ids {
+		in += g.InDegree(a)
+		out += g.OutDegree(a)
+		for _, b := range ids {
+			if got := g.Follows(a, b); got != model[edge{a, b}] {
+				t.Fatalf("Follows(%d, %d) = %v, model says %v", a, b, got, model[edge{a, b}])
+			}
+		}
+		for _, f := range g.Followees(a) {
+			found := false
+			for _, b := range g.Followers(f) {
+				found = found || b == a
+			}
+			if !found {
+				t.Fatalf("edge %d→%d missing from %d's follower set", a, f, f)
+			}
+		}
+	}
+	if in != out || in != len(model) {
+		t.Fatalf("edge conservation broken: Σin=%d Σout=%d, model has %d edges", in, out, len(model))
+	}
+	if in == 0 {
+		t.Fatal("no edges survived the churn; property check is vacuous")
+	}
+}
+
+// TestRestoreStateRejectsBadIDs feeds RestoreState snapshots whose IDs
+// break the invariants the ID-addressed tables rely on and expects an
+// error — never a panic — with the graph left untouched.
+func TestRestoreStateRejectsBadIDs(t *testing.T) {
+	t.Parallel()
+	g := New()
+	a, b := g.CreateAccount(t0), g.CreateAccount(t0)
+	pid, _ := g.AddPost(a, t0)
+	g.Follow(a, b)
+	g.Like(b, pid)
+	for name, corrupt := range map[string]func(*State){
+		"duplicate account":    func(st *State) { st.Accounts[1].ID = st.Accounts[0].ID },
+		"descending accounts":  func(st *State) { st.Accounts[0], st.Accounts[1] = st.Accounts[1], st.Accounts[0] },
+		"account past counter": func(st *State) { st.Accounts[1].ID = st.NextAcct + 1 },
+		"zero account ID":      func(st *State) { st.Accounts[0].ID = 0 },
+		"followee past counter": func(st *State) {
+			st.Accounts[0].Followees = []AccountID{st.NextAcct + 1}
+		},
+		"post past counter":  func(st *State) { st.Posts[0].ID = st.NextPost + 1 },
+		"liker past counter": func(st *State) { st.Posts[0].Likes = []AccountID{1 << 40} },
+		"counter past uint32": func(st *State) {
+			st.NextAcct = 1 << 33
+		},
+	} {
+		st := g.SnapshotState()
+		corrupt(st)
+		if err := g.RestoreState(st); err == nil {
+			t.Errorf("%s: RestoreState accepted the snapshot", name)
+		}
+	}
+	if !g.Follows(a, b) || g.LikeCount(pid) != 1 || g.NumAccounts() != 2 {
+		t.Error("a rejected restore modified the graph")
+	}
+	// The uncorrupted snapshot still round-trips.
+	if err := g.RestoreState(g.SnapshotState()); err != nil {
+		t.Fatalf("clean snapshot rejected: %v", err)
+	}
 }
 
 func BenchmarkFollow(b *testing.B) {

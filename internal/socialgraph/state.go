@@ -1,19 +1,19 @@
 package socialgraph
 
 import (
-	"sort"
+	"fmt"
+	"math"
 	"time"
 )
 
 // Snapshot/restore support (see internal/persistence). The serialized
-// form is shard-independent — accounts and posts are flattened and
-// sorted by ID — and stores only one side of each symmetric relation:
-// follower sets, per-account like sets, and per-account comment counts
-// are derived on restore from followee sets, post like sets, and post
-// comment lists respectively. The in-memory adjacency is kept sorted,
-// so flattening is a straight widening copy. Both operations run on the
-// quiescent single timeline (day boundaries), never under concurrent
-// mutation.
+// form lists live accounts and posts in ascending ID order and stores
+// only one side of each symmetric relation: follower sets, per-account
+// like sets, and per-account comment counts are derived on restore from
+// followee sets, post like sets, and post comment lists respectively.
+// Rows are already in ID order and the in-memory adjacency is kept
+// sorted, so flattening is a straight widening copy. Both operations run
+// on the world's goroutine at day boundaries, never during a plan phase.
 
 // State is the complete mutable state of a Graph.
 type State struct {
@@ -42,126 +42,172 @@ type PostState struct {
 
 // SnapshotState captures the graph's complete mutable state.
 func (g *Graph) SnapshotState() *State {
-	g.idMu.Lock()
 	st := &State{NextAcct: g.nextAcct, NextPost: g.nextPost}
-	g.idMu.Unlock()
-	for _, s := range g.ashards {
-		s.rlock()
-		for r := uint32(0); int(r) < len(s.tab.live); r++ {
-			if !s.tab.live[r] {
-				continue
-			}
-			st.Accounts = append(st.Accounts, AccountState{
-				ID:        AccountID(s.tab.ids.ID(r)),
-				Created:   s.tab.created[r],
-				Followees: widen[AccountID](s.tab.followees[r]),
-				Posts:     append([]PostID(nil), s.tab.posts[r]...),
-			})
+	a, p := &g.accts, &g.posts
+	for r, live := range a.live {
+		if !live {
+			continue
 		}
-		s.mu.RUnlock()
+		st.Accounts = append(st.Accounts, AccountState{
+			ID:        AccountID(r + 1),
+			Created:   a.created[r],
+			Followees: widen[AccountID](a.followees[r]),
+			Posts:     append([]PostID(nil), a.posts[r]...),
+		})
 	}
-	sort.Slice(st.Accounts, func(i, j int) bool { return st.Accounts[i].ID < st.Accounts[j].ID })
-	for _, s := range g.pshards {
-		s.rlock()
-		for r := uint32(0); int(r) < len(s.tab.live); r++ {
-			if !s.tab.live[r] {
-				continue
-			}
-			st.Posts = append(st.Posts, PostState{
-				ID:       PostID(s.tab.ids.ID(r)),
-				Author:   AccountID(s.tab.authors[r]),
-				Created:  s.tab.created[r],
-				Likes:    widen[AccountID](s.tab.likes[r]),
-				Comments: append([]Comment(nil), s.tab.comments[r]...),
-			})
+	for r, live := range p.live {
+		if !live {
+			continue
 		}
-		s.mu.RUnlock()
+		st.Posts = append(st.Posts, PostState{
+			ID:       PostID(r + 1),
+			Author:   AccountID(p.authors[r]),
+			Created:  p.created[r],
+			Likes:    widen[AccountID](p.likes[r]),
+			Comments: append([]Comment(nil), p.comments[r]...),
+		})
 	}
-	sort.Slice(st.Posts, func(i, j int) bool { return st.Posts[i].ID < st.Posts[j].ID })
 	return st
+}
+
+// validate checks the structural invariants RestoreState relies on:
+// counters within the uint32 ID space, and account and post IDs at
+// least 1, strictly ascending and not past their counter — which also
+// bounds every ID another record refers to. The tables are sized by the
+// counters, so a caller restoring untrusted input must bound them too
+// (core.RestoreWorld checks them against the platform's account and
+// post lists).
+func (st *State) validate() error {
+	if uint64(st.NextAcct) > math.MaxUint32 || uint64(st.NextPost) > math.MaxUint32 {
+		return fmt.Errorf("socialgraph: ID counters %d/%d exceed the uint32 ID space", st.NextAcct, st.NextPost)
+	}
+	acct := func(what string, id AccountID) error {
+		if id < 1 || id > st.NextAcct {
+			return fmt.Errorf("socialgraph: %s account ID %d outside [1, %d]", what, id, st.NextAcct)
+		}
+		return nil
+	}
+	post := func(what string, pid PostID) error {
+		if pid < 1 || pid > st.NextPost {
+			return fmt.Errorf("socialgraph: %s post ID %d outside [1, %d]", what, pid, st.NextPost)
+		}
+		return nil
+	}
+	var prevAcct AccountID
+	for i := range st.Accounts {
+		as := &st.Accounts[i]
+		if err := acct("listed", as.ID); err != nil {
+			return err
+		}
+		if as.ID <= prevAcct {
+			return fmt.Errorf("socialgraph: account ID %d follows %d: IDs must be strictly ascending", as.ID, prevAcct)
+		}
+		prevAcct = as.ID
+		for _, f := range as.Followees {
+			if err := acct("followed", f); err != nil {
+				return err
+			}
+		}
+		for _, pid := range as.Posts {
+			if err := post("authored", pid); err != nil {
+				return err
+			}
+		}
+	}
+	var prevPost PostID
+	for i := range st.Posts {
+		ps := &st.Posts[i]
+		if err := post("listed", ps.ID); err != nil {
+			return err
+		}
+		if ps.ID <= prevPost {
+			return fmt.Errorf("socialgraph: post ID %d follows %d: IDs must be strictly ascending", ps.ID, prevPost)
+		}
+		prevPost = ps.ID
+		if err := acct("authoring", ps.Author); err != nil {
+			return err
+		}
+		for _, who := range ps.Likes {
+			if err := acct("liking", who); err != nil {
+				return err
+			}
+		}
+		for _, c := range ps.Comments {
+			if err := acct("commenting", c.Author); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RestoreState overwrites the graph's state with a snapshot, rebuilding
 // the derived sides of each symmetric relation. Derived sets come out
 // sorted for free: accounts and posts are visited in ascending-ID
-// order, so each append lands in order.
-func (g *Graph) RestoreState(st *State) {
-	g.idMu.Lock()
-	g.nextAcct = st.NextAcct
-	g.nextPost = st.NextPost
-	g.idMu.Unlock()
-	for _, s := range g.ashards {
-		s.lock()
-		s.tab.reset()
-		s.mu.Unlock()
+// order, so each append lands in order. A snapshot that breaks the
+// invariants validate checks is rejected before anything is
+// overwritten.
+func (g *Graph) RestoreState(st *State) error {
+	g.phase.CheckWrite("socialgraph.RestoreState")
+	if err := st.validate(); err != nil {
+		return err
 	}
-	for _, s := range g.pshards {
-		s.lock()
-		s.tab.reset()
-		s.mu.Unlock()
-	}
+	g.nextAcct, g.nextPost = st.NextAcct, st.NextPost
+	a, p := &g.accts, &g.posts
+	a.reset()
+	p.reset()
+	a.grow(int(st.NextAcct))
+	p.grow(int(st.NextPost))
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
-		s := g.ashard(as.ID)
-		s.lock()
-		r := s.tab.add(as.ID, as.Created)
+		r := uint32(as.ID - 1)
+		a.revive(r, as.Created)
 		if n := len(as.Followees); n > 0 {
 			fees := make([]uint32, n)
 			for j, f := range as.Followees {
-				fees[j] = u32(uint64(f))
+				fees[j] = uint32(f)
 			}
-			s.tab.followees[r] = fees
+			a.followees[r] = fees
 		}
 		if len(as.Posts) > 0 {
-			s.tab.posts[r] = append([]PostID(nil), as.Posts...)
+			a.posts[r] = append([]PostID(nil), as.Posts...)
 		}
-		s.mu.Unlock()
 	}
 	// Derive follower sets now that every account exists.
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
 		for _, f := range as.Followees {
-			s := g.ashard(f)
-			s.lock()
-			if r, ok := s.tab.row(f); ok {
-				s.tab.followers[r] = append(s.tab.followers[r], u32(uint64(as.ID)))
+			if r, ok := a.row(f); ok {
+				a.followers[r] = append(a.followers[r], uint32(as.ID))
 			}
-			s.mu.Unlock()
 		}
 	}
 	for i := range st.Posts {
 		ps := &st.Posts[i]
-		s := g.pshard(ps.ID)
-		s.lock()
-		r := s.tab.add(ps.ID, ps.Author, ps.Created)
+		r := uint32(ps.ID - 1)
+		p.revive(r, ps.Author, ps.Created)
 		if n := len(ps.Likes); n > 0 {
 			likes := make([]uint32, n)
 			for j, who := range ps.Likes {
-				likes[j] = u32(uint64(who))
+				likes[j] = uint32(who)
 			}
-			s.tab.likes[r] = likes
+			p.likes[r] = likes
 		}
 		if len(ps.Comments) > 0 {
-			s.tab.comments[r] = append([]Comment(nil), ps.Comments...)
+			p.comments[r] = append([]Comment(nil), ps.Comments...)
 		}
-		s.mu.Unlock()
 		// Derive the per-account like sets and comment counts.
-		pid := u32(uint64(ps.ID))
+		pid := uint32(ps.ID)
 		for _, who := range ps.Likes {
-			as := g.ashard(who)
-			as.lock()
-			if r, ok := as.tab.row(who); ok {
-				as.tab.likes[r] = append(as.tab.likes[r], pid)
+			if r, ok := a.row(who); ok {
+				a.likes[r] = append(a.likes[r], pid)
 			}
-			as.mu.Unlock()
 		}
 		for _, c := range ps.Comments {
-			as := g.ashard(c.Author)
-			as.lock()
-			if r, ok := as.tab.row(c.Author); ok {
-				as.tab.bumpCommented(r, pid, 1)
+			if r, ok := a.row(c.Author); ok {
+				a.bumpCommented(r, pid, 1)
 			}
-			as.mu.Unlock()
 		}
 	}
+	return nil
 }

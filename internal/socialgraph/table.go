@@ -4,26 +4,25 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"footsteps/internal/intern"
 )
 
-// Struct-of-arrays storage for the graph's two record families. Each
-// lock stripe owns an acctTable / postTable: a dense-row allocator
-// (intern.Dense) maps the sparse ID space onto rows of parallel slices.
-// Follow adjacency, like sets, and comment tallies are sorted []uint32
-// chunks instead of map[ID]struct{} sets — 4 bytes per edge endpoint
-// and zero per-set header cost beyond one slice, where each map cost
-// ~48 B empty and ~50 B per element. IDs fit uint32 because the graph
-// mints them sequentially from 1 and the minting paths enforce the
-// bound (see CreateAccount / AddPost).
+// Struct-of-arrays storage for the graph's two record families: one
+// acctTable and one postTable per graph, each a set of parallel slices
+// indexed by row. IDs are minted densely from 1 by CreateAccount and
+// AddPost and never recycled, so the row of ID n is n-1: a lookup is a
+// bounds check, not a map probe. Follow adjacency, like sets, and
+// comment tallies are sorted []uint32 chunks instead of
+// map[ID]struct{} sets — 4 bytes per edge endpoint and zero per-set
+// header cost beyond one slice, where each map cost ~48 B empty and
+// ~50 B per element. IDs fit uint32 because the minting paths enforce
+// the bound.
 //
 // Rows are never recycled: DeleteAccount tombstones the row (live
-// false, adjacency released) so the ID can keep resolving to "gone"
-// forever, matching the deleted-map semantics it replaced. Sorted-set
-// mutation is O(degree) memmove — fine for the honeypot-scale studies
-// that run with GraphWrites on; the population-scale business sim
-// keeps GraphWrites off and never mutates adjacency.
+// false, adjacency released) so the ID keeps resolving to "gone"
+// forever. Sorted-set mutation is O(degree) memmove — fine for the
+// honeypot-scale studies that run with GraphWrites on; the
+// population-scale business sim keeps GraphWrites off and never
+// mutates adjacency.
 
 // u32 narrows a sequentially minted ID, whose bound the minting path
 // already enforces.
@@ -69,9 +68,8 @@ type pidCount struct {
 	n   int32
 }
 
-// acctTable is one stripe's account rows.
+// acctTable holds the account rows; row r is AccountID r+1.
 type acctTable struct {
-	ids   intern.Dense // AccountID ↔ row
 	live  []bool
 	nLive int
 
@@ -83,25 +81,43 @@ type acctTable struct {
 	commented [][]pidCount
 }
 
+// row returns the row of a live account. ID 0 wraps past every row.
 func (t *acctTable) row(id AccountID) (uint32, bool) {
-	r, ok := t.ids.Lookup(uint64(id))
-	return r, ok && t.live[r]
+	r := uint64(id) - 1
+	if r >= uint64(len(t.live)) || !t.live[r] {
+		return 0, false
+	}
+	return uint32(r), true
 }
 
-func (t *acctTable) add(id AccountID, now time.Time) uint32 {
-	r := t.ids.Index(uint64(id))
-	if int(r) != len(t.live) {
-		panic("socialgraph: account created twice")
-	}
-	t.live = append(t.live, true)
+// grow appends n dead rows.
+func (t *acctTable) grow(n int) {
+	t.live = append(t.live, make([]bool, n)...)
+	t.created = append(t.created, make([]time.Time, n)...)
+	t.followers = append(t.followers, make([][]uint32, n)...)
+	t.followees = append(t.followees, make([][]uint32, n)...)
+	t.posts = append(t.posts, make([][]PostID, n)...)
+	t.likes = append(t.likes, make([][]uint32, n)...)
+	t.commented = append(t.commented, make([][]pidCount, n)...)
+}
+
+// reset drops every row, keeping capacity for the restore that follows.
+func (t *acctTable) reset() {
+	t.live = t.live[:0]
+	t.nLive = 0
+	t.created = t.created[:0]
+	t.followers = t.followers[:0]
+	t.followees = t.followees[:0]
+	t.posts = t.posts[:0]
+	t.likes = t.likes[:0]
+	t.commented = t.commented[:0]
+}
+
+// revive marks row r live, created at now.
+func (t *acctTable) revive(r uint32, now time.Time) {
+	t.live[r] = true
 	t.nLive++
-	t.created = append(t.created, now)
-	t.followers = append(t.followers, nil)
-	t.followees = append(t.followees, nil)
-	t.posts = append(t.posts, nil)
-	t.likes = append(t.likes, nil)
-	t.commented = append(t.commented, nil)
-	return r
+	t.created[r] = now
 }
 
 // tombstone marks row r deleted and releases its per-row collections.
@@ -113,18 +129,6 @@ func (t *acctTable) tombstone(r uint32) {
 	t.posts[r] = nil
 	t.likes[r] = nil
 	t.commented[r] = nil
-}
-
-func (t *acctTable) reset() {
-	t.ids.Restore(nil)
-	t.live = t.live[:0]
-	t.nLive = 0
-	t.created = t.created[:0]
-	t.followers = t.followers[:0]
-	t.followees = t.followees[:0]
-	t.posts = t.posts[:0]
-	t.likes = t.likes[:0]
-	t.commented = t.commented[:0]
 }
 
 // bumpCommented adds delta to row r's tally for pid, dropping the entry
@@ -148,9 +152,8 @@ func (t *acctTable) bumpCommented(r uint32, pid uint32, delta int32) {
 	t.commented[r] = cs
 }
 
-// postTable is one stripe's post rows.
+// postTable holds the post rows; row r is PostID r+1.
 type postTable struct {
-	ids  intern.Dense // PostID ↔ row
 	live []bool
 
 	authors  []uint32
@@ -159,22 +162,38 @@ type postTable struct {
 	comments [][]Comment
 }
 
+// row returns the row of a live post. ID 0 wraps past every row.
 func (t *postTable) row(pid PostID) (uint32, bool) {
-	r, ok := t.ids.Lookup(uint64(pid))
-	return r, ok && t.live[r]
+	r := uint64(pid) - 1
+	if r >= uint64(len(t.live)) || !t.live[r] {
+		return 0, false
+	}
+	return uint32(r), true
 }
 
-func (t *postTable) add(pid PostID, author AccountID, now time.Time) uint32 {
-	r := t.ids.Index(uint64(pid))
-	if int(r) != len(t.live) {
-		panic("socialgraph: post created twice")
-	}
-	t.live = append(t.live, true)
-	t.authors = append(t.authors, u32(uint64(author)))
-	t.created = append(t.created, now)
-	t.likes = append(t.likes, nil)
-	t.comments = append(t.comments, nil)
-	return r
+// grow appends n dead rows.
+func (t *postTable) grow(n int) {
+	t.live = append(t.live, make([]bool, n)...)
+	t.authors = append(t.authors, make([]uint32, n)...)
+	t.created = append(t.created, make([]time.Time, n)...)
+	t.likes = append(t.likes, make([][]uint32, n)...)
+	t.comments = append(t.comments, make([][]Comment, n)...)
+}
+
+// reset drops every row, keeping capacity for the restore that follows.
+func (t *postTable) reset() {
+	t.live = t.live[:0]
+	t.authors = t.authors[:0]
+	t.created = t.created[:0]
+	t.likes = t.likes[:0]
+	t.comments = t.comments[:0]
+}
+
+// revive marks row r live, authored by author at now.
+func (t *postTable) revive(r uint32, author AccountID, now time.Time) {
+	t.live[r] = true
+	t.authors[r] = u32(uint64(author))
+	t.created[r] = now
 }
 
 func (t *postTable) tombstone(r uint32) {
@@ -182,13 +201,4 @@ func (t *postTable) tombstone(r uint32) {
 	t.authors[r] = 0
 	t.likes[r] = nil
 	t.comments[r] = nil
-}
-
-func (t *postTable) reset() {
-	t.ids.Restore(nil)
-	t.live = t.live[:0]
-	t.authors = t.authors[:0]
-	t.created = t.created[:0]
-	t.likes = t.likes[:0]
-	t.comments = t.comments[:0]
 }

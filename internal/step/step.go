@@ -35,6 +35,7 @@ type Pool struct {
 	workers int
 	tracer  *telemetry.TickTracer
 	trace   *trace.Tracer
+	phase   *Phase
 }
 
 // NewPool returns a pool running shard generation on up to workers
@@ -93,6 +94,24 @@ func (p *Pool) Trace() *trace.Tracer {
 	return p.trace
 }
 
+// SetPhase installs the world's phase word: RunInto raises it for every
+// plan phase, so a mutator called from a generation function trips the
+// single-writer check (see Phase).
+func (p *Pool) SetPhase(ph *Phase) {
+	if p == nil {
+		return
+	}
+	p.phase = ph
+}
+
+// phaseWord returns the pool's phase word (nil for a nil pool).
+func (p *Pool) phaseWord() *Phase {
+	if p == nil {
+		return nil
+	}
+	return p.phase
+}
+
 // Buffers is reusable per-shard intent scratch for RunInto. A caller
 // that steps the same kind of intent every tick holds one Buffers per
 // intent type and passes it to RunInto, which reuses the accumulated
@@ -141,7 +160,8 @@ func Run[T any](p *Pool, n int, gen func(shard int, emit func(T)), apply func(T)
 // After every shard has generated — a full barrier, so generation always
 // observes the pre-tick state — apply is invoked serially on the calling
 // goroutine for every intent, ordered by (shardID, emission seq). apply
-// is where shared state may mutate.
+// is where shared state may mutate; the pool's Phase word enforces this
+// in race-detector builds.
 //
 // b, when non-nil, provides the per-shard intent buffers and keeps their
 // capacity for the caller's next tick; nil allocates fresh buffers.
@@ -203,6 +223,8 @@ func RunInto[T any](p *Pool, b *Buffers[T], n int, gen func(shard int, emit func
 		}
 		sec.ShardDone(i, d, len(bufs[i]))
 	}
+	ph := p.phaseWord()
+	ph.beginPlan()
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			runShard(i)
@@ -225,6 +247,7 @@ func RunInto[T any](p *Pool, b *Buffers[T], n int, gen func(shard int, emit func
 		close(shards)
 		wg.Wait()
 	}
+	ph.endPlan()
 	var applyStart time.Time
 	if tr.Enabled() || sec != nil {
 		applyStart = time.Now()

@@ -11,9 +11,8 @@
 //     the simulated instant and sequence is a per-tick counter advanced
 //     only on the serial scheduler/apply goroutine. Wall clocks and
 //     global atomic counters never reach an identity field, so the span
-//     IDs in a trace are byte-identical across worker counts and shard
-//     counts — only the timing fields (Start, Wall, stage durations)
-//     vary run to run.
+//     IDs in a trace are byte-identical across worker counts — only the
+//     timing fields (Start, Wall, stage durations) vary run to run.
 //   - Sampling is a pure SplitMix64 hash of (seed, tick, sequence).
 //     Sequence numbers are allocated for *every* request, sampled or
 //     not, so the identity of any given span is stable at every sample
@@ -180,7 +179,7 @@ type StageRec struct {
 // measurements and vary run to run.
 type Span struct {
 	Tick   int64  // simulated instant, UnixNano
-	Shard  uint32 // owning shard index (platform stripe or plan shard)
+	Shard  uint32 // plan shard index for plan spans (request spans carry 0)
 	Seq    uint32 // per-tick sequence number, serially allocated
 	Parent uint64 // parent span ID; 0 = root
 	Kind   Kind
