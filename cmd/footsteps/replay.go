@@ -11,7 +11,6 @@ import (
 	"footsteps"
 	"footsteps/internal/core"
 	"footsteps/internal/eventio"
-	"footsteps/internal/persistence"
 )
 
 // runRecord drives the canonical lifecycle (the one the determinism
@@ -55,7 +54,7 @@ func runRecord(cfg footsteps.Config, record string) error {
 // runReplay reconstructs simulation state and re-drives the timeline,
 // verifying it against a recorded FSEV1 log.
 //
-// With -from, the state comes out of an FSNAP1 checkpoint: the world is
+// With -from, the state comes out of an FSNAP checkpoint: the world is
 // rebuilt, fast-forwarded, and resumed for the remaining days (or -days
 // more). With -against, the resumed stream is byte-compared to the
 // corresponding suffix of the original log — the CLI face of the
@@ -67,21 +66,16 @@ func runReplay(cfg footsteps.Config, from, against, record string, extraDays int
 	var w *core.World
 	var cut time.Time
 	if from != "" {
-		snap, err := os.ReadFile(from)
+		var err error
+		w, err = core.RestoreFile(cfg, from)
 		if err != nil {
 			return err
 		}
-		h, _, err := persistence.DecodeBytes(snap)
-		if err != nil {
-			return err
-		}
-		w, err = core.RestoreWorld(cfg, bytes.NewReader(snap))
-		if err != nil {
-			return err
-		}
-		cut = h.Now
+		// RestoreFile has checked the snapshot's seed and fingerprint
+		// against cfg, so the world and cfg describe its header.
+		cut = w.SnapshotInstant()
 		fmt.Printf("Restored %s: day %d of %d (seed %d, fingerprint %#x)\n",
-			from, h.Day, cfg.Days, h.Seed, h.Fingerprint)
+			from, w.DaysRun(), cfg.Days, cfg.Seed, cfg.Fingerprint())
 	} else {
 		w = core.NewWorld(cfg)
 		fmt.Printf("Re-driving from genesis: %d days (seed %d)\n", cfg.Days, cfg.Seed)

@@ -89,6 +89,13 @@ func Catalog() []*Spec {
 	}
 }
 
+// catalogNames is Catalog's service names, in catalog order.
+var catalogNames = []string{NameInstalex, NameInstazood, NameBoostgram, NameHublaagram, NameFollowersgratis}
+
+// CatalogNames returns the catalog's service names in catalog order,
+// without building the specs. The slice is shared: do not modify it.
+func CatalogNames() []string { return catalogNames }
+
 // SpecByName returns the catalog spec with the given name, or nil.
 func SpecByName(name string) *Spec {
 	for _, s := range Catalog() {

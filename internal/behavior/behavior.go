@@ -223,6 +223,34 @@ func (p *Population) AddCuratedPool(label string, spec PoolSpec, n int) []platfo
 	return ids
 }
 
+// ReserveMembers stands in for AddMembers when a world is rebuilt to
+// restore a snapshot: it reserves the n members' account IDs (see
+// platform.ReserveAccounts) and lists them as AddMembers would, but
+// draws no profile, registers no username and mints no photo posts —
+// the snapshot's population overwrites all of that (Commit).
+func (p *Population) ReserveMembers(n int) []platform.AccountID {
+	ids := p.reserve(n)
+	p.general = append(p.general, ids...)
+	return ids
+}
+
+// ReserveCuratedPool is ReserveMembers for AddCuratedPool.
+func (p *Population) ReserveCuratedPool(label string, n int) []platform.AccountID {
+	ids := p.reserve(n)
+	p.pools[label] = ids
+	return ids
+}
+
+func (p *Population) reserve(n int) []platform.AccountID {
+	first := p.plat.ReserveAccounts(n)
+	ids := make([]platform.AccountID, n)
+	for i := range ids {
+		ids[i] = first + platform.AccountID(i)
+	}
+	p.ids = append(p.ids, ids...)
+	return ids
+}
+
 // Pool returns the members of a curated pool.
 func (p *Population) Pool(label string) []platform.AccountID {
 	return append([]platform.AccountID(nil), p.pools[label]...)

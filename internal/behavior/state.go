@@ -1,18 +1,27 @@
 package behavior
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 	"time"
 
 	"footsteps/internal/platform"
 	"footsteps/internal/rng"
+	"footsteps/internal/snaprow"
 )
 
 // Snapshot/restore support (see internal/persistence). Member order is
 // preserved verbatim — p.ids drives iteration in the posting planner, so
-// the serialized order is the creation order, not a sorted one.
+// the serialized order is the creation order, not a sorted one. Members
+// are written straight from the population's member records; restore
+// decodes them into a Staged population, which Commit installs into a
+// population whose construction only reserved the members' IDs (see
+// ReserveMembers).
 
-// State is the complete mutable state of a Population.
+// State is the population section as plain structs: the fixture the
+// codec tests and fuzz targets build, written and read through the same
+// section code as a live population.
 type State struct {
 	RNG      rng.State
 	NextName int
@@ -54,70 +63,167 @@ type ReactionState struct {
 	Due     time.Time
 }
 
-// SnapshotState captures the population's complete mutable state.
-func (p *Population) SnapshotState() *State {
-	st := &State{
-		RNG:      p.rng.State(),
-		NextName: p.nextName,
-		General:  append([]platform.AccountID(nil), p.general...),
-	}
-	for _, id := range p.ids {
-		m := p.members[id]
-		st.Members = append(st.Members, MemberState{
-			Profile: m.profile,
-			Tag:     m.tag,
-			Session: platform.CaptureSession(m.session),
-			RNG:     m.rng.State(),
-		})
-	}
-	for label, ids := range p.pools {
-		st.Pools = append(st.Pools, PoolState{Label: label, IDs: append([]platform.AccountID(nil), ids...)})
-	}
-	sort.Slice(st.Pools, func(i, j int) bool { return st.Pools[i].Label < st.Pools[j].Label })
-	for ch, n := range p.Reacted {
-		st.Reacted = append(st.Reacted, ChannelCount{Channel: ch, N: n})
-	}
-	sort.Slice(st.Reacted, func(i, j int) bool { return st.Reacted[i].Channel < st.Reacted[j].Channel })
-	for _, e := range p.reactions {
-		if e.done {
-			continue
-		}
-		st.Reactions = append(st.Reactions, ReactionState{
-			Member: e.member, Actor: e.actor, Action: e.action, Channel: e.channel, Due: e.due,
-		})
-	}
-	return st
+// Header, MemberRows and ReactionRows make the fixture a section source;
+// the Load methods and Finish make it a section sink.
+func (st *State) Header() State                             { return *st }
+func (st *State) MemberRows() snaprow.Rows[MemberState]     { return snaprow.Of(st.Members) }
+func (st *State) ReactionRows() snaprow.Rows[ReactionState] { return snaprow.Of(st.Reactions) }
+func (st *State) LoadMembers(hint int) func(*MemberState)   { return snaprow.Into(&st.Members)(hint) }
+func (st *State) LoadReactions(hint int) func(*ReactionState) {
+	return snaprow.Into(&st.Reactions)(hint)
+}
+func (st *State) Finish(h *State) error {
+	h.Members, h.Reactions = st.Members, st.Reactions
+	*st = *h
+	return nil
 }
 
-// RestoreState overwrites the population's mutable state with a
-// snapshot. The caller must re-register pending reactions separately via
-// RestoreReactions once the scheduler sits at the snapshot instant.
-func (p *Population) RestoreState(st *State) {
-	p.rng.SetState(st.RNG)
-	p.nextName = st.NextName
-	clear(p.members)
-	p.ids = p.ids[:0]
-	p.general = append(p.general[:0], st.General...)
-	clear(p.pools)
-	for i := range st.Members {
-		ms := &st.Members[i]
-		m := &member{
-			profile: ms.Profile,
-			session: p.plat.RestoreSession(ms.Session),
-			tag:     ms.Tag,
-			rng:     rng.FromState(ms.RNG),
-		}
-		if m.tag != "" {
-			m.tags = []string{m.tag}
-		}
-		p.members[ms.Profile.ID] = m
-		p.ids = append(p.ids, ms.Profile.ID)
+// Header returns the population's scalars and short lists; the general
+// list and pool memberships alias the population's own slices.
+func (p *Population) Header() State {
+	h := State{RNG: p.rng.State(), NextName: p.nextName, General: p.general}
+	for label, ids := range p.pools {
+		h.Pools = append(h.Pools, PoolState{Label: label, IDs: ids})
 	}
-	for _, ps := range st.Pools {
-		p.pools[ps.Label] = append([]platform.AccountID(nil), ps.IDs...)
+	slices.SortFunc(h.Pools, func(a, b PoolState) int { return cmp.Compare(a.Label, b.Label) })
+	for ch, n := range p.Reacted {
+		h.Reacted = append(h.Reacted, ChannelCount{Channel: ch, N: n})
+	}
+	slices.SortFunc(h.Reacted, func(a, b ChannelCount) int { return cmp.Compare(a.Channel, b.Channel) })
+	return h
+}
+
+// MemberRows yields the members in creation order.
+func (p *Population) MemberRows() snaprow.Rows[MemberState] {
+	return snaprow.Rows[MemberState]{N: len(p.ids), Each: func(yield func(*MemberState)) {
+		var ms MemberState
+		for _, id := range p.ids {
+			m := p.members[id]
+			ms = MemberState{
+				Profile: m.profile,
+				Tag:     m.tag,
+				Session: platform.CaptureSession(m.session),
+				RNG:     m.rng.State(),
+			}
+			yield(&ms)
+		}
+	}}
+}
+
+// ReactionRows yields the pending reciprocal actions in scheduling
+// order.
+func (p *Population) ReactionRows() snaprow.Rows[ReactionState] {
+	n := 0
+	for _, e := range p.reactions {
+		if !e.done {
+			n++
+		}
+	}
+	return snaprow.Rows[ReactionState]{N: n, Each: func(yield func(*ReactionState)) {
+		var rs ReactionState
+		for _, e := range p.reactions {
+			if e.done {
+				continue
+			}
+			rs = ReactionState{Member: e.member, Actor: e.actor, Action: e.action, Channel: e.channel, Due: e.due}
+			yield(&rs)
+		}
+	}}
+}
+
+// Staged is a decoded population section, not yet installed. Member
+// records and their RNG streams are decoded into one block; sessions
+// wait as plain states until Commit binds them to the platform.
+type Staged struct {
+	h         State
+	block     []stagedMember
+	sessions  []stagedSession // members holding a session
+	reactions []ReactionState
+}
+
+// stagedMember is one member record with its RNG stream inline; the
+// population keeps pointing into the block after Commit.
+type stagedMember struct {
+	m   member
+	rng rng.RNG
+}
+
+type stagedSession struct {
+	i  int // block index
+	st platform.SessionState
+}
+
+// NewStaged returns an empty staged population section to decode into.
+func NewStaged() *Staged { return &Staged{} }
+
+func (s *Staged) LoadMembers(hint int) func(*MemberState) {
+	s.block = make([]stagedMember, 0, hint)
+	return func(ms *MemberState) {
+		s.block = append(s.block, stagedMember{m: member{profile: ms.Profile, tag: ms.Tag}})
+		s.block[len(s.block)-1].rng.SetState(ms.RNG)
+		if ms.Session.Present {
+			s.sessions = append(s.sessions, stagedSession{i: len(s.block) - 1, st: ms.Session})
+		}
+	}
+}
+
+func (s *Staged) LoadReactions(hint int) func(*ReactionState) {
+	return snaprow.Into(&s.reactions)(hint)
+}
+
+func (s *Staged) Finish(h *State) error {
+	if !snaprow.Sorted(h.Pools, func(ps *PoolState) string { return ps.Label }) ||
+		!snaprow.Sorted(h.Reacted, func(cc *ChannelCount) string { return cc.Channel }) {
+		return fmt.Errorf("behavior: pools or reaction tallies are not sorted")
+	}
+	s.h = *h
+	return nil
+}
+
+// Pending returns the staged pending reactions, for RestoreReactions.
+func (s *Staged) Pending() []ReactionState { return s.reactions }
+
+// Matches reports whether the staged members are exactly the members
+// the population reserved, in order: a restored world's construction
+// captured those IDs (the VPN users' target list among them), so a
+// snapshot listing any other members cannot be committed.
+func (p *Population) Matches(s *Staged) error {
+	if len(s.block) != len(p.ids) {
+		return fmt.Errorf("behavior: snapshot lists %d members, this config builds %d", len(s.block), len(p.ids))
+	}
+	for i := range s.block {
+		if id := s.block[i].m.profile.ID; id != p.ids[i] {
+			return fmt.Errorf("behavior: member %d listed at position %d, where this config builds member %d", id, i, p.ids[i])
+		}
+	}
+	return nil
+}
+
+// Commit installs a staged section that Matches the population. The
+// pending reactions are re-registered separately via RestoreReactions,
+// once the scheduler sits at the snapshot instant.
+func (p *Population) Commit(s *Staged) {
+	p.rng.SetState(s.h.RNG)
+	p.nextName = s.h.NextName
+	p.general = s.h.General
+	clear(p.pools)
+	for _, ps := range s.h.Pools {
+		p.pools[ps.Label] = ps.IDs
+	}
+	p.members = make(map[platform.AccountID]*member, len(s.block))
+	for i := range s.block {
+		sm := &s.block[i]
+		sm.m.rng = &sm.rng
+		if sm.m.tag != "" {
+			sm.m.tags = []string{sm.m.tag}
+		}
+		p.members[sm.m.profile.ID] = &sm.m
+	}
+	for _, ss := range s.sessions {
+		s.block[ss.i].m.session = p.plat.RestoreSession(ss.st)
 	}
 	clear(p.Reacted)
-	for _, cc := range st.Reacted {
+	for _, cc := range s.h.Reacted {
 		p.Reacted[cc.Channel] = cc.N
 	}
 }

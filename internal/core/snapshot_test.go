@@ -1,0 +1,186 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+
+	"footsteps/internal/persistence"
+)
+
+// allocBudgetSnapshot bounds the allocations of one snapshot into a
+// warm buffer: each of the ~25 row lists costs a few (its row closures,
+// its row value, a reused widening or flattening buffer), each section
+// header a sorted key list, and the envelope its slices — 112 measured
+// for the world below, whatever its number of accounts. Raise it only
+// with a profile showing why (see docs/PERFORMANCE.md).
+const allocBudgetSnapshot = 144
+
+// TestAllocBudgetSnapshot pins the checkpoint write path's allocation
+// behaviour: writing a 2,000-account TestConfig world's snapshot into a
+// reused buffer allocates per section, not per account or customer.
+func TestAllocBudgetSnapshot(t *testing.T) {
+	cfg := TestConfig()
+	cfg.OrganicPopulation = 2000
+	cfg.GraphWrites = true
+	w := NewWorld(cfg)
+	w.RunAll()
+	if err := w.RunDays(2); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		buf.Reset()
+		if err := w.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if accounts := w.Plat.NumAccounts(); got > allocBudgetSnapshot {
+		t.Errorf("World.Snapshot allocates %.0f per snapshot of %d accounts, budget %d — a per-row allocation crept into a section source",
+			got, accounts, allocBudgetSnapshot)
+	}
+}
+
+// TestAllocBudgetLyingCount feeds RestoreWorld a sub-100-byte FSNAP2
+// stream whose platform section claims 2^26 account rows. It must fail
+// with a *persistence.TruncatedError, having allocated no more than a
+// small multiple of its input: the staged tables are sized from counts
+// bounded by the bytes left in the input, never from the raw prefix,
+// and nothing is built before the body has decoded.
+func TestAllocBudgetLyingCount(t *testing.T) {
+	cfg := TestConfig()
+	var e persistence.Encoder
+	persistence.WriteHeader(&e, persistence.Header{
+		Version: persistence.Version, Seed: cfg.Seed, Fingerprint: cfg.Fingerprint(), Day: 1,
+	})
+	e.Raw(make([]byte, 40)) // root RNG state
+	e.U64(0)                // no address allocators
+	e.U64(0)                // platform post counter
+	e.U64(0)                // event sequence
+	e.U64(1 << 26)          // account rows claimed
+	data := e.Bytes()
+	if len(data) >= 100 {
+		t.Fatalf("lying input is %d bytes, want under 100", len(data))
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := RestoreWorld(cfg, bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+
+	var te *persistence.TruncatedError
+	if w != nil || !errors.As(err, &te) {
+		t.Fatalf("want a *persistence.TruncatedError and no world, got %v", err)
+	}
+	const multiple = 64
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > multiple*uint64(len(data)) {
+		t.Errorf("restoring a %d-byte lying snapshot allocated %d bytes, over %d× its size", len(data), alloc, multiple)
+	}
+}
+
+// fuzzRestoreConfig is the world FuzzRestoreNoPanic restores into:
+// TestConfig with graph writes, so the graph section carries follows,
+// likes and comments.
+func fuzzRestoreConfig() Config {
+	cfg := TestConfig()
+	cfg.GraphWrites = true
+	return cfg
+}
+
+// FuzzRestoreNoPanic feeds RestoreWorld mutated snapshots. Decoding
+// writes straight into staged tables, so the never-panic hardening has
+// to cover that code as well as the byte reader: every input must give
+// either a typed error and no world, or a world that re-snapshots to
+// exactly its input. (A legacy FSNAP1 input re-snapshots as FSNAP2; that
+// snapshot must then restore and re-snapshot to itself.) The seeds are
+// a real day-1 snapshot, the same world after a day of honeypot
+// training, the first's truncations, and the ID corruptions of the
+// simtest corrupt-ID cases.
+func FuzzRestoreNoPanic(f *testing.F) {
+	cfg := fuzzRestoreConfig()
+	w := NewWorld(cfg)
+	w.RunAll()
+	if err := w.RunDays(1); err != nil {
+		f.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := w.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	valid := bytes.Clone(snap.Bytes())
+	f.Add(valid)
+	// Honeypot training fills the honeypot section too.
+	if _, err := w.TrainClassifier(1); err != nil {
+		f.Fatal(err)
+	}
+	snap.Reset()
+	if err := w.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(snap.Bytes()))
+	for _, cut := range []int{0, 7, 30, len(valid) / 8, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	for _, corrupt := range []func(*persistence.WorldState){
+		func(st *persistence.WorldState) { st.Platform.Accounts[1].ID = st.Platform.Accounts[0].ID },
+		func(st *persistence.WorldState) { st.Graph.Accounts[1].ID = st.Graph.Accounts[0].ID },
+		func(st *persistence.WorldState) {
+			st.Graph.Accounts[len(st.Graph.Accounts)-1].ID = st.Graph.NextAcct + 1
+		},
+		func(st *persistence.WorldState) { st.Graph.Posts[len(st.Graph.Posts)-1].ID = st.Graph.NextPost + 1 },
+		func(st *persistence.WorldState) { st.Graph.NextAcct += 1 << 30 },
+		func(st *persistence.WorldState) {
+			a := st.Platform.Accounts
+			a[0], a[1] = a[1], a[0]
+		},
+		func(st *persistence.WorldState) {
+			a := st.Graph.Accounts
+			a[0], a[1] = a[1], a[0]
+		},
+	} {
+		h, st, err := persistence.DecodeBytes(valid)
+		if err != nil {
+			f.Fatal(err)
+		}
+		corrupt(st)
+		f.Add(persistence.EncodeBytes(h, st))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := RestoreWorld(cfg, bytes.NewReader(data))
+		if err != nil {
+			if w != nil {
+				t.Fatalf("RestoreWorld returned a world with error %v", err)
+			}
+			var te *persistence.TruncatedError
+			var se *persistence.StateError
+			var me *persistence.MismatchError
+			if !errors.As(err, &te) && !errors.As(err, &se) && !errors.As(err, &me) && !errors.Is(err, persistence.ErrBadMagic) {
+				t.Fatalf("untyped restore error: %v", err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := w.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if h, _ := persistence.ReadHeader(persistence.NewDecoder(data)); h.Version == persistence.VersionV1 {
+			w2, err := RestoreWorld(cfg, bytes.NewReader(again.Bytes()))
+			if err != nil {
+				t.Fatalf("upgraded FSNAP1 snapshot does not restore: %v", err)
+			}
+			data = again.Bytes()
+			again.Reset()
+			if err := w2.Snapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("restored world re-snapshots to %d bytes that differ from its %d-byte input", again.Len(), len(data))
+		}
+	})
+}

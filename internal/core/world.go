@@ -11,6 +11,7 @@ import (
 	"footsteps/internal/faults"
 	"footsteps/internal/honeypot"
 	"footsteps/internal/netsim"
+	"footsteps/internal/persistence"
 	"footsteps/internal/platform"
 	"footsteps/internal/rng"
 	"footsteps/internal/socialgraph"
@@ -78,6 +79,10 @@ type World struct {
 	checkpointEvery int
 	checkpointDir   string
 	daysRun         int
+
+	// snapEnc is the snapshot buffer, reused by every Snapshot and
+	// WriteCheckpoint (see encodeSnapshot).
+	snapEnc persistence.Encoder
 }
 
 // LabelFor maps a service name to the label the platform can attribute:
@@ -94,7 +99,12 @@ const LabelInstaStar = "Insta*"
 
 // NewWorld builds and wires a world from the config. Nothing is scheduled
 // yet; experiments drive the scheduler themselves.
-func NewWorld(cfg Config) *World {
+func NewWorld(cfg Config) *World { return newWorld(cfg, false) }
+
+// newWorld is NewWorld; with restoring set it builds the world a
+// snapshot is about to be committed over, reserving the organic
+// population's IDs rather than drawing its members (see RestoreWorld).
+func newWorld(cfg Config, restoring bool) *World {
 	if cfg.Days <= 0 || cfg.OrganicPopulation <= 0 || cfg.PoolSize <= 0 {
 		panic(fmt.Sprintf("core: degenerate config %+v", cfg))
 	}
@@ -165,7 +175,11 @@ func NewWorld(cfg Config) *World {
 	w.Pop = behavior.New(behavior.DefaultModel(), plat, sched, root.Split("population"))
 	w.Pop.SetStepPool(w.Steps)
 	w.Pop.SetScratchReuse(!cfg.DisableScratchReuse)
-	w.Pop.AddMembers(cfg.OrganicPopulation)
+	if restoring {
+		w.Pop.ReserveMembers(cfg.OrganicPopulation)
+	} else {
+		w.Pop.AddMembers(cfg.OrganicPopulation)
+	}
 
 	// High-profile celebrity accounts for lived-in honeypot setup.
 	for i := 0; i < 30; i++ {
@@ -190,8 +204,11 @@ func NewWorld(cfg Config) *World {
 			svc.SetScratchReuse(!cfg.DisableScratchReuse)
 			svc.WireTelemetry(cfg.Telemetry)
 			svc.WireTrace(cfg.Trace)
-			pool := w.Pop.AddCuratedPool(spec.Name, spec.TargetPool, cfg.PoolSize)
-			svc.SetTargetPool(pool)
+			if restoring {
+				svc.SetTargetPool(w.Pop.ReserveCuratedPool(spec.Name, cfg.PoolSize))
+			} else {
+				svc.SetTargetPool(w.Pop.AddCuratedPool(spec.Name, spec.TargetPool, cfg.PoolSize))
+			}
 			w.Recip[spec.Name] = svc
 		case aas.TechniqueCollusion:
 			ipPool := 48
@@ -306,12 +323,12 @@ func (w *World) setupVPNUsers() {
 // collusion names.
 func (w *World) ServiceNames() []string {
 	var out []string
-	for _, spec := range aas.Catalog() {
-		if _, ok := w.Recip[spec.Name]; ok {
-			out = append(out, spec.Name)
+	for _, name := range aas.CatalogNames() {
+		if _, ok := w.Recip[name]; ok {
+			out = append(out, name)
 		}
-		if _, ok := w.Coll[spec.Name]; ok {
-			out = append(out, spec.Name)
+		if _, ok := w.Coll[name]; ok {
+			out = append(out, name)
 		}
 	}
 	return out

@@ -1,15 +1,21 @@
 package detection
 
 import (
+	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+
+	"footsteps/internal/snaprow"
 )
 
 // Snapshot/restore support (see internal/persistence). The guard's
 // per-IP sliding windows and throttle tallies are serialized sorted so
-// the encoded form is canonical.
+// the encoded form is canonical. Restore decodes them into a
+// StagedGuard and CommitGuard installs it.
 
-// IPVolumeGuardState is the complete mutable state of an IPVolumeGuard.
+// IPVolumeGuardState is the guard section as plain structs: the fixture
+// the codec tests and fuzz targets build, written and read through the
+// same section code as a live guard.
 type IPVolumeGuardState struct {
 	Windows   []IPWindowState // sorted by address
 	Throttled []ClientCount   // sorted by fingerprint
@@ -28,28 +34,97 @@ type ClientCount struct {
 	N      int
 }
 
-// SnapshotState captures the guard's complete mutable state.
-func (g *IPVolumeGuard) SnapshotState() *IPVolumeGuardState {
-	st := &IPVolumeGuardState{}
-	for ip, w := range g.counts {
-		st.Windows = append(st.Windows, IPWindowState{IP: ip, Day: w.day, N: w.n})
+// WindowRows and ThrottledRows make the fixture a section source; the
+// Load methods and Finish make it a section sink.
+func (st *IPVolumeGuardState) WindowRows() snaprow.Rows[IPWindowState] { return snaprow.Of(st.Windows) }
+func (st *IPVolumeGuardState) ThrottledRows() snaprow.Rows[ClientCount] {
+	return snaprow.Of(st.Throttled)
+}
+func (st *IPVolumeGuardState) LoadWindows(hint int) func(*IPWindowState) {
+	return snaprow.Into(&st.Windows)(hint)
+}
+func (st *IPVolumeGuardState) LoadThrottled(hint int) func(*ClientCount) {
+	return snaprow.Into(&st.Throttled)(hint)
+}
+func (st *IPVolumeGuardState) Finish() error { return nil }
+
+// WindowRows yields the per-address windows sorted by address.
+func (g *IPVolumeGuard) WindowRows() snaprow.Rows[IPWindowState] {
+	ips := make([]netip.Addr, 0, len(g.counts))
+	for ip := range g.counts {
+		ips = append(ips, ip)
 	}
-	sort.Slice(st.Windows, func(i, j int) bool { return st.Windows[i].IP.Compare(st.Windows[j].IP) < 0 })
-	for c, n := range g.Throttled {
-		st.Throttled = append(st.Throttled, ClientCount{Client: c, N: n})
-	}
-	sort.Slice(st.Throttled, func(i, j int) bool { return st.Throttled[i].Client < st.Throttled[j].Client })
-	return st
+	slices.SortFunc(ips, netip.Addr.Compare)
+	return snaprow.Rows[IPWindowState]{N: len(ips), Each: func(yield func(*IPWindowState)) {
+		var ws IPWindowState
+		for _, ip := range ips {
+			w := g.counts[ip]
+			ws = IPWindowState{IP: ip, Day: w.day, N: w.n}
+			yield(&ws)
+		}
+	}}
 }
 
-// RestoreState overwrites the guard's mutable state with a snapshot.
-func (g *IPVolumeGuard) RestoreState(st *IPVolumeGuardState) {
-	clear(g.counts)
-	for _, w := range st.Windows {
-		g.counts[w.IP] = ipWindow{day: w.Day, n: w.N}
+// ThrottledRows yields the throttle tallies sorted by fingerprint.
+func (g *IPVolumeGuard) ThrottledRows() snaprow.Rows[ClientCount] {
+	clients := make([]string, 0, len(g.Throttled))
+	for c := range g.Throttled {
+		clients = append(clients, c)
 	}
-	clear(g.Throttled)
-	for _, cc := range st.Throttled {
-		g.Throttled[cc.Client] = cc.N
+	slices.Sort(clients)
+	return snaprow.Rows[ClientCount]{N: len(clients), Each: func(yield func(*ClientCount)) {
+		var cc ClientCount
+		for _, c := range clients {
+			cc = ClientCount{Client: c, N: g.Throttled[c]}
+			yield(&cc)
+		}
+	}}
+}
+
+// StagedGuard is a decoded guard section, not yet installed.
+type StagedGuard struct {
+	windows   []IPWindowState
+	clients   []ClientCount
+	counts    map[netip.Addr]ipWindow
+	throttled map[string]int
+}
+
+// NewStagedGuard returns an empty staged guard section to decode into.
+func NewStagedGuard() *StagedGuard { return &StagedGuard{} }
+
+func (s *StagedGuard) LoadWindows(hint int) func(*IPWindowState) {
+	return snaprow.Into(&s.windows)(hint)
+}
+
+func (s *StagedGuard) LoadThrottled(hint int) func(*ClientCount) {
+	return snaprow.Into(&s.clients)(hint)
+}
+
+// Finish checks both lists came in the order WindowRows and
+// ThrottledRows write them.
+func (s *StagedGuard) Finish() error {
+	if !snaprow.Sorted(s.windows, func(w *IPWindowState) int64 {
+		if !w.IP.Is4() {
+			return -1
+		}
+		b := w.IP.As4()
+		return int64(b[0])<<24 | int64(b[1])<<16 | int64(b[2])<<8 | int64(b[3])
+	}) || !snaprow.Sorted(s.clients, func(cc *ClientCount) string { return cc.Client }) {
+		return fmt.Errorf("detection: guard windows or throttle tallies are not sorted")
 	}
+	s.counts = make(map[netip.Addr]ipWindow, len(s.windows))
+	for _, w := range s.windows {
+		s.counts[w.IP] = ipWindow{day: w.Day, n: w.N}
+	}
+	s.throttled = make(map[string]int, len(s.clients))
+	for _, cc := range s.clients {
+		s.throttled[cc.Client] = cc.N
+	}
+	return nil
+}
+
+// CommitGuard installs a staged guard section.
+func (g *IPVolumeGuard) CommitGuard(s *StagedGuard) {
+	g.counts = s.counts
+	g.Throttled = s.throttled
 }

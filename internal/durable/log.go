@@ -84,7 +84,8 @@ type Log struct {
 	ckptFile string
 	prevCkpt string // kept as a fallback; older ones are pruned
 
-	frameBuf []byte // reused frame assembly buffer
+	frameBuf []byte       // reused frame assembly buffer
+	ckptBuf  bytes.Buffer // reused checkpoint buffer, Reset per checkpoint
 
 	writeErrs *telemetry.Counter
 	fsyncErrs *telemetry.Counter
@@ -253,12 +254,14 @@ func (l *Log) Checkpoint(day int, snap func(io.Writer) error) error {
 	if err := l.startSegment(l.segIndex + 1); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := snap(&buf); err != nil {
+	// The buffer keeps its capacity from one checkpoint to the next, so
+	// a day's snapshot lands without regrowing it.
+	l.ckptBuf.Reset()
+	if err := snap(&l.ckptBuf); err != nil {
 		return l.stickWrite(fmt.Errorf("durable: snapshot: %w", err))
 	}
 	name := fmt.Sprintf("ckpt-day-%03d.fsnap", day)
-	if err, sync := atomicWrite(l.fs, l.dir, name, buf.Bytes()); err != nil {
+	if err, sync := atomicWrite(l.fs, l.dir, name, l.ckptBuf.Bytes()); err != nil {
 		if sync {
 			return l.stickSync(err)
 		}

@@ -1,19 +1,25 @@
 package honeypot
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 	"time"
 
 	"footsteps/internal/platform"
 	"footsteps/internal/rng"
+	"footsteps/internal/snaprow"
 )
 
 // Snapshot/restore support (see internal/persistence). Account order is
 // preserved verbatim — creation order drives reporting — while the
 // map-backed monitoring counters are serialized sorted so the encoded
-// form is canonical.
+// form is canonical. Restore decodes the section into a Staged framework
+// and Commit installs it.
 
-// State is the complete mutable state of a Framework.
+// State is the framework section as plain structs: the fixture the codec
+// tests and fuzz targets build, written and read through the same
+// section code as a live framework.
 type State struct {
 	RNG         rng.State
 	NextID      int
@@ -49,16 +55,25 @@ type ActorCounts struct {
 	Counts []TypeCount // sorted by type
 }
 
-func flattenCounts(c Counts) []TypeCount {
-	if len(c) == 0 {
-		return nil
-	}
-	out := make([]TypeCount, 0, len(c))
+// Header and AccountRows make the fixture a section source;
+// LoadAccounts and Finish make it a section sink.
+func (st *State) Header() State                             { return *st }
+func (st *State) AccountRows() snaprow.Rows[AccountState]   { return snaprow.Of(st.Accounts) }
+func (st *State) LoadAccounts(hint int) func(*AccountState) { return snaprow.Into(&st.Accounts)(hint) }
+func (st *State) Finish(h *State) error {
+	h.Accounts = st.Accounts
+	*st = *h
+	return nil
+}
+
+// appendCounts appends c's tallies to dst, sorted by type.
+func appendCounts(dst []TypeCount, c Counts) []TypeCount {
+	start := len(dst)
 	for t, n := range c {
-		out = append(out, TypeCount{Type: t, N: n})
+		dst = append(dst, TypeCount{Type: t, N: n})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
-	return out
+	slices.SortFunc(dst[start:], func(a, b TypeCount) int { return cmp.Compare(a.Type, b.Type) })
+	return dst
 }
 
 func unflattenCounts(tcs []TypeCount) Counts {
@@ -69,47 +84,75 @@ func unflattenCounts(tcs []TypeCount) Counts {
 	return c
 }
 
-// SnapshotState captures the framework's complete mutable state.
-func (f *Framework) SnapshotState() *State {
-	st := &State{
-		RNG:         f.rng.State(),
-		NextID:      f.nextID,
-		HighProfile: append([]platform.AccountID(nil), f.highProfile...),
-	}
-	for _, a := range f.ordered {
-		as := AccountState{
-			ID:           a.ID,
-			Username:     a.Username,
-			Password:     a.Password,
-			Kind:         a.Kind,
-			Created:      a.Created,
-			EnrolledWith: a.EnrolledWith,
-			Inbound:      flattenCounts(a.Inbound),
-			Outbound:     flattenCounts(a.Outbound),
-			Enforcements: a.Enforcements,
-			Duplicates:   a.Duplicates,
-			Deleted:      a.deleted,
-		}
-		for actor, counts := range a.InboundDedup {
-			as.InboundDedup = append(as.InboundDedup, ActorCounts{Actor: actor, Counts: flattenCounts(counts)})
-		}
-		sort.Slice(as.InboundDedup, func(i, j int) bool { return as.InboundDedup[i].Actor < as.InboundDedup[j].Actor })
-		st.Accounts = append(st.Accounts, as)
-	}
-	return st
+// Header returns the framework's scalars and high-profile list.
+func (f *Framework) Header() State {
+	return State{RNG: f.rng.State(), NextID: f.nextID, HighProfile: f.highProfile}
 }
 
-// RestoreState overwrites the framework's mutable state with a snapshot.
-// The wired subscription is left alone — Wire runs at construction and the
-// subscription closure reads the maps rebuilt here.
-func (f *Framework) RestoreState(st *State) {
-	f.rng.SetState(st.RNG)
-	f.nextID = st.NextID
-	f.highProfile = append(f.highProfile[:0], st.HighProfile...)
-	clear(f.accounts)
-	f.ordered = f.ordered[:0]
-	for i := range st.Accounts {
-		as := &st.Accounts[i]
+// AccountRows yields the honeypots in creation order, their counters
+// flattened into buffers reused from row to row.
+func (f *Framework) AccountRows() snaprow.Rows[AccountState] {
+	return snaprow.Rows[AccountState]{N: len(f.ordered), Each: func(yield func(*AccountState)) {
+		var as AccountState
+		var counts []TypeCount
+		var dedup []ActorCounts
+		for _, a := range f.ordered {
+			counts = appendCounts(counts[:0], a.Inbound)
+			nIn := len(counts)
+			counts = appendCounts(counts, a.Outbound)
+			nOut := len(counts)
+			dedup = dedup[:0]
+			for actor, c := range a.InboundDedup {
+				start := len(counts)
+				counts = appendCounts(counts, c)
+				dedup = append(dedup, ActorCounts{Actor: actor, Counts: counts[start:len(counts):len(counts)]})
+			}
+			slices.SortFunc(dedup, func(a, b ActorCounts) int { return cmp.Compare(a.Actor, b.Actor) })
+			as = AccountState{
+				ID:           a.ID,
+				Username:     a.Username,
+				Password:     a.Password,
+				Kind:         a.Kind,
+				Created:      a.Created,
+				EnrolledWith: a.EnrolledWith,
+				Inbound:      counts[:nIn:nIn],
+				Outbound:     counts[nIn:nOut:nOut],
+				InboundDedup: dedup,
+				Enforcements: a.Enforcements,
+				Duplicates:   a.Duplicates,
+				Deleted:      a.deleted,
+			}
+			yield(&as)
+		}
+	}}
+}
+
+// Staged is a decoded framework section, not yet installed.
+type Staged struct {
+	h        State
+	accounts []*Account
+	err      error
+}
+
+// NewStaged returns an empty staged framework section to decode into.
+func NewStaged() *Staged { return &Staged{} }
+
+func (s *Staged) LoadAccounts(hint int) func(*AccountState) {
+	s.accounts = make([]*Account, 0, hint)
+	return func(as *AccountState) {
+		if s.err != nil {
+			return
+		}
+		byType := func(tc *TypeCount) platform.ActionType { return tc.Type }
+		sorted := snaprow.Sorted(as.Inbound, byType) && snaprow.Sorted(as.Outbound, byType) &&
+			snaprow.Sorted(as.InboundDedup, func(ac *ActorCounts) platform.AccountID { return ac.Actor })
+		for _, ac := range as.InboundDedup {
+			sorted = sorted && snaprow.Sorted(ac.Counts, byType)
+		}
+		if !sorted {
+			s.err = fmt.Errorf("honeypot: account %d's tallies are not sorted", as.ID)
+			return
+		}
 		a := &Account{
 			ID:           as.ID,
 			Username:     as.Username,
@@ -127,7 +170,25 @@ func (f *Framework) RestoreState(st *State) {
 		for _, ac := range as.InboundDedup {
 			a.InboundDedup[ac.Actor] = unflattenCounts(ac.Counts)
 		}
+		s.accounts = append(s.accounts, a)
+	}
+}
+
+func (s *Staged) Finish(h *State) error {
+	s.h = *h
+	return s.err
+}
+
+// Commit installs a staged section. The wired subscription is left
+// alone — Wire runs at construction and the subscription closure reads
+// the maps installed here.
+func (f *Framework) Commit(s *Staged) {
+	f.rng.SetState(s.h.RNG)
+	f.nextID = s.h.NextID
+	f.highProfile = s.h.HighProfile
+	clear(f.accounts)
+	f.ordered = s.accounts
+	for _, a := range s.accounts {
 		f.accounts[a.ID] = a
-		f.ordered = append(f.ordered, a)
 	}
 }

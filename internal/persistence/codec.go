@@ -1,7 +1,15 @@
 // Package persistence implements the FSNAP world-snapshot format: a
 // versioned binary encoding of everything the simulation step path
-// touches, written at day boundaries and restored into a freshly
-// constructed world (see docs/PERSISTENCE.md).
+// touches, written at day boundaries and restored into a world built
+// without the population it overwrites (see docs/PERSISTENCE.md).
+//
+// This package owns the wire layout, one implementation per section.
+// A section is written from row sources and decoded into loaders
+// (internal/snaprow): a live world passes its components, which read
+// rows straight out of their tables and load decoded rows into staged
+// tables, so neither direction builds a whole-world copy. WorldState,
+// the plain-struct fixture the codec tests and fuzz targets build,
+// goes through the same section code.
 //
 // The current format is FSNAP2, which delta-encodes the sorted
 // adjacency lists that dominate large-world snapshots. FSNAP1 streams
@@ -14,7 +22,9 @@
 // errors with byte offsets so a truncated or corrupt checkpoint is
 // diagnosable. The decoder is hardened against arbitrary input — it
 // must never panic and never allocate proportionally to a lying length
-// prefix — because the snapshot fuzz target feeds it garbage.
+// prefix — because the snapshot fuzz targets feed it garbage. Loaders
+// size their tables from Rows' hint, which a count can only raise as
+// far as the bytes left in the input could hold.
 package persistence
 
 import (
@@ -98,11 +108,22 @@ func (e *StateError) Unwrap() error { return e.Err }
 
 // Encoder builds a snapshot byte stream with append-only primitives.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	rows int // rows written from row sources, to check their counts
 }
 
 // Bytes returns the encoded stream.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Reset empties the encoder, keeping its buffer for the next snapshot.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Grow makes room for n more bytes without another reallocation.
+func (e *Encoder) Grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.buf = append(make([]byte, 0, len(e.buf)+n), e.buf...)
+	}
+}
 
 // Raw appends bytes verbatim (used for the magic header).
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
@@ -170,6 +191,8 @@ func (e *Encoder) RNG(st rng.State) {
 // Decoder consumes a snapshot byte stream. Errors are sticky: after the
 // first failure every primitive returns its zero value, so composite
 // decoders can run straight-line and check Err once per structure.
+// Varints must be minimally encoded, as the Encoder writes them, so a
+// stream that decodes has exactly one encoding.
 type Decoder struct {
 	data []byte
 	off  int
@@ -221,6 +244,10 @@ func (d *Decoder) U64() uint64 {
 		d.fail("short or overlong uvarint")
 		return 0
 	}
+	if n > 1 && d.data[d.off+n-1] == 0 {
+		d.fail("non-minimal uvarint")
+		return 0
+	}
 	d.off += n
 	return v
 }
@@ -233,6 +260,10 @@ func (d *Decoder) I64() int64 {
 	v, n := binary.Varint(d.data[d.off:])
 	if n <= 0 {
 		d.fail("short or overlong varint")
+		return 0
+	}
+	if n > 1 && d.data[d.off+n-1] == 0 {
+		d.fail("non-minimal varint")
 		return 0
 	}
 	d.off += n
@@ -305,6 +336,17 @@ func (d *Decoder) Count() int {
 		return 0
 	}
 	return int(n)
+}
+
+// Rows consumes a list's element count and returns it with a capacity
+// hint for the list's loader: the count, capped by how many rows of at
+// least minRow bytes the rest of the input could hold. A lying prefix
+// therefore sizes nothing past the input's own length; the row loop
+// then fails at the end of the input, as it would have without the
+// hint.
+func (d *Decoder) Rows(minRow int) (n, hint int) {
+	n = d.Count()
+	return n, min(n, (len(d.data)-d.off)/max(minRow, 1))
 }
 
 // Time consumes an instant (0 means the zero time).

@@ -33,8 +33,13 @@ func rngState(n uint64) rng.State {
 // the world-level RNG streams and cursors.
 func tinyWorldState() *WorldState {
 	return &WorldState{
-		Root:     rngState(1),
-		NetAlloc: []netsim.AllocState{{ASN: 64496, Next: 7}, {ASN: 64512, Next: 1}},
+		Envelope: Envelope{
+			Root:      rngState(1),
+			NetAlloc:  []netsim.AllocState{{ASN: 64496, Next: 7}, {ASN: 64512, Next: 1}},
+			VPNRNGs:   []rng.State{rngState(9), rngState(10)},
+			CrossRNG:  rngState(11),
+			CrossSeen: []ServiceCount{{Name: "boostgram", N: 3}, {Name: "instalex", N: 5}},
+		},
 		Platform: &platform.State{
 			NextPost: 12,
 			LogSeq:   345,
@@ -167,9 +172,6 @@ func tinyWorldState() *WorldState {
 				Delivered:          []aas.ActionCount{{Action: platform.ActionLike, N: 1234}},
 			},
 		}},
-		VPNRNGs:   []rng.State{rngState(9), rngState(10)},
-		CrossRNG:  rngState(11),
-		CrossSeen: []ServiceCount{{Name: "boostgram", N: 3}, {Name: "instalex", N: 5}},
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"footsteps/internal/netsim"
 	"footsteps/internal/platform"
 	"footsteps/internal/rng"
+	"footsteps/internal/snaprow"
 	"footsteps/internal/socialgraph"
 )
 
@@ -26,35 +27,15 @@ type Header struct {
 	Now         time.Time
 }
 
-// WorldState aggregates the per-component snapshot states that together
-// cover everything the step path touches. Service states are keyed by
-// name so restore can route each to the right engine regardless of
-// registration order.
-type WorldState struct {
+// Envelope is the world-owned part of a snapshot body: the root and
+// VPN-user streams, the address allocators and the cross-enrollment
+// cursors. Everything else lives in a component section.
+type Envelope struct {
 	Root      rng.State
 	NetAlloc  []netsim.AllocState
-	Platform  *platform.State
-	Graph     *socialgraph.State
-	Behavior  *behavior.State
-	Honeypots *honeypot.State
-	Guard     *detection.IPVolumeGuardState // nil when no guard is installed
-	Recip     []NamedRecip
-	Coll      []NamedColl
 	VPNRNGs   []rng.State
 	CrossRNG  rng.State
 	CrossSeen []ServiceCount // sorted by name
-}
-
-// NamedRecip is one reciprocity service's state, keyed by service name.
-type NamedRecip struct {
-	Name  string
-	State *aas.ReciprocityState
-}
-
-// NamedColl is one collusion service's state, keyed by service name.
-type NamedColl struct {
-	Name  string
-	State *aas.CollusionState
 }
 
 // ServiceCount is one cross-enrollment cursor.
@@ -63,42 +44,143 @@ type ServiceCount struct {
 	N    int
 }
 
-// Encode writes the magic, header, and world state to w as one FSNAP2
-// stream. The caller stamps h.Version (normally the Version constant).
-func Encode(w io.Writer, h Header, st *WorldState) error {
-	_, err := w.Write(EncodeBytes(h, st))
-	return err
+// The section sources: what each component section is written from.
+// Big lists stream as rows; a Header method returns the section's
+// scalars and short lists, with its row lists left empty.
+type (
+	PlatformSource interface {
+		SnapshotCounters() (nextPost, logSeq uint64)
+		AccountRows() snaprow.Rows[platform.AccountState]
+		LimiterRows() snaprow.Rows[platform.LimiterState]
+		TagRows() snaprow.Rows[platform.TagState]
+		EnforcementRows() snaprow.Rows[platform.EnforcementState]
+	}
+	GraphSource interface {
+		SnapshotCounters() (socialgraph.AccountID, socialgraph.PostID)
+		AccountRows() snaprow.Rows[socialgraph.AccountState]
+		PostRows() snaprow.Rows[socialgraph.PostState]
+	}
+	BehaviorSource interface {
+		Header() behavior.State
+		MemberRows() snaprow.Rows[behavior.MemberState]
+		ReactionRows() snaprow.Rows[behavior.ReactionState]
+	}
+	HoneypotSource interface {
+		Header() honeypot.State
+		AccountRows() snaprow.Rows[honeypot.AccountState]
+	}
+	GuardSource interface {
+		WindowRows() snaprow.Rows[detection.IPWindowState]
+		ThrottledRows() snaprow.Rows[detection.ClientCount]
+	}
+	RecipSource interface {
+		Header() aas.ReciprocityState
+		CustomerRows() snaprow.Rows[aas.CustomerState]
+		RetryRows() snaprow.Rows[aas.RetryState]
+	}
+	CollSource interface {
+		Header() aas.CollusionState
+		CustomerRows() snaprow.Rows[aas.CustomerState]
+		RetryRows() snaprow.Rows[aas.RetryState]
+	}
+)
+
+// The section sinks: what each decoded section is loaded into. Row
+// lists arrive through the Load methods (snaprow.Loader) in wire order;
+// Finish delivers the section's scalars and short lists and reports
+// whether the section breaks an invariant of the component — a non-nil
+// error becomes a *StateError naming the component.
+type (
+	PlatformSink interface {
+		LoadAccounts(hint int) func(*platform.AccountState)
+		LoadLimiters(hint int) func(*platform.LimiterState)
+		LoadTags(hint int) func(*platform.TagState)
+		LoadEnforcements(hint int) func(*platform.EnforcementState)
+		Finish(nextPost, logSeq uint64) error
+	}
+	GraphSink interface {
+		// LoadCounters runs before any row: the graph sizes its tables
+		// by its counters, so it must check them first.
+		LoadCounters(socialgraph.AccountID, socialgraph.PostID) error
+		LoadAccounts(hint int) func(*socialgraph.AccountState)
+		LoadPosts(hint int) func(*socialgraph.PostState)
+		Finish() error
+	}
+	BehaviorSink interface {
+		LoadMembers(hint int) func(*behavior.MemberState)
+		LoadReactions(hint int) func(*behavior.ReactionState)
+		Finish(*behavior.State) error
+	}
+	HoneypotSink interface {
+		LoadAccounts(hint int) func(*honeypot.AccountState)
+		Finish(*honeypot.State) error
+	}
+	GuardSink interface {
+		LoadWindows(hint int) func(*detection.IPWindowState)
+		LoadThrottled(hint int) func(*detection.ClientCount)
+		Finish() error
+	}
+	RecipSink interface {
+		LoadCustomers(hint int) func(*aas.CustomerState)
+		LoadRetries(hint int) func(*aas.RetryState)
+		Finish(*aas.ReciprocityState) error
+	}
+	CollSink interface {
+		LoadCustomers(hint int) func(*aas.CustomerState)
+		LoadRetries(hint int) func(*aas.RetryState)
+		Finish(*aas.CollusionState) error
+	}
+)
+
+// Source is a whole snapshot body to write: the envelope and one
+// source per component section. Services are listed in registration
+// (catalog) order.
+type Source struct {
+	Envelope
+	Platform  PlatformSource
+	Graph     GraphSource
+	Behavior  BehaviorSource
+	Honeypots HoneypotSource
+	Guard     GuardSource // nil when no guard is installed
+	Recip     []Named[RecipSource]
+	Coll      []Named[CollSource]
 }
 
-// EncodeBytes is Encode into a fresh byte slice.
-func EncodeBytes(h Header, st *WorldState) []byte {
-	var e Encoder
+// Named keys a service section by its service name, so restore routes
+// it to the right engine whatever the registration order.
+type Named[T any] struct {
+	Name string
+	S    T
+}
+
+// Sinks routes each decoded section to where it is loaded. Guard is
+// called only when the snapshot holds a guard section, Recip and Coll
+// once per service section, with its name; a nil Guard result decodes
+// the section and drops it.
+type Sinks struct {
+	Platform  PlatformSink
+	Graph     GraphSink
+	Behavior  BehaviorSink
+	Honeypots HoneypotSink
+	Guard     func() GuardSink
+	Recip     func(name string) RecipSink
+	Coll      func(name string) CollSink
+}
+
+// WriteHeader appends the magic and header.
+func WriteHeader(e *Encoder, h Header) {
 	e.Raw(magic)
 	e.U64(h.Version)
 	e.U64(h.Seed)
 	e.U64(h.Fingerprint)
 	e.Int(h.Day)
 	e.Time(h.Now)
-	encWorld(&e, st)
-	return e.Bytes()
 }
 
-// Decode reads a full FSNAP stream from r.
-func Decode(r io.Reader) (Header, *WorldState, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return DecodeBytes(data)
-}
-
-// DecodeBytes decodes a full FSNAP stream, current (FSNAP2) or legacy
-// (FSNAP1). It rejects bad magic (ErrBadMagic), a header version that
-// disagrees with the magic (MismatchError), and truncated or trailing
-// input (TruncatedError with the offending byte offset). It never
-// panics, whatever the input.
-func DecodeBytes(data []byte) (Header, *WorldState, error) {
-	d := NewDecoder(data)
+// ReadHeader consumes the magic and header. It rejects bad magic
+// (ErrBadMagic), a header version that disagrees with the magic
+// (MismatchError), and a truncated header (TruncatedError).
+func ReadHeader(d *Decoder) (Header, error) {
 	wire := d.Magic()
 	var h Header
 	h.Version = d.U64()
@@ -107,19 +189,122 @@ func DecodeBytes(data []byte) (Header, *WorldState, error) {
 	h.Day = d.Int()
 	h.Now = d.Time()
 	if err := d.Err(); err != nil {
-		return Header{}, nil, err
+		return Header{}, err
 	}
 	if h.Version != wire {
-		return h, nil, &MismatchError{Field: "format version", Got: h.Version, Want: wire}
+		return h, &MismatchError{Field: "format version", Got: h.Version, Want: wire}
 	}
-	st := decWorld(d, wire)
-	if err := d.Done(); err != nil {
-		return h, nil, err
-	}
-	return h, st, nil
+	return h, nil
 }
 
-// --- generic slice helpers ---
+// WriteBody appends a snapshot body: the envelope and every section, in
+// wire order.
+func WriteBody(e *Encoder, src *Source) {
+	e.RNG(src.Root)
+	encSlice(e, src.NetAlloc, encAlloc)
+	encPlatform(e, src.Platform)
+	encGraph(e, src.Graph)
+	encBehavior(e, src.Behavior)
+	encHoneypots(e, src.Honeypots)
+	e.Bool(src.Guard != nil)
+	if src.Guard != nil {
+		encGuard(e, src.Guard)
+	}
+	encSlice(e, src.Recip, func(e *Encoder, n *Named[RecipSource]) {
+		e.Str(n.Name)
+		encRecip(e, n.S)
+	})
+	encSlice(e, src.Coll, func(e *Encoder, n *Named[CollSource]) {
+		e.Str(n.Name)
+		encColl(e, n.S)
+	})
+	encRNGs(e, src.VPNRNGs)
+	e.RNG(src.CrossRNG)
+	encSlice(e, src.CrossSeen, func(e *Encoder, sc *ServiceCount) {
+		e.Str(sc.Name)
+		e.Int(sc.N)
+	})
+}
+
+// ReadBody decodes a snapshot body of wire version ver into sinks,
+// section by section, and returns its envelope. It fails with the
+// decoder's TruncatedError on malformed bytes (trailing bytes
+// included), or with a *StateError when a sink rejects its section.
+// Whatever the input, it never panics.
+func ReadBody(d *Decoder, ver uint64, s Sinks) (Envelope, error) {
+	var env Envelope
+	env.Root = d.RNG()
+	env.NetAlloc = decSlice(d, 2, decAlloc)
+	if err := decPlatform(d, s.Platform); err != nil {
+		return env, err
+	}
+	if err := decGraph(d, ver, s.Graph); err != nil {
+		return env, err
+	}
+	if err := decBehavior(d, s.Behavior); err != nil {
+		return env, err
+	}
+	if err := decHoneypots(d, s.Honeypots); err != nil {
+		return env, err
+	}
+	if d.Bool() {
+		var g GuardSink = &detection.IPVolumeGuardState{}
+		if s.Guard != nil {
+			if sg := s.Guard(); sg != nil {
+				g = sg
+			}
+		}
+		if err := decGuard(d, g); err != nil {
+			return env, err
+		}
+	}
+	if err := decNamed(d, s.Recip, decRecip); err != nil {
+		return env, err
+	}
+	if err := decNamed(d, s.Coll, decColl); err != nil {
+		return env, err
+	}
+	env.VPNRNGs = decSlice(d, 40, func(d *Decoder, st *rng.State) { *st = d.RNG() })
+	env.CrossRNG = d.RNG()
+	env.CrossSeen = decSlice(d, 2, func(d *Decoder, sc *ServiceCount) {
+		sc.Name = d.Str()
+		sc.N = d.Int()
+	})
+	return env, d.Done()
+}
+
+// decNamed decodes a list of named service sections, routing each by
+// name.
+func decNamed[S any](d *Decoder, route func(string) S, dec func(*Decoder, S) error) error {
+	n := d.Count()
+	for i := 0; i < n && d.err == nil; i++ {
+		name := d.Str()
+		if d.err != nil {
+			break
+		}
+		if err := dec(d, route(name)); err != nil {
+			return err
+		}
+	}
+	return d.err
+}
+
+// finish closes a section: a decoding failure wins, then the sink's
+// verdict, as a StateError naming the component.
+func finish(d *Decoder, component string, check func() error) error {
+	if d.err != nil {
+		return d.err
+	}
+	if err := check(); err != nil {
+		if _, ok := err.(*StateError); ok {
+			return err
+		}
+		return &StateError{Component: component, Err: err}
+	}
+	return nil
+}
+
+// --- list helpers ---
 
 func encSlice[T any](e *Encoder, xs []T, enc func(*Encoder, *T)) {
 	e.U64(uint64(len(xs)))
@@ -128,15 +313,53 @@ func encSlice[T any](e *Encoder, xs []T, enc func(*Encoder, *T)) {
 	}
 }
 
-func decSlice[T any](d *Decoder, dec func(*Decoder, *T)) []T {
-	n := d.Count()
-	var xs []T
+func decSlice[T any](d *Decoder, minRow int, dec func(*Decoder, *T)) []T {
+	n, hint := d.Rows(minRow)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]T, 0, hint)
 	for i := 0; i < n && d.err == nil; i++ {
 		var x T
 		dec(d, &x)
 		xs = append(xs, x)
 	}
 	return xs
+}
+
+// encRows writes a counted row sequence.
+func encRows[T any](e *Encoder, rows snaprow.Rows[T], enc func(*Encoder, *T)) {
+	if rows.Each == nil {
+		encSlice(e, rows.Slice, enc)
+		return
+	}
+	e.U64(uint64(rows.N))
+	start := e.rows
+	rows.Each(func(x *T) {
+		e.rows++
+		enc(e, x)
+	})
+	if e.rows-start != rows.N {
+		panic("persistence: a row source yielded a different number of rows than it counted")
+	}
+}
+
+// decRows decodes a list into a loader. Each row is decoded into a
+// fresh value, so the loader may keep the row's slices and strings; a
+// row is handed over only if it decoded cleanly.
+func decRows[T any](d *Decoder, minRow int, load snaprow.Loader[T], dec func(*Decoder, *T)) {
+	n, hint := d.Rows(minRow)
+	if d.err != nil {
+		return
+	}
+	add := load(hint)
+	for i := 0; i < n && d.err == nil; i++ {
+		var x T
+		dec(d, &x)
+		if d.err == nil {
+			add(&x)
+		}
+	}
 }
 
 func encU64s[T ~uint64](e *Encoder, xs []T) {
@@ -165,8 +388,11 @@ func encU64sDelta[T ~uint64](e *Encoder, xs []T) {
 }
 
 func decU64sDelta[T ~uint64](d *Decoder) []T {
-	n := d.Count()
-	var xs []T
+	n, hint := d.Rows(1)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]T, 0, hint)
 	prev := uint64(0)
 	for i := 0; i < n && d.err == nil; i++ {
 		v := prev + d.U64()
@@ -181,8 +407,11 @@ func decU64sDelta[T ~uint64](d *Decoder) []T {
 }
 
 func decU64s[T ~uint64](d *Decoder) []T {
-	n := d.Count()
-	var xs []T
+	n, hint := d.Rows(1)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]T, 0, hint)
 	for i := 0; i < n && d.err == nil; i++ {
 		xs = append(xs, T(d.U64()))
 	}
@@ -197,12 +426,7 @@ func encInts[T ~int](e *Encoder, xs []T) {
 }
 
 func decInts[T ~int](d *Decoder) []T {
-	n := d.Count()
-	var xs []T
-	for i := 0; i < n && d.err == nil; i++ {
-		xs = append(xs, T(d.Int()))
-	}
-	return xs
+	return decSlice(d, 1, func(d *Decoder, x *T) { *x = T(d.Int()) })
 }
 
 func encStrs(e *Encoder, xs []string) {
@@ -213,12 +437,7 @@ func encStrs(e *Encoder, xs []string) {
 }
 
 func decStrs(d *Decoder) []string {
-	n := d.Count()
-	var xs []string
-	for i := 0; i < n && d.err == nil; i++ {
-		xs = append(xs, d.Str())
-	}
-	return xs
+	return decSlice(d, 1, func(d *Decoder, s *string) { *s = d.Str() })
 }
 
 func encRNGs(e *Encoder, xs []rng.State) {
@@ -226,74 +445,6 @@ func encRNGs(e *Encoder, xs []rng.State) {
 	for _, st := range xs {
 		e.RNG(st)
 	}
-}
-
-func decRNGs(d *Decoder) []rng.State {
-	n := d.Count()
-	var xs []rng.State
-	for i := 0; i < n && d.err == nil; i++ {
-		xs = append(xs, d.RNG())
-	}
-	return xs
-}
-
-// --- world ---
-
-func encWorld(e *Encoder, st *WorldState) {
-	e.RNG(st.Root)
-	encSlice(e, st.NetAlloc, encAlloc)
-	encPlatform(e, st.Platform)
-	encGraph(e, st.Graph)
-	encBehavior(e, st.Behavior)
-	encHoneypots(e, st.Honeypots)
-	e.Bool(st.Guard != nil)
-	if st.Guard != nil {
-		encGuard(e, st.Guard)
-	}
-	encSlice(e, st.Recip, func(e *Encoder, nr *NamedRecip) {
-		e.Str(nr.Name)
-		encRecip(e, nr.State)
-	})
-	encSlice(e, st.Coll, func(e *Encoder, nc *NamedColl) {
-		e.Str(nc.Name)
-		encColl(e, nc.State)
-	})
-	encRNGs(e, st.VPNRNGs)
-	e.RNG(st.CrossRNG)
-	encSlice(e, st.CrossSeen, func(e *Encoder, sc *ServiceCount) {
-		e.Str(sc.Name)
-		e.Int(sc.N)
-	})
-}
-
-// decWorld decodes the world body. ver selects the graph list reader —
-// the only section whose wire form differs between FSNAP1 and FSNAP2.
-func decWorld(d *Decoder, ver uint64) *WorldState {
-	st := &WorldState{}
-	st.Root = d.RNG()
-	st.NetAlloc = decSlice(d, decAlloc)
-	st.Platform = decPlatform(d)
-	st.Graph = decGraph(d, ver)
-	st.Behavior = decBehavior(d)
-	st.Honeypots = decHoneypots(d)
-	if d.Bool() {
-		st.Guard = decGuard(d)
-	}
-	st.Recip = decSlice(d, func(d *Decoder, nr *NamedRecip) {
-		nr.Name = d.Str()
-		nr.State = decRecip(d)
-	})
-	st.Coll = decSlice(d, func(d *Decoder, nc *NamedColl) {
-		nc.Name = d.Str()
-		nc.State = decColl(d)
-	})
-	st.VPNRNGs = decRNGs(d)
-	st.CrossRNG = d.RNG()
-	st.CrossSeen = decSlice(d, func(d *Decoder, sc *ServiceCount) {
-		sc.Name = d.Str()
-		sc.N = d.Int()
-	})
-	return st
 }
 
 // --- netsim ---
@@ -334,10 +485,11 @@ func decSession(d *Decoder, s *platform.SessionState) {
 	s.API = platform.APIKind(d.Int())
 }
 
-func encPlatform(e *Encoder, st *platform.State) {
-	e.U64(st.NextPost)
-	e.U64(st.LogSeq)
-	encSlice(e, st.Accounts, func(e *Encoder, a *platform.AccountState) {
+func encPlatform(e *Encoder, src PlatformSource) {
+	nextPost, logSeq := src.SnapshotCounters()
+	e.U64(nextPost)
+	e.U64(logSeq)
+	encRows(e, src.AccountRows(), func(e *Encoder, a *platform.AccountState) {
 		e.U64(uint64(a.ID))
 		e.Str(a.Username)
 		e.Str(a.Password)
@@ -359,27 +511,29 @@ func encPlatform(e *Encoder, st *platform.State) {
 			e.Int(pc.N)
 		})
 	})
-	encSlice(e, st.Limiters, func(e *Encoder, l *platform.LimiterState) {
+	encRows(e, src.LimiterRows(), func(e *Encoder, l *platform.LimiterState) {
 		e.U64(uint64(l.ID))
 		e.I64(l.Hour)
 		e.Int(l.Count)
 	})
-	encSlice(e, st.Tags, func(e *Encoder, t *platform.TagState) {
+	encRows(e, src.TagRows(), func(e *Encoder, t *platform.TagState) {
 		e.Str(t.Tag)
 		encU64s(e, t.Posts)
 	})
-	encSlice(e, st.Enforcements, func(e *Encoder, en *platform.EnforcementState) {
+	encRows(e, src.EnforcementRows(), func(e *Encoder, en *platform.EnforcementState) {
 		e.U64(uint64(en.From))
 		e.U64(uint64(en.To))
 		e.Time(en.Due)
 	})
 }
 
-func decPlatform(d *Decoder) *platform.State {
-	st := &platform.State{}
-	st.NextPost = d.U64()
-	st.LogSeq = d.U64()
-	st.Accounts = decSlice(d, func(d *Decoder, a *platform.AccountState) {
+func decPlatform(d *Decoder, s PlatformSink) error {
+	nextPost := d.U64()
+	logSeq := d.U64()
+	// An account row is at least 14 bytes: ID, two string lengths, the
+	// photo count, three flags, the country length, the creation time,
+	// the deleted flag, the session epoch and three list counts.
+	decRows(d, 14, s.LoadAccounts, func(d *Decoder, a *platform.AccountState) {
 		a.ID = platform.AccountID(d.U64())
 		a.Username = d.Str()
 		a.Password = d.Str()
@@ -391,31 +545,31 @@ func decPlatform(d *Decoder) *platform.State {
 		a.Created = d.Time()
 		a.Deleted = d.Bool()
 		a.SessionEpoch = d.U64()
-		a.LoginCountries = decSlice(d, func(d *Decoder, cc *platform.CountryCount) {
+		a.LoginCountries = decSlice(d, 2, func(d *Decoder, cc *platform.CountryCount) {
 			cc.Country = d.Str()
 			cc.N = d.Int()
 		})
 		a.Posts = decU64s[platform.PostID](d)
-		a.LikeCounts = decSlice(d, func(d *Decoder, pc *platform.PostCount) {
+		a.LikeCounts = decSlice(d, 2, func(d *Decoder, pc *platform.PostCount) {
 			pc.Post = platform.PostID(d.U64())
 			pc.N = d.Int()
 		})
 	})
-	st.Limiters = decSlice(d, func(d *Decoder, l *platform.LimiterState) {
+	decRows(d, 3, s.LoadLimiters, func(d *Decoder, l *platform.LimiterState) {
 		l.ID = platform.AccountID(d.U64())
 		l.Hour = d.I64()
 		l.Count = d.Int()
 	})
-	st.Tags = decSlice(d, func(d *Decoder, t *platform.TagState) {
+	decRows(d, 2, s.LoadTags, func(d *Decoder, t *platform.TagState) {
 		t.Tag = d.Str()
 		t.Posts = decU64s[platform.PostID](d)
 	})
-	st.Enforcements = decSlice(d, func(d *Decoder, en *platform.EnforcementState) {
+	decRows(d, 3, s.LoadEnforcements, func(d *Decoder, en *platform.EnforcementState) {
 		en.From = platform.AccountID(d.U64())
 		en.To = platform.AccountID(d.U64())
 		en.Due = d.Time()
 	})
-	return st
+	return finish(d, "platform", func() error { return s.Finish(nextPost, logSeq) })
 }
 
 // --- socialgraph ---
@@ -423,16 +577,17 @@ func decPlatform(d *Decoder) *platform.State {
 // encGraph always writes the FSNAP2 form: the sorted followee and like
 // sets go out delta-encoded. Own-post lists are creation-order, not a
 // sorted contract, so they stay absolute.
-func encGraph(e *Encoder, st *socialgraph.State) {
-	e.U64(uint64(st.NextAcct))
-	e.U64(uint64(st.NextPost))
-	encSlice(e, st.Accounts, func(e *Encoder, a *socialgraph.AccountState) {
+func encGraph(e *Encoder, src GraphSource) {
+	nextAcct, nextPost := src.SnapshotCounters()
+	e.U64(uint64(nextAcct))
+	e.U64(uint64(nextPost))
+	encRows(e, src.AccountRows(), func(e *Encoder, a *socialgraph.AccountState) {
 		e.U64(uint64(a.ID))
 		e.Time(a.Created)
 		encU64sDelta(e, a.Followees)
 		encU64s(e, a.Posts)
 	})
-	encSlice(e, st.Posts, func(e *Encoder, p *socialgraph.PostState) {
+	encRows(e, src.PostRows(), func(e *Encoder, p *socialgraph.PostState) {
 		e.U64(uint64(p.ID))
 		e.U64(uint64(p.Author))
 		e.Time(p.Created)
@@ -445,40 +600,45 @@ func encGraph(e *Encoder, st *socialgraph.State) {
 	})
 }
 
-func decGraph(d *Decoder, ver uint64) *socialgraph.State {
+// decGraph decodes the graph section. ver selects the sorted-list
+// reader — the only wire difference between FSNAP1 and FSNAP2.
+func decGraph(d *Decoder, ver uint64, s GraphSink) error {
 	decSorted := decU64sDelta[socialgraph.AccountID]
 	if ver == VersionV1 {
 		decSorted = decU64s[socialgraph.AccountID]
 	}
-	st := &socialgraph.State{}
-	st.NextAcct = socialgraph.AccountID(d.U64())
-	st.NextPost = socialgraph.PostID(d.U64())
-	st.Accounts = decSlice(d, func(d *Decoder, a *socialgraph.AccountState) {
+	nextAcct := socialgraph.AccountID(d.U64())
+	nextPost := socialgraph.PostID(d.U64())
+	if err := finish(d, "graph", func() error { return s.LoadCounters(nextAcct, nextPost) }); err != nil {
+		return err
+	}
+	decRows(d, 4, s.LoadAccounts, func(d *Decoder, a *socialgraph.AccountState) {
 		a.ID = socialgraph.AccountID(d.U64())
 		a.Created = d.Time()
 		a.Followees = decSorted(d)
 		a.Posts = decU64s[socialgraph.PostID](d)
 	})
-	st.Posts = decSlice(d, func(d *Decoder, p *socialgraph.PostState) {
+	decRows(d, 5, s.LoadPosts, func(d *Decoder, p *socialgraph.PostState) {
 		p.ID = socialgraph.PostID(d.U64())
 		p.Author = socialgraph.AccountID(d.U64())
 		p.Created = d.Time()
 		p.Likes = decSorted(d)
-		p.Comments = decSlice(d, func(d *Decoder, c *socialgraph.Comment) {
+		p.Comments = decSlice(d, 3, func(d *Decoder, c *socialgraph.Comment) {
 			c.Author = socialgraph.AccountID(d.U64())
 			c.Text = d.Str()
 			c.At = d.Time()
 		})
 	})
-	return st
+	return finish(d, "graph", s.Finish)
 }
 
 // --- behavior ---
 
-func encBehavior(e *Encoder, st *behavior.State) {
-	e.RNG(st.RNG)
-	e.Int(st.NextName)
-	encSlice(e, st.Members, func(e *Encoder, m *behavior.MemberState) {
+func encBehavior(e *Encoder, src BehaviorSource) {
+	h := src.Header()
+	e.RNG(h.RNG)
+	e.Int(h.NextName)
+	encRows(e, src.MemberRows(), func(e *Encoder, m *behavior.MemberState) {
 		e.U64(uint64(m.Profile.ID))
 		e.Str(m.Profile.Country)
 		e.Int(m.Profile.OutDeg)
@@ -490,16 +650,16 @@ func encBehavior(e *Encoder, st *behavior.State) {
 		encSession(e, &m.Session)
 		e.RNG(m.RNG)
 	})
-	encU64s(e, st.General)
-	encSlice(e, st.Pools, func(e *Encoder, p *behavior.PoolState) {
+	encU64s(e, h.General)
+	encSlice(e, h.Pools, func(e *Encoder, p *behavior.PoolState) {
 		e.Str(p.Label)
 		encU64s(e, p.IDs)
 	})
-	encSlice(e, st.Reacted, func(e *Encoder, cc *behavior.ChannelCount) {
+	encSlice(e, h.Reacted, func(e *Encoder, cc *behavior.ChannelCount) {
 		e.Str(cc.Channel)
 		e.Int(cc.N)
 	})
-	encSlice(e, st.Reactions, func(e *Encoder, r *behavior.ReactionState) {
+	encRows(e, src.ReactionRows(), func(e *Encoder, r *behavior.ReactionState) {
 		e.U64(uint64(r.Member))
 		e.U64(uint64(r.Actor))
 		e.Int(int(r.Action))
@@ -508,11 +668,13 @@ func encBehavior(e *Encoder, st *behavior.State) {
 	})
 }
 
-func decBehavior(d *Decoder) *behavior.State {
-	st := &behavior.State{}
-	st.RNG = d.RNG()
-	st.NextName = d.Int()
-	st.Members = decSlice(d, func(d *Decoder, m *behavior.MemberState) {
+func decBehavior(d *Decoder, s BehaviorSink) error {
+	var h behavior.State
+	h.RNG = d.RNG()
+	h.NextName = d.Int()
+	// A member row is at least 70 bytes: three fixed float64s and an RNG
+	// state, plus its varints.
+	decRows(d, 70, s.LoadMembers, func(d *Decoder, m *behavior.MemberState) {
 		m.Profile.ID = platform.AccountID(d.U64())
 		m.Profile.Country = d.Str()
 		m.Profile.OutDeg = d.Int()
@@ -524,23 +686,23 @@ func decBehavior(d *Decoder) *behavior.State {
 		decSession(d, &m.Session)
 		m.RNG = d.RNG()
 	})
-	st.General = decU64s[platform.AccountID](d)
-	st.Pools = decSlice(d, func(d *Decoder, p *behavior.PoolState) {
+	h.General = decU64s[platform.AccountID](d)
+	h.Pools = decSlice(d, 2, func(d *Decoder, p *behavior.PoolState) {
 		p.Label = d.Str()
 		p.IDs = decU64s[platform.AccountID](d)
 	})
-	st.Reacted = decSlice(d, func(d *Decoder, cc *behavior.ChannelCount) {
+	h.Reacted = decSlice(d, 2, func(d *Decoder, cc *behavior.ChannelCount) {
 		cc.Channel = d.Str()
 		cc.N = d.Int()
 	})
-	st.Reactions = decSlice(d, func(d *Decoder, r *behavior.ReactionState) {
+	decRows(d, 5, s.LoadReactions, func(d *Decoder, r *behavior.ReactionState) {
 		r.Member = platform.AccountID(d.U64())
 		r.Actor = platform.AccountID(d.U64())
 		r.Action = platform.ActionType(d.Int())
 		r.Channel = d.Str()
 		r.Due = d.Time()
 	})
-	return st
+	return finish(d, "behavior", func() error { return s.Finish(&h) })
 }
 
 // --- honeypot ---
@@ -553,17 +715,18 @@ func encTypeCounts(e *Encoder, xs []honeypot.TypeCount) {
 }
 
 func decTypeCounts(d *Decoder) []honeypot.TypeCount {
-	return decSlice(d, func(d *Decoder, tc *honeypot.TypeCount) {
+	return decSlice(d, 2, func(d *Decoder, tc *honeypot.TypeCount) {
 		tc.Type = platform.ActionType(d.Int())
 		tc.N = d.Int()
 	})
 }
 
-func encHoneypots(e *Encoder, st *honeypot.State) {
-	e.RNG(st.RNG)
-	e.Int(st.NextID)
-	encU64s(e, st.HighProfile)
-	encSlice(e, st.Accounts, func(e *Encoder, a *honeypot.AccountState) {
+func encHoneypots(e *Encoder, src HoneypotSource) {
+	h := src.Header()
+	e.RNG(h.RNG)
+	e.Int(h.NextID)
+	encU64s(e, h.HighProfile)
+	encRows(e, src.AccountRows(), func(e *Encoder, a *honeypot.AccountState) {
 		e.U64(uint64(a.ID))
 		e.Str(a.Username)
 		e.Str(a.Password)
@@ -582,12 +745,12 @@ func encHoneypots(e *Encoder, st *honeypot.State) {
 	})
 }
 
-func decHoneypots(d *Decoder) *honeypot.State {
-	st := &honeypot.State{}
-	st.RNG = d.RNG()
-	st.NextID = d.Int()
-	st.HighProfile = decU64s[platform.AccountID](d)
-	st.Accounts = decSlice(d, func(d *Decoder, a *honeypot.AccountState) {
+func decHoneypots(d *Decoder, s HoneypotSink) error {
+	var h honeypot.State
+	h.RNG = d.RNG()
+	h.NextID = d.Int()
+	h.HighProfile = decU64s[platform.AccountID](d)
+	decRows(d, 12, s.LoadAccounts, func(d *Decoder, a *honeypot.AccountState) {
 		a.ID = platform.AccountID(d.U64())
 		a.Username = d.Str()
 		a.Password = d.Str()
@@ -596,7 +759,7 @@ func decHoneypots(d *Decoder) *honeypot.State {
 		a.EnrolledWith = d.Str()
 		a.Inbound = decTypeCounts(d)
 		a.Outbound = decTypeCounts(d)
-		a.InboundDedup = decSlice(d, func(d *Decoder, ac *honeypot.ActorCounts) {
+		a.InboundDedup = decSlice(d, 2, func(d *Decoder, ac *honeypot.ActorCounts) {
 			ac.Actor = platform.AccountID(d.U64())
 			ac.Counts = decTypeCounts(d)
 		})
@@ -604,35 +767,34 @@ func decHoneypots(d *Decoder) *honeypot.State {
 		a.Duplicates = d.Int()
 		a.Deleted = d.Bool()
 	})
-	return st
+	return finish(d, "honeypot", func() error { return s.Finish(&h) })
 }
 
 // --- detection ---
 
-func encGuard(e *Encoder, st *detection.IPVolumeGuardState) {
-	encSlice(e, st.Windows, func(e *Encoder, w *detection.IPWindowState) {
+func encGuard(e *Encoder, src GuardSource) {
+	encRows(e, src.WindowRows(), func(e *Encoder, w *detection.IPWindowState) {
 		e.Addr(w.IP)
 		e.I64(w.Day)
 		e.Int(w.N)
 	})
-	encSlice(e, st.Throttled, func(e *Encoder, cc *detection.ClientCount) {
+	encRows(e, src.ThrottledRows(), func(e *Encoder, cc *detection.ClientCount) {
 		e.Str(cc.Client)
 		e.Int(cc.N)
 	})
 }
 
-func decGuard(d *Decoder) *detection.IPVolumeGuardState {
-	st := &detection.IPVolumeGuardState{}
-	st.Windows = decSlice(d, func(d *Decoder, w *detection.IPWindowState) {
+func decGuard(d *Decoder, s GuardSink) error {
+	decRows(d, 3, s.LoadWindows, func(d *Decoder, w *detection.IPWindowState) {
 		w.IP = d.Addr()
 		w.Day = d.I64()
 		w.N = d.Int()
 	})
-	st.Throttled = decSlice(d, func(d *Decoder, cc *detection.ClientCount) {
+	decRows(d, 2, s.LoadThrottled, func(d *Decoder, cc *detection.ClientCount) {
 		cc.Client = d.Str()
 		cc.N = d.Int()
 	})
-	return st
+	return finish(d, "guard", s.Finish)
 }
 
 // --- aas ---
@@ -645,7 +807,7 @@ func encActionCounts(e *Encoder, xs []aas.ActionCount) {
 }
 
 func decActionCounts(d *Decoder) []aas.ActionCount {
-	return decSlice(d, func(d *Decoder, ac *aas.ActionCount) {
+	return decSlice(d, 2, func(d *Decoder, ac *aas.ActionCount) {
 		ac.Action = platform.ActionType(d.Int())
 		ac.N = d.Int()
 	})
@@ -708,7 +870,7 @@ func decCustomer(d *Decoder, c *aas.CustomerState) {
 	c.EngagedUntil = d.Time()
 	c.Churned = d.Bool()
 	c.PaidThrough = d.Time()
-	c.Payments = decSlice(d, func(d *Decoder, p *aas.Payment) {
+	c.Payments = decSlice(d, 9, func(d *Decoder, p *aas.Payment) {
 		p.At = d.Time()
 		p.Amount = d.F64()
 	})
@@ -717,7 +879,7 @@ func decCustomer(d *Decoder, c *aas.CustomerState) {
 	c.Tier = d.Int()
 	decSession(d, &c.Session)
 	decSession(d, &c.OwnSession)
-	c.Adapt = decSlice(d, func(d *Decoder, a *aas.AdaptState) {
+	c.Adapt = decSlice(d, 13, func(d *Decoder, a *aas.AdaptState) {
 		a.Action = platform.ActionType(d.Int())
 		a.LearnedCap = d.F64()
 		a.TodayCount = d.Int()
@@ -725,7 +887,7 @@ func decCustomer(d *Decoder, c *aas.CustomerState) {
 		a.BlockedUntil = d.Time()
 		a.ProbeWait = d.Int()
 	})
-	c.RecentFollows = decSlice(d, func(d *Decoder, u *aas.UnfollowState) {
+	c.RecentFollows = decSlice(d, 2, func(d *Decoder, u *aas.UnfollowState) {
 		u.Target = platform.AccountID(d.U64())
 		u.Due = d.Time()
 	})
@@ -739,80 +901,98 @@ func decCustomer(d *Decoder, c *aas.CustomerState) {
 	c.Breaker.OpenUntil = d.Time()
 }
 
-func encBase(e *Encoder, b *aas.BaseState) {
+// A customer row is at least 100 bytes: two fixed RNG states plus its
+// varints and flags.
+const minCustomerRow = 100
+
+func encRetry(e *Encoder, r *aas.RetryState) {
+	e.U64(uint64(r.Customer))
+	e.Int(int(r.Action))
+	e.U64(uint64(r.Target))
+	e.U64(uint64(r.Post))
+	e.Str(r.Text)
+	encStrs(e, r.Tags)
+	e.Int(r.Attempt)
+	e.Time(r.Due)
+}
+
+func decRetry(d *Decoder, r *aas.RetryState) {
+	r.Customer = platform.AccountID(d.U64())
+	r.Action = platform.ActionType(d.Int())
+	r.Target = platform.AccountID(d.U64())
+	r.Post = platform.PostID(d.U64())
+	r.Text = d.Str()
+	r.Tags = decStrs(d)
+	r.Attempt = d.Int()
+	r.Due = d.Time()
+}
+
+// encBase writes the state both engine kinds share; customers and
+// retries stream from their row sources.
+func encBase(e *Encoder, b *aas.BaseState, customers snaprow.Rows[aas.CustomerState], retries snaprow.Rows[aas.RetryState]) {
 	e.RNG(b.RNG)
-	encSlice(e, b.Customers, encCustomer)
+	encRows(e, customers, encCustomer)
 	e.F64(b.Revenue)
 	e.Int(b.AdImpressions)
 	e.Bool(b.Stopped)
-	encSlice(e, b.Retries, func(e *Encoder, r *aas.RetryState) {
-		e.U64(uint64(r.Customer))
-		e.Int(int(r.Action))
-		e.U64(uint64(r.Target))
-		e.U64(uint64(r.Post))
-		e.Str(r.Text)
-		encStrs(e, r.Tags)
-		e.Int(r.Attempt)
-		e.Time(r.Due)
-	})
+	encRows(e, retries, encRetry)
 }
 
-func decBase(d *Decoder, b *aas.BaseState) {
+func decBase(d *Decoder, b *aas.BaseState, customers snaprow.Loader[aas.CustomerState], retries snaprow.Loader[aas.RetryState]) {
 	b.RNG = d.RNG()
-	b.Customers = decSlice(d, decCustomer)
+	decRows(d, minCustomerRow, customers, decCustomer)
 	b.Revenue = d.F64()
 	b.AdImpressions = d.Int()
 	b.Stopped = d.Bool()
-	b.Retries = decSlice(d, func(d *Decoder, r *aas.RetryState) {
-		r.Customer = platform.AccountID(d.U64())
-		r.Action = platform.ActionType(d.Int())
-		r.Target = platform.AccountID(d.U64())
-		r.Post = platform.PostID(d.U64())
-		r.Text = d.Str()
-		r.Tags = decStrs(d)
-		r.Attempt = d.Int()
-		r.Due = d.Time()
-	})
+	decRows(d, 8, retries, decRetry)
 }
 
-func encRecip(e *Encoder, st *aas.ReciprocityState) {
-	encBase(e, &st.Base)
-	encU64s(e, st.Pool)
-	encInts(e, st.AdaptTypes)
-	e.Int(st.NextAcct)
-	e.Bool(st.AutomationOn)
+func encRecip(e *Encoder, src RecipSource) {
+	h := src.Header()
+	encBase(e, &h.Base, src.CustomerRows(), src.RetryRows())
+	encU64s(e, h.Pool)
+	encInts(e, h.AdaptTypes)
+	e.Int(h.NextAcct)
+	e.Bool(h.AutomationOn)
 }
 
-func decRecip(d *Decoder) *aas.ReciprocityState {
-	st := &aas.ReciprocityState{}
-	decBase(d, &st.Base)
-	st.Pool = decU64s[platform.AccountID](d)
-	st.AdaptTypes = decInts[platform.ActionType](d)
-	st.NextAcct = d.Int()
-	st.AutomationOn = d.Bool()
-	return st
+func decRecip(d *Decoder, s RecipSink) error {
+	var h aas.ReciprocityState
+	decBase(d, &h.Base, s.LoadCustomers, s.LoadRetries)
+	h.Pool = decU64s[platform.AccountID](d)
+	h.AdaptTypes = decInts[platform.ActionType](d)
+	h.NextAcct = d.Int()
+	h.AutomationOn = d.Bool()
+	return finish(d, "reciprocity service", func() error { return s.Finish(&h) })
 }
 
-func encColl(e *Encoder, st *aas.CollusionState) {
-	encBase(e, &st.Base)
-	e.F64(st.FreeRequestsPerDay)
-	e.Time(st.FirstLikeBlock)
-	e.Bool(st.LikeAdaptOn)
-	e.Bool(st.SalesStopped)
-	e.Int(st.NextAcct)
-	e.Bool(st.AutomationOn)
-	encActionCounts(e, st.Delivered)
+func encColl(e *Encoder, src CollSource) {
+	h := src.Header()
+	encBase(e, &h.Base, src.CustomerRows(), src.RetryRows())
+	e.F64(h.FreeRequestsPerDay)
+	e.Time(h.FirstLikeBlock)
+	e.Bool(h.LikeAdaptOn)
+	e.Bool(h.SalesStopped)
+	e.Int(h.NextAcct)
+	e.Bool(h.AutomationOn)
+	encActionCounts(e, h.Delivered)
 }
 
-func decColl(d *Decoder) *aas.CollusionState {
-	st := &aas.CollusionState{}
-	decBase(d, &st.Base)
-	st.FreeRequestsPerDay = d.F64()
-	st.FirstLikeBlock = d.Time()
-	st.LikeAdaptOn = d.Bool()
-	st.SalesStopped = d.Bool()
-	st.NextAcct = d.Int()
-	st.AutomationOn = d.Bool()
-	st.Delivered = decActionCounts(d)
-	return st
+func decColl(d *Decoder, s CollSink) error {
+	var h aas.CollusionState
+	decBase(d, &h.Base, s.LoadCustomers, s.LoadRetries)
+	h.FreeRequestsPerDay = d.F64()
+	h.FirstLikeBlock = d.Time()
+	h.LikeAdaptOn = d.Bool()
+	h.SalesStopped = d.Bool()
+	h.NextAcct = d.Int()
+	h.AutomationOn = d.Bool()
+	h.Delivered = decActionCounts(d)
+	return finish(d, "collusion service", func() error { return s.Finish(&h) })
+}
+
+// Encode writes a fixture snapshot to w; see EncodeBytes.
+func Encode(w io.Writer, h Header, st *WorldState) error {
+	_, err := w.Write(EncodeBytes(h, st))
+	return err
 }

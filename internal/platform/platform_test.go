@@ -557,9 +557,47 @@ func TestHashtagRingBounded(t *testing.T) {
 	_ = w
 }
 
-// TestRestoreStateRejectsBadIDs feeds RestoreState snapshots whose IDs
-// break the invariants the ID-addressed tables rely on and expects an
-// error — never a panic — with the platform left untouched.
+// snapshotFixture copies the platform's snapshot section into a
+// fixture, cloning the row lists the live source only lends.
+func snapshotFixture(p *Platform) *State {
+	st := &State{}
+	st.NextPost, st.LogSeq = p.SnapshotCounters()
+	add := st.LoadAccounts(0)
+	p.AccountRows().Each(func(a *AccountState) {
+		c := *a
+		c.LoginCountries = append([]CountryCount(nil), a.LoginCountries...)
+		c.Posts = append([]PostID(nil), a.Posts...)
+		c.LikeCounts = append([]PostCount(nil), a.LikeCounts...)
+		add(&c)
+	})
+	p.LimiterRows().Each(st.LoadLimiters(0))
+	return st
+}
+
+// feed hands a fixture's rows to a loader, as the decoder would.
+func feed[T any](rows []T, load func(hint int) func(*T)) {
+	add := load(len(rows))
+	for i := range rows {
+		add(&rows[i])
+	}
+}
+
+// restoreFixture loads a fixture into a staged section and, if it passes
+// every check, commits it — the path a snapshot restore takes.
+func restoreFixture(p *Platform, st *State) error {
+	s := NewStaged()
+	feed(st.Accounts, s.LoadAccounts)
+	feed(st.Limiters, s.LoadLimiters)
+	if err := s.Finish(st.NextPost, st.LogSeq); err != nil {
+		return err
+	}
+	p.Commit(s)
+	return nil
+}
+
+// TestRestoreStateRejectsBadIDs feeds restore snapshots whose IDs break
+// the invariants the ID-addressed tables rely on and expects an error —
+// never a panic — with the platform left untouched.
 func TestRestoreStateRejectsBadIDs(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
@@ -580,16 +618,19 @@ func TestRestoreStateRejectsBadIDs(t *testing.T) {
 			st.Limiters = append(st.Limiters, LimiterState{ID: 3, Hour: 1, Count: 1})
 		},
 	} {
-		st := w.p.SnapshotState()
+		st := snapshotFixture(w.p)
 		corrupt(st)
-		if err := w.p.RestoreState(st); err == nil {
-			t.Errorf("%s: RestoreState accepted the snapshot", name)
+		if err := restoreFixture(w.p, st); err == nil {
+			t.Errorf("%s: restore accepted the snapshot", name)
 		}
 	}
 	if !w.p.Exists(a) || w.p.NumAccounts() != 2 || len(w.p.Posts(a)) != 11 {
 		t.Error("a rejected restore modified the platform")
 	}
-	if err := w.p.RestoreState(w.p.SnapshotState()); err != nil {
+	if err := restoreFixture(w.p, snapshotFixture(w.p)); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
+	}
+	if !w.p.Exists(a) || w.p.NumAccounts() != 2 || len(w.p.Posts(a)) != 11 {
+		t.Error("a clean restore lost state")
 	}
 }

@@ -58,16 +58,3 @@ func (l *hourlyLimiter) peek(r uint32, t time.Time) int {
 	}
 	return int(l.counts[r])
 }
-
-// reset drops every bucket (restore path).
-func (l *hourlyLimiter) reset() {
-	l.hours = l.hours[:0]
-	l.counts = l.counts[:0]
-}
-
-// set overwrites row r's bucket (restore path).
-func (l *hourlyLimiter) set(r uint32, hour int64, count int) {
-	l.ensure(r)
-	l.hours[r] = hour
-	l.counts[r] = int32(count)
-}

@@ -3,19 +3,25 @@ package platform
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
+
+	"footsteps/internal/snaprow"
 )
 
 // This file is the platform's half of the snapshot/restore contract (see
-// internal/persistence and docs/PERSISTENCE.md). SnapshotState enumerates
-// every piece of mutable platform state the request pipeline can touch;
-// RestoreState overwrites a freshly constructed platform with it. Both
-// run only at day boundaries on the world's goroutine, never during a
-// plan phase. Accounts and limiter windows are listed in ascending ID
-// order, which is row order.
+// internal/persistence and docs/PERSISTENCE.md). The platform is the
+// section's row source: each row is read straight out of the tables
+// into one reused row value. Restore decodes the section into a Staged
+// platform — fresh tables sized from checked counts — and Commit swaps
+// those tables in once every section has decoded and passed its checks.
+// Both run only at day boundaries on the world's goroutine, never
+// during a plan phase. Accounts and limiter windows are listed in
+// ascending ID order, which is row order.
 
-// State is the complete mutable state of a Platform.
+// State is the platform section as plain structs: the fixture the codec
+// tests and fuzz targets build, written and read through the same
+// section code as a live platform.
 type State struct {
 	NextPost uint64
 	LogSeq   uint64
@@ -116,158 +122,291 @@ func (p *Platform) RestoreSession(st SessionState) *Session {
 	}
 }
 
-// SnapshotState captures the platform's complete mutable state.
-func (p *Platform) SnapshotState() *State {
-	st := &State{NextPost: p.nextPost, LogSeq: p.log.Seq()}
-	t := &p.accts
-	// Per-account tallies are maintained sorted, so rows copy straight
-	// out in ID order.
-	for r := range t.usernames {
-		as := AccountState{
-			ID:           AccountID(r + 1),
-			Username:     t.usernames[r],
-			Password:     t.passwords[r],
-			Profile:      t.profiles[r],
-			HomeCountry:  t.homeCountries[r],
-			Created:      t.created[r],
-			Deleted:      t.deleted[r],
-			SessionEpoch: t.sessionEpochs[r],
-			Posts:        append([]PostID(nil), t.posts[r]...),
-		}
-		if ls := t.logins[r]; len(ls) > 0 {
-			as.LoginCountries = append([]CountryCount(nil), ls...)
-		}
-		if lc := t.likeCounts[r]; len(lc) > 0 {
-			as.LikeCounts = append([]PostCount(nil), lc...)
-		}
-		st.Accounts = append(st.Accounts, as)
-	}
-	for r, hour := range p.limiter.hours {
-		if hour == 0 {
-			continue // never touched
-		}
-		st.Limiters = append(st.Limiters, LimiterState{
-			ID: AccountID(r + 1), Hour: hour, Count: int(p.limiter.counts[r]),
-		})
-	}
-
-	for tag, r := range p.tags.byTag {
-		ts := TagState{Tag: tag}
-		n := r.next
-		if r.full {
-			n = len(r.posts)
-		}
-		// Oldest first: for a full ring that is posts[next:], posts[:next];
-		// for a partial one, posts[:next].
-		if r.full {
-			ts.Posts = append(ts.Posts, r.posts[r.next:]...)
-			ts.Posts = append(ts.Posts, r.posts[:r.next]...)
-		} else {
-			ts.Posts = append(ts.Posts, r.posts[:n]...)
-		}
-		st.Tags = append(st.Tags, ts)
-	}
-	sort.Slice(st.Tags, func(i, j int) bool { return st.Tags[i].Tag < st.Tags[j].Tag })
-
-	for _, e := range p.enforce {
-		if e.done {
-			continue
-		}
-		st.Enforcements = append(st.Enforcements, EnforcementState{From: e.from, To: e.to, Due: e.due})
-	}
-	return st
+// SnapshotCounters, AccountRows, LimiterRows, TagRows and
+// EnforcementRows make the fixture a section source; the Load methods
+// and Finish make it a section sink.
+func (st *State) SnapshotCounters() (nextPost, logSeq uint64) { return st.NextPost, st.LogSeq }
+func (st *State) AccountRows() snaprow.Rows[AccountState]     { return snaprow.Of(st.Accounts) }
+func (st *State) LimiterRows() snaprow.Rows[LimiterState]     { return snaprow.Of(st.Limiters) }
+func (st *State) TagRows() snaprow.Rows[TagState]             { return snaprow.Of(st.Tags) }
+func (st *State) EnforcementRows() snaprow.Rows[EnforcementState] {
+	return snaprow.Of(st.Enforcements)
+}
+func (st *State) LoadAccounts(hint int) func(*AccountState) { return snaprow.Into(&st.Accounts)(hint) }
+func (st *State) LoadLimiters(hint int) func(*LimiterState) { return snaprow.Into(&st.Limiters)(hint) }
+func (st *State) LoadTags(hint int) func(*TagState)         { return snaprow.Into(&st.Tags)(hint) }
+func (st *State) LoadEnforcements(hint int) func(*EnforcementState) {
+	return snaprow.Into(&st.Enforcements)(hint)
+}
+func (st *State) Finish(nextPost, logSeq uint64) error {
+	st.NextPost, st.LogSeq = nextPost, logSeq
+	return nil
 }
 
-// validate checks the structural invariants RestoreState relies on.
-// Accounts must be exactly IDs 1..N in order — the platform registers
-// every minted account ID, deleted rows included. Every post ID must be
-// listed once, by one account, and lie in 1..P for the P posts listed,
-// because post IDs too are minted densely and only for platform posts.
-// Limiter windows and the post counter must stay within those bounds.
-// Together these bound every table RestoreState sizes by the snapshot's
-// own length.
-func (st *State) validate() error {
-	posts := 0
-	for i := range st.Accounts {
-		if want := AccountID(i + 1); st.Accounts[i].ID != want {
-			return fmt.Errorf("platform: account %d listed at position %d: IDs must run 1, 2, 3, … without gaps or repeats", st.Accounts[i].ID, i)
+// SnapshotCounters returns the stateless post counter and the event
+// sequence number.
+func (p *Platform) SnapshotCounters() (nextPost, logSeq uint64) { return p.nextPost, p.log.Seq() }
+
+// AccountRows yields every account row, deleted ones included, in ID
+// order. Per-account tallies are kept sorted, so a row's lists alias
+// the table's own slices.
+func (p *Platform) AccountRows() snaprow.Rows[AccountState] {
+	t := &p.accts
+	return snaprow.Rows[AccountState]{N: len(t.usernames), Each: func(yield func(*AccountState)) {
+		var a AccountState
+		for r := range t.usernames {
+			a = AccountState{
+				ID:             AccountID(r + 1),
+				Username:       t.usernames[r],
+				Password:       t.passwords[r],
+				Profile:        t.profiles[r],
+				HomeCountry:    t.homeCountries[r],
+				Created:        t.created[r],
+				Deleted:        t.deleted[r],
+				SessionEpoch:   t.sessionEpochs[r],
+				LoginCountries: t.logins[r],
+				Posts:          t.posts[r],
+				LikeCounts:     t.likeCounts[r],
+			}
+			yield(&a)
 		}
-		posts += len(st.Accounts[i].Posts)
+	}}
+}
+
+// LimiterRows yields every rate-limit window ever touched, in ID order.
+func (p *Platform) LimiterRows() snaprow.Rows[LimiterState] {
+	l := &p.limiter
+	n := 0
+	for _, hour := range l.hours {
+		if hour != 0 {
+			n++
+		}
 	}
-	if st.NextPost > uint64(posts) {
-		return fmt.Errorf("platform: post counter %d exceeds the %d posts listed", st.NextPost, posts)
+	return snaprow.Rows[LimiterState]{N: n, Each: func(yield func(*LimiterState)) {
+		var ls LimiterState
+		for r, hour := range l.hours {
+			if hour == 0 {
+				continue // never touched
+			}
+			ls = LimiterState{ID: AccountID(r + 1), Hour: hour, Count: int(l.counts[r])}
+			yield(&ls)
+		}
+	}}
+}
+
+// TagRows yields the hashtag rings sorted by tag, each oldest post
+// first: for a full ring that is posts[next:] then posts[:next], for a
+// partial one posts[:next].
+func (p *Platform) TagRows() snaprow.Rows[TagState] {
+	tags := make([]string, 0, len(p.tags.byTag))
+	for tag := range p.tags.byTag {
+		tags = append(tags, tag)
 	}
-	seen := make([]bool, posts)
-	for i := range st.Accounts {
-		for _, pid := range st.Accounts[i].Posts {
-			if pid < 1 || uint64(pid) > uint64(posts) || seen[pid-1] {
-				return fmt.Errorf("platform: account %d lists post %d: post IDs must be unique and within [1, %d]", st.Accounts[i].ID, pid, posts)
+	slices.Sort(tags)
+	return snaprow.Rows[TagState]{N: len(tags), Each: func(yield func(*TagState)) {
+		var ts TagState
+		var wrapped []PostID
+		for _, tag := range tags {
+			r := p.tags.byTag[tag]
+			ts = TagState{Tag: tag, Posts: r.posts[:r.next]}
+			if r.full {
+				wrapped = append(append(wrapped[:0], r.posts[r.next:]...), r.posts[:r.next]...)
+				ts.Posts = wrapped
+			}
+			yield(&ts)
+		}
+	}}
+}
+
+// EnforcementRows yields the pending delayed removals in scheduling
+// order.
+func (p *Platform) EnforcementRows() snaprow.Rows[EnforcementState] {
+	n := 0
+	for _, e := range p.enforce {
+		if !e.done {
+			n++
+		}
+	}
+	return snaprow.Rows[EnforcementState]{N: n, Each: func(yield func(*EnforcementState)) {
+		var es EnforcementState
+		for _, e := range p.enforce {
+			if e.done {
+				continue
+			}
+			es = EnforcementState{From: e.from, To: e.to, Due: e.due}
+			yield(&es)
+		}
+	}}
+}
+
+// Staged is a decoded platform section: fresh tables, not yet installed.
+// As rows load, and again in Finish, it checks the invariants the
+// ID-addressed tables rely on. Accounts must be exactly IDs 1..N in
+// order — the platform registers every minted account ID, deleted rows
+// included. Every post ID must be listed once, by one account, and lie
+// in 1..P for the P posts listed, because post IDs too are minted
+// densely and only for platform posts. Limiter windows and the post
+// counter must stay within those bounds. Together these bound every
+// table Commit sizes.
+type Staged struct {
+	nextPost, logSeq uint64
+	accts            accountTable
+	limiter          hourlyLimiter
+	tags             []TagState
+	enforce          []EnforcementState
+	posts            int // post IDs the account rows list
+	err              error
+}
+
+// NewStaged returns an empty staged platform section to decode into.
+func NewStaged() *Staged { return &Staged{} }
+
+// fail records the first broken invariant; later rows are ignored.
+func (s *Staged) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf(format, args...)
+	}
+}
+
+// LoadAccounts appends account rows, keeping each row's decoded lists.
+func (s *Staged) LoadAccounts(hint int) func(*AccountState) {
+	s.accts.reserve(hint)
+	return func(a *AccountState) {
+		t := &s.accts
+		if want := AccountID(len(t.usernames) + 1); a.ID != want {
+			s.fail("platform: account %d listed at position %d: IDs must run 1, 2, 3, … without gaps or repeats", a.ID, want-1)
+		}
+		if !snaprow.Sorted(a.LoginCountries, func(cc *CountryCount) string { return cc.Country }) ||
+			!snaprow.Sorted(a.LikeCounts, func(pc *PostCount) PostID { return pc.Post }) {
+			s.fail("platform: account %d's tallies are not sorted", a.ID)
+		}
+		if s.err != nil {
+			return
+		}
+		r := t.add(a.ID, a.Username, a.Password, a.Profile, a.HomeCountry, a.Created)
+		t.deleted[r] = a.Deleted
+		t.sessionEpochs[r] = a.SessionEpoch
+		t.logins[r] = a.LoginCountries
+		t.posts[r] = a.Posts
+		t.likeCounts[r] = a.LikeCounts
+		s.posts += len(a.Posts)
+	}
+}
+
+// LoadLimiters sets rate-limit windows; the account rows come first on
+// the wire, so each window's ID is checked against them.
+func (s *Staged) LoadLimiters(int) func(*LimiterState) {
+	n := len(s.accts.usernames)
+	s.limiter.hours = make([]int64, n)
+	s.limiter.counts = make([]int32, n)
+	var prev AccountID
+	return func(ls *LimiterState) {
+		if ls.ID < 1 || uint64(ls.ID) > uint64(n) {
+			s.fail("platform: rate-limit window for unknown account %d", ls.ID)
+			return
+		}
+		if ls.ID <= prev || ls.Hour == 0 {
+			s.fail("platform: rate-limit window %d out of order or never touched", ls.ID)
+			return
+		}
+		prev = ls.ID
+		s.limiter.hours[ls.ID-1] = ls.Hour
+		s.limiter.counts[ls.ID-1] = int32(ls.Count)
+	}
+}
+
+func (s *Staged) LoadTags(hint int) func(*TagState) { return snaprow.Into(&s.tags)(hint) }
+func (s *Staged) LoadEnforcements(hint int) func(*EnforcementState) {
+	return snaprow.Into(&s.enforce)(hint)
+}
+
+// Finish runs the checks that need the whole section.
+func (s *Staged) Finish(nextPost, logSeq uint64) error {
+	if s.err != nil {
+		return s.err
+	}
+	if nextPost > uint64(s.posts) {
+		return fmt.Errorf("platform: post counter %d exceeds the %d posts listed", nextPost, s.posts)
+	}
+	if !snaprow.Sorted(s.tags, func(ts *TagState) string { return ts.Tag }) {
+		return fmt.Errorf("platform: hashtag rings are not sorted by tag")
+	}
+	for _, ts := range s.tags {
+		if len(ts.Posts) > defaultTagKeep {
+			return fmt.Errorf("platform: hashtag %q lists %d posts, more than a ring keeps", ts.Tag, len(ts.Posts))
+		}
+	}
+	seen := make([]bool, s.posts)
+	for r, posts := range s.accts.posts {
+		for _, pid := range posts {
+			if pid < 1 || uint64(pid) > uint64(s.posts) || seen[pid-1] {
+				return fmt.Errorf("platform: account %d lists post %d: post IDs must be unique and within [1, %d]", r+1, pid, s.posts)
 			}
 			seen[pid-1] = true
 		}
 	}
-	for _, ls := range st.Limiters {
-		if ls.ID < 1 || uint64(ls.ID) > uint64(len(st.Accounts)) {
-			return fmt.Errorf("platform: rate-limit window for unknown account %d", ls.ID)
-		}
-	}
+	s.nextPost, s.logSeq = nextPost, logSeq
 	return nil
 }
 
-// RestoreState overwrites the platform's mutable state with a snapshot.
-// The caller is responsible for re-registering the pending enforcements'
-// scheduler events via RestoreEnforcements (after the scheduler has been
-// fast-forwarded to the snapshot instant). A snapshot that breaks the
-// invariants validate checks is rejected before anything is
-// overwritten.
-func (p *Platform) RestoreState(st *State) error {
-	p.phase.CheckWrite("platform.RestoreState")
-	if err := st.validate(); err != nil {
-		return err
-	}
-	p.nextPost = st.NextPost
-	p.log.RestoreSeq(st.LogSeq)
-	clear(p.byUsername)
-	p.accts.reset()
-	p.limiter.reset()
-	p.authors = p.authors[:0]
+// NumAccounts and NumPosts report how many account rows and post IDs
+// the staged section lists — the bounds the graph's counters are
+// checked against.
+func (s *Staged) NumAccounts() int { return len(s.accts.usernames) }
+func (s *Staged) NumPosts() int    { return s.posts }
 
+// Pending returns the staged section's pending delayed removals, for
+// RestoreEnforcements.
+func (s *Staged) Pending() []EnforcementState { return s.enforce }
+
+// Commit installs a staged section that has passed Finish, replacing
+// the platform's tables wholesale, and rebuilds the username and
+// post-author indexes from them. The pending enforcements are
+// re-registered separately via RestoreEnforcements, once the scheduler
+// sits at the snapshot instant.
+func (p *Platform) Commit(s *Staged) {
+	p.phase.CheckWrite("platform.Commit")
+	p.nextPost = s.nextPost
+	p.log.RestoreSeq(s.logSeq)
+	p.accts = s.accts
+	p.limiter = s.limiter
 	t := &p.accts
-	for i := range st.Accounts {
-		as := &st.Accounts[i]
-		r := t.add(as.ID, as.Username, as.Password, as.Profile, as.HomeCountry, as.Created)
-		t.deleted[r] = as.Deleted
-		t.sessionEpochs[r] = as.SessionEpoch
-		if len(as.LoginCountries) > 0 {
-			t.logins[r] = append([]CountryCount(nil), as.LoginCountries...)
+	p.byUsername = make(map[string]AccountID, len(t.usernames))
+	p.authors = make([]AccountID, s.posts)
+	for r, name := range t.usernames {
+		if t.deleted[r] {
+			continue
 		}
-		if len(as.Posts) > 0 {
-			t.posts[r] = append([]PostID(nil), as.Posts...)
-		}
-		if len(as.LikeCounts) > 0 {
-			t.likeCounts[r] = append([]PostCount(nil), as.LikeCounts...)
-		}
-		if !as.Deleted {
-			p.byUsername[as.Username] = as.ID
-			for _, pid := range as.Posts {
-				p.setAuthor(pid, as.ID)
-			}
+		id := AccountID(r + 1)
+		p.byUsername[name] = id
+		for _, pid := range t.posts[r] {
+			p.authors[pid-1] = id
 		}
 	}
-
-	for _, ls := range st.Limiters {
-		p.limiter.set(uint32(ls.ID-1), ls.Hour, ls.Count)
-	}
-
 	clear(p.tags.byTag)
-	for _, ts := range st.Tags {
+	for _, ts := range s.tags {
 		r := &tagRing{posts: make([]PostID, p.tags.keepup)}
 		k := copy(r.posts, ts.Posts)
 		r.next = k % len(r.posts)
 		r.full = k == len(r.posts)
 		p.tags.byTag[ts.Tag] = r
 	}
-	return nil
+}
+
+// ReserveAccounts mints n account IDs without registering anyone: the
+// rows stay empty — no username, profile or photos — until a restore
+// commits a snapshot's tables over them. Restore reserves the organic
+// population this way instead of rebuilding it, so every ID minted
+// after the population comes out as it did in the original run. It
+// returns the first reserved ID.
+func (p *Platform) ReserveAccounts(n int) AccountID {
+	p.phase.CheckWrite("platform.ReserveAccounts")
+	first := p.graph.ReserveAccounts(n)
+	p.accts.grow(n)
+	if m := p.tel; m != nil {
+		m.accounts.Add(int64(n))
+	}
+	return first
 }
 
 // RestoreEnforcements re-registers the pending delayed-removals from a

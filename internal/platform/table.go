@@ -65,18 +65,32 @@ func (t *accountTable) add(id AccountID, username, password string, prof Profile
 	return r
 }
 
-// reset drops every row, keeping capacity for the restore that follows.
-func (t *accountTable) reset() {
-	t.usernames = t.usernames[:0]
-	t.passwords = t.passwords[:0]
-	t.profiles = t.profiles[:0]
-	t.homeCountries = t.homeCountries[:0]
-	t.created = t.created[:0]
-	t.deleted = t.deleted[:0]
-	t.sessionEpochs = t.sessionEpochs[:0]
-	t.logins = t.logins[:0]
-	t.posts = t.posts[:0]
-	t.likeCounts = t.likeCounts[:0]
+// reserve gives an empty table room for n rows.
+func (t *accountTable) reserve(n int) {
+	t.usernames = make([]string, 0, n)
+	t.passwords = make([]string, 0, n)
+	t.profiles = make([]Profile, 0, n)
+	t.homeCountries = make([]string, 0, n)
+	t.created = make([]time.Time, 0, n)
+	t.deleted = make([]bool, 0, n)
+	t.sessionEpochs = make([]uint64, 0, n)
+	t.logins = make([][]CountryCount, 0, n)
+	t.posts = make([][]PostID, 0, n)
+	t.likeCounts = make([][]PostCount, 0, n)
+}
+
+// grow appends n empty rows (ReserveAccounts).
+func (t *accountTable) grow(n int) {
+	t.usernames = append(t.usernames, make([]string, n)...)
+	t.passwords = append(t.passwords, make([]string, n)...)
+	t.profiles = append(t.profiles, make([]Profile, n)...)
+	t.homeCountries = append(t.homeCountries, make([]string, n)...)
+	t.created = append(t.created, make([]time.Time, n)...)
+	t.deleted = append(t.deleted, make([]bool, n)...)
+	t.sessionEpochs = append(t.sessionEpochs, make([]uint64, n)...)
+	t.logins = append(t.logins, make([][]CountryCount, n)...)
+	t.posts = append(t.posts, make([][]PostID, n)...)
+	t.likeCounts = append(t.likeCounts, make([][]PostCount, n)...)
 }
 
 // bumpLogin tallies one login from country on row r, keeping the tally

@@ -353,9 +353,55 @@ func TestFollowUnfollowSymmetryProperty(t *testing.T) {
 	}
 }
 
-// TestRestoreStateRejectsBadIDs feeds RestoreState snapshots whose IDs
-// break the invariants the ID-addressed tables rely on and expects an
-// error — never a panic — with the graph left untouched.
+// snapshotFixture copies the graph's snapshot section into a fixture,
+// cloning the row lists the live source only lends.
+func snapshotFixture(g *Graph) *State {
+	st := &State{}
+	st.NextAcct, st.NextPost = g.SnapshotCounters()
+	add := st.LoadAccounts(0)
+	g.AccountRows().Each(func(as *AccountState) {
+		c := *as
+		c.Followees = append([]AccountID(nil), as.Followees...)
+		c.Posts = append([]PostID(nil), as.Posts...)
+		add(&c)
+	})
+	addPost := st.LoadPosts(0)
+	g.PostRows().Each(func(ps *PostState) {
+		c := *ps
+		c.Likes = append([]AccountID(nil), ps.Likes...)
+		c.Comments = append([]Comment(nil), ps.Comments...)
+		addPost(&c)
+	})
+	return st
+}
+
+// feed hands a fixture's rows to a loader, as the decoder would.
+func feed[T any](rows []T, load func(hint int) func(*T)) {
+	add := load(len(rows))
+	for i := range rows {
+		add(&rows[i])
+	}
+}
+
+// restoreFixture loads a fixture into a staged section and, if it passes
+// every check, commits it — the path a snapshot restore takes.
+func restoreFixture(g *Graph, st *State) error {
+	s := NewStaged()
+	if err := s.LoadCounters(st.NextAcct, st.NextPost); err != nil {
+		return err
+	}
+	feed(st.Accounts, s.LoadAccounts)
+	feed(st.Posts, s.LoadPosts)
+	if err := s.Finish(); err != nil {
+		return err
+	}
+	g.Commit(s)
+	return nil
+}
+
+// TestRestoreStateRejectsBadIDs feeds restore snapshots whose IDs break
+// the invariants the ID-addressed tables rely on and expects an error —
+// never a panic — with the graph left untouched.
 func TestRestoreStateRejectsBadIDs(t *testing.T) {
 	t.Parallel()
 	g := New()
@@ -377,18 +423,21 @@ func TestRestoreStateRejectsBadIDs(t *testing.T) {
 			st.NextAcct = 1 << 33
 		},
 	} {
-		st := g.SnapshotState()
+		st := snapshotFixture(g)
 		corrupt(st)
-		if err := g.RestoreState(st); err == nil {
-			t.Errorf("%s: RestoreState accepted the snapshot", name)
+		if err := restoreFixture(g, st); err == nil {
+			t.Errorf("%s: restore accepted the snapshot", name)
 		}
 	}
 	if !g.Follows(a, b) || g.LikeCount(pid) != 1 || g.NumAccounts() != 2 {
 		t.Error("a rejected restore modified the graph")
 	}
 	// The uncorrupted snapshot still round-trips.
-	if err := g.RestoreState(g.SnapshotState()); err != nil {
+	if err := restoreFixture(g, snapshotFixture(g)); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
+	}
+	if !g.Follows(a, b) || g.LikeCount(pid) != 1 || g.NumAccounts() != 2 || len(g.Followers(b)) != 1 {
+		t.Error("a clean restore lost state")
 	}
 }
 

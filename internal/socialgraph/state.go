@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"footsteps/internal/snaprow"
 )
 
 // Snapshot/restore support (see internal/persistence). The serialized
@@ -12,10 +14,14 @@ import (
 // like sets, and per-account comment counts are derived on restore from
 // followee sets, post like sets, and post comment lists respectively.
 // Rows are already in ID order and the in-memory adjacency is kept
-// sorted, so flattening is a straight widening copy. Both operations run
-// on the world's goroutine at day boundaries, never during a plan phase.
+// sorted, so the graph writes its rows straight from its tables, through
+// one reused widening buffer per list. Restore decodes into a Staged
+// graph and Commit installs it. Both run on the world's goroutine at day
+// boundaries, never during a plan phase.
 
-// State is the complete mutable state of a Graph.
+// State is the graph section as plain structs: the fixture the codec
+// tests and fuzz targets build, written and read through the same
+// section code as a live graph.
 type State struct {
 	NextAcct AccountID
 	NextPost PostID
@@ -40,163 +46,213 @@ type PostState struct {
 	Comments []Comment   // posting order
 }
 
-// SnapshotState captures the graph's complete mutable state.
-func (g *Graph) SnapshotState() *State {
-	st := &State{NextAcct: g.nextAcct, NextPost: g.nextPost}
-	a, p := &g.accts, &g.posts
-	for r, live := range a.live {
-		if !live {
-			continue
-		}
-		st.Accounts = append(st.Accounts, AccountState{
-			ID:        AccountID(r + 1),
-			Created:   a.created[r],
-			Followees: widen[AccountID](a.followees[r]),
-			Posts:     append([]PostID(nil), a.posts[r]...),
-		})
-	}
-	for r, live := range p.live {
-		if !live {
-			continue
-		}
-		st.Posts = append(st.Posts, PostState{
-			ID:       PostID(r + 1),
-			Author:   AccountID(p.authors[r]),
-			Created:  p.created[r],
-			Likes:    widen[AccountID](p.likes[r]),
-			Comments: append([]Comment(nil), p.comments[r]...),
-		})
-	}
-	return st
-}
-
-// validate checks the structural invariants RestoreState relies on:
-// counters within the uint32 ID space, and account and post IDs at
-// least 1, strictly ascending and not past their counter — which also
-// bounds every ID another record refers to. The tables are sized by the
-// counters, so a caller restoring untrusted input must bound them too
-// (core.RestoreWorld checks them against the platform's account and
-// post lists).
-func (st *State) validate() error {
-	if uint64(st.NextAcct) > math.MaxUint32 || uint64(st.NextPost) > math.MaxUint32 {
-		return fmt.Errorf("socialgraph: ID counters %d/%d exceed the uint32 ID space", st.NextAcct, st.NextPost)
-	}
-	acct := func(what string, id AccountID) error {
-		if id < 1 || id > st.NextAcct {
-			return fmt.Errorf("socialgraph: %s account ID %d outside [1, %d]", what, id, st.NextAcct)
-		}
-		return nil
-	}
-	post := func(what string, pid PostID) error {
-		if pid < 1 || pid > st.NextPost {
-			return fmt.Errorf("socialgraph: %s post ID %d outside [1, %d]", what, pid, st.NextPost)
-		}
-		return nil
-	}
-	var prevAcct AccountID
-	for i := range st.Accounts {
-		as := &st.Accounts[i]
-		if err := acct("listed", as.ID); err != nil {
-			return err
-		}
-		if as.ID <= prevAcct {
-			return fmt.Errorf("socialgraph: account ID %d follows %d: IDs must be strictly ascending", as.ID, prevAcct)
-		}
-		prevAcct = as.ID
-		for _, f := range as.Followees {
-			if err := acct("followed", f); err != nil {
-				return err
-			}
-		}
-		for _, pid := range as.Posts {
-			if err := post("authored", pid); err != nil {
-				return err
-			}
-		}
-	}
-	var prevPost PostID
-	for i := range st.Posts {
-		ps := &st.Posts[i]
-		if err := post("listed", ps.ID); err != nil {
-			return err
-		}
-		if ps.ID <= prevPost {
-			return fmt.Errorf("socialgraph: post ID %d follows %d: IDs must be strictly ascending", ps.ID, prevPost)
-		}
-		prevPost = ps.ID
-		if err := acct("authoring", ps.Author); err != nil {
-			return err
-		}
-		for _, who := range ps.Likes {
-			if err := acct("liking", who); err != nil {
-				return err
-			}
-		}
-		for _, c := range ps.Comments {
-			if err := acct("commenting", c.Author); err != nil {
-				return err
-			}
-		}
-	}
+// SnapshotCounters, AccountRows and PostRows make the fixture a section
+// source; the Load methods and Finish make it a section sink.
+func (st *State) SnapshotCounters() (AccountID, PostID)     { return st.NextAcct, st.NextPost }
+func (st *State) AccountRows() snaprow.Rows[AccountState]   { return snaprow.Of(st.Accounts) }
+func (st *State) PostRows() snaprow.Rows[PostState]         { return snaprow.Of(st.Posts) }
+func (st *State) LoadAccounts(hint int) func(*AccountState) { return snaprow.Into(&st.Accounts)(hint) }
+func (st *State) LoadPosts(hint int) func(*PostState)       { return snaprow.Into(&st.Posts)(hint) }
+func (st *State) Finish() error                             { return nil }
+func (st *State) LoadCounters(a AccountID, p PostID) error {
+	st.NextAcct, st.NextPost = a, p
 	return nil
 }
 
-// RestoreState overwrites the graph's state with a snapshot, rebuilding
-// the derived sides of each symmetric relation. Derived sets come out
-// sorted for free: accounts and posts are visited in ascending-ID
-// order, so each append lands in order. A snapshot that breaks the
-// invariants validate checks is rejected before anything is
-// overwritten.
-func (g *Graph) RestoreState(st *State) error {
-	g.phase.CheckWrite("socialgraph.RestoreState")
-	if err := st.validate(); err != nil {
-		return err
-	}
-	g.nextAcct, g.nextPost = st.NextAcct, st.NextPost
-	a, p := &g.accts, &g.posts
-	a.reset()
-	p.reset()
-	a.grow(int(st.NextAcct))
-	p.grow(int(st.NextPost))
-	for i := range st.Accounts {
-		as := &st.Accounts[i]
-		r := uint32(as.ID - 1)
-		a.revive(r, as.Created)
-		if n := len(as.Followees); n > 0 {
-			fees := make([]uint32, n)
-			for j, f := range as.Followees {
-				fees[j] = uint32(f)
+// SnapshotCounters returns the last account and post IDs minted.
+func (g *Graph) SnapshotCounters() (AccountID, PostID) { return g.nextAcct, g.nextPost }
+
+// AccountRows yields the live accounts in ID order.
+func (g *Graph) AccountRows() snaprow.Rows[AccountState] {
+	a := &g.accts
+	return snaprow.Rows[AccountState]{N: a.nLive, Each: func(yield func(*AccountState)) {
+		var as AccountState
+		var fees []AccountID
+		for r, live := range a.live {
+			if !live {
+				continue
 			}
-			a.followees[r] = fees
+			fees = appendWide(fees[:0], a.followees[r])
+			as = AccountState{ID: AccountID(r + 1), Created: a.created[r], Followees: fees, Posts: a.posts[r]}
+			yield(&as)
 		}
-		if len(as.Posts) > 0 {
-			a.posts[r] = append([]PostID(nil), as.Posts...)
+	}}
+}
+
+// PostRows yields the live posts in ID order.
+func (g *Graph) PostRows() snaprow.Rows[PostState] {
+	p := &g.posts
+	n := 0
+	for _, live := range p.live {
+		if live {
+			n++
 		}
 	}
-	// Derive follower sets now that every account exists.
-	for i := range st.Accounts {
-		as := &st.Accounts[i]
+	return snaprow.Rows[PostState]{N: n, Each: func(yield func(*PostState)) {
+		var ps PostState
+		var likes []AccountID
+		for r, live := range p.live {
+			if !live {
+				continue
+			}
+			likes = appendWide(likes[:0], p.likes[r])
+			ps = PostState{
+				ID: PostID(r + 1), Author: AccountID(p.authors[r]), Created: p.created[r],
+				Likes: likes, Comments: p.comments[r],
+			}
+			yield(&ps)
+		}
+	}}
+}
+
+// appendWide appends s, widened to account IDs, to dst.
+func appendWide(dst []AccountID, s []uint32) []AccountID {
+	for _, v := range s {
+		dst = append(dst, AccountID(v))
+	}
+	return dst
+}
+
+// ascending reports whether ids is a sorted set.
+func ascending(ids []AccountID) bool {
+	return snaprow.Sorted(ids, func(id *AccountID) AccountID { return *id })
+}
+
+// narrow copies a decoded ID list into adjacency form. The IDs have been
+// checked against the uint32 counters.
+func narrow[T ~uint64](ids []T) []uint32 {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]uint32, len(ids))
+	for i, id := range ids {
+		out[i] = uint32(id)
+	}
+	return out
+}
+
+// Staged is a decoded graph section: fresh tables, not yet installed.
+// It checks the invariants the tables rely on as rows load: counters
+// within the uint32 ID space, and account and post IDs at least 1,
+// strictly ascending and not past their counter — which also bounds
+// every ID another record refers to. The tables are sized by the
+// counters, so a caller restoring untrusted input must bound those
+// before LoadCounters (core.RestoreWorld checks them against the
+// platform's account and post lists).
+type Staged struct {
+	nextAcct AccountID
+	nextPost PostID
+	accts    acctTable
+	posts    postTable
+	prevAcct AccountID
+	prevPost PostID
+	err      error
+}
+
+// NewStaged returns an empty staged graph section to decode into.
+func NewStaged() *Staged { return &Staged{} }
+
+func (s *Staged) fail(format string, args ...any) {
+	if s.err == nil {
+		s.err = fmt.Errorf(format, args...)
+	}
+}
+
+// acct and post check a referenced ID against its counter.
+func (s *Staged) acct(what string, id AccountID) bool {
+	if id < 1 || id > s.nextAcct {
+		s.fail("socialgraph: %s account ID %d outside [1, %d]", what, id, s.nextAcct)
+		return false
+	}
+	return true
+}
+
+func (s *Staged) post(what string, pid PostID) bool {
+	if pid < 1 || pid > s.nextPost {
+		s.fail("socialgraph: %s post ID %d outside [1, %d]", what, pid, s.nextPost)
+		return false
+	}
+	return true
+}
+
+// LoadCounters checks the counters and sizes the tables by them.
+func (s *Staged) LoadCounters(nextAcct AccountID, nextPost PostID) error {
+	if uint64(nextAcct) > math.MaxUint32 || uint64(nextPost) > math.MaxUint32 {
+		return fmt.Errorf("socialgraph: ID counters %d/%d exceed the uint32 ID space", nextAcct, nextPost)
+	}
+	s.nextAcct, s.nextPost = nextAcct, nextPost
+	s.accts.grow(int(nextAcct))
+	s.posts.grow(int(nextPost))
+	return nil
+}
+
+// LoadAccounts revives each listed account with its followees and posts.
+func (s *Staged) LoadAccounts(int) func(*AccountState) {
+	return func(as *AccountState) {
+		if s.err != nil || !s.acct("listed", as.ID) {
+			return
+		}
+		if as.ID <= s.prevAcct {
+			s.fail("socialgraph: account ID %d follows %d: IDs must be strictly ascending", as.ID, s.prevAcct)
+			return
+		}
+		s.prevAcct = as.ID
+		if !ascending(as.Followees) {
+			s.fail("socialgraph: account %d's followees are not a sorted set", as.ID)
+			return
+		}
 		for _, f := range as.Followees {
-			if r, ok := a.row(f); ok {
-				a.followers[r] = append(a.followers[r], uint32(as.ID))
+			if !s.acct("followed", f) {
+				return
 			}
 		}
+		for _, pid := range as.Posts {
+			if !s.post("authored", pid) {
+				return
+			}
+		}
+		r := uint32(as.ID - 1)
+		s.accts.revive(r, as.Created)
+		s.accts.followees[r] = narrow(as.Followees)
+		s.accts.posts[r] = as.Posts
 	}
-	for i := range st.Posts {
-		ps := &st.Posts[i]
+}
+
+// LoadPosts revives each listed post and derives the per-account like
+// sets and comment counts from it. Posts arrive in ascending ID order,
+// so each derived like set comes out sorted.
+func (s *Staged) LoadPosts(int) func(*PostState) {
+	a, p := &s.accts, &s.posts
+	return func(ps *PostState) {
+		if s.err != nil || !s.post("listed", ps.ID) {
+			return
+		}
+		if ps.ID <= s.prevPost {
+			s.fail("socialgraph: post ID %d follows %d: IDs must be strictly ascending", ps.ID, s.prevPost)
+			return
+		}
+		s.prevPost = ps.ID
+		if !s.acct("authoring", ps.Author) {
+			return
+		}
+		if !ascending(ps.Likes) {
+			s.fail("socialgraph: post %d's likers are not a sorted set", ps.ID)
+			return
+		}
+		for _, who := range ps.Likes {
+			if !s.acct("liking", who) {
+				return
+			}
+		}
+		for _, c := range ps.Comments {
+			if !s.acct("commenting", c.Author) {
+				return
+			}
+		}
 		r := uint32(ps.ID - 1)
 		p.revive(r, ps.Author, ps.Created)
-		if n := len(ps.Likes); n > 0 {
-			likes := make([]uint32, n)
-			for j, who := range ps.Likes {
-				likes[j] = uint32(who)
-			}
-			p.likes[r] = likes
-		}
-		if len(ps.Comments) > 0 {
-			p.comments[r] = append([]Comment(nil), ps.Comments...)
-		}
-		// Derive the per-account like sets and comment counts.
+		p.likes[r] = narrow(ps.Likes)
+		p.comments[r] = ps.Comments
 		pid := uint32(ps.ID)
 		for _, who := range ps.Likes {
 			if r, ok := a.row(who); ok {
@@ -209,5 +265,47 @@ func (g *Graph) RestoreState(st *State) error {
 			}
 		}
 	}
+}
+
+// Finish derives the follower sets, now that every account exists.
+// Accounts are visited in ascending ID order, so each set comes out
+// sorted.
+func (s *Staged) Finish() error {
+	if s.err != nil {
+		return s.err
+	}
+	a := &s.accts
+	for r, live := range a.live {
+		if !live {
+			continue
+		}
+		for _, f := range a.followees[r] {
+			if fr, ok := a.row(AccountID(f)); ok {
+				a.followers[fr] = append(a.followers[fr], uint32(r+1))
+			}
+		}
+	}
 	return nil
+}
+
+// Commit installs a staged section that has passed Finish, replacing
+// the graph's tables wholesale.
+func (g *Graph) Commit(s *Staged) {
+	g.phase.CheckWrite("socialgraph.Commit")
+	g.nextAcct, g.nextPost = s.nextAcct, s.nextPost
+	g.accts, g.posts = s.accts, s.posts
+}
+
+// ReserveAccounts mints n account IDs as empty, dead rows, for a
+// restore that commits a snapshot's tables over them (see
+// platform.ReserveAccounts). It returns the first reserved ID.
+func (g *Graph) ReserveAccounts(n int) AccountID {
+	g.phase.CheckWrite("socialgraph.ReserveAccounts")
+	if uint64(g.nextAcct)+uint64(n) > math.MaxUint32 {
+		panic("socialgraph: account ID space exceeds uint32 adjacency")
+	}
+	first := g.nextAcct + 1
+	g.nextAcct += AccountID(n)
+	g.accts.grow(n)
+	return first
 }

@@ -101,18 +101,6 @@ func (t *acctTable) grow(n int) {
 	t.commented = append(t.commented, make([][]pidCount, n)...)
 }
 
-// reset drops every row, keeping capacity for the restore that follows.
-func (t *acctTable) reset() {
-	t.live = t.live[:0]
-	t.nLive = 0
-	t.created = t.created[:0]
-	t.followers = t.followers[:0]
-	t.followees = t.followees[:0]
-	t.posts = t.posts[:0]
-	t.likes = t.likes[:0]
-	t.commented = t.commented[:0]
-}
-
 // revive marks row r live, created at now.
 func (t *acctTable) revive(r uint32, now time.Time) {
 	t.live[r] = true
@@ -178,15 +166,6 @@ func (t *postTable) grow(n int) {
 	t.created = append(t.created, make([]time.Time, n)...)
 	t.likes = append(t.likes, make([][]uint32, n)...)
 	t.comments = append(t.comments, make([][]Comment, n)...)
-}
-
-// reset drops every row, keeping capacity for the restore that follows.
-func (t *postTable) reset() {
-	t.live = t.live[:0]
-	t.authors = t.authors[:0]
-	t.created = t.created[:0]
-	t.likes = t.likes[:0]
-	t.comments = t.comments[:0]
 }
 
 // revive marks row r live, authored by author at now.
