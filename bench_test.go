@@ -12,11 +12,6 @@
 package footsteps_test
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,13 +22,8 @@ import (
 	"footsteps/internal/clock"
 	"footsteps/internal/core"
 	"footsteps/internal/detection"
-	"footsteps/internal/durable"
-	"footsteps/internal/eventio"
-	"footsteps/internal/faults"
 	"footsteps/internal/intervention"
-	"footsteps/internal/persistence"
 	"footsteps/internal/platform"
-	"footsteps/internal/trace"
 )
 
 // benchBusinessCfg runs the §5 window at 1/500 of paper scale.
@@ -571,97 +561,6 @@ func BenchmarkGraphDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelStep measures whole-world tick throughput across
-// worker-pool sizes, driving the scheduler tick by tick via StepTick —
-// the parallel-stepping hot path. The event stream is byte-identical at
-// every worker count (see internal/simtest); this benchmark quantifies
-// the wall-clock side of that trade. Speedup requires physical cores:
-// on a single-CPU host the worker counts should bench within noise of
-// each other, which is itself worth watching — it bounds the
-// coordination overhead the pool adds when parallelism is unavailable.
-func BenchmarkParallelStep(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			totalTicks, totalEvents := 0, 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := footsteps.TestConfig()
-				cfg.Days = 10
-				cfg.Workers = workers
-				w := core.NewWorld(cfg)
-				w.RunAll()
-				deadline := w.Plat.Now().Add(time.Duration(cfg.Days) * clock.Day)
-				events := 0
-				w.Plat.Log().Subscribe(func(platform.Event) { events++ })
-				b.StartTimer()
-				for {
-					at, ran := w.Sched.StepTick()
-					if ran == 0 || at.After(deadline) {
-						break
-					}
-					totalTicks++
-				}
-				totalEvents += events
-			}
-			b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-			b.ReportMetric(float64(totalEvents)/float64(b.N), "events/op")
-			// Absolute throughput alongside the per-op normalizations:
-			// wall-clock per simulated tick and simulated events per second
-			// of benchmark time.
-			if totalTicks > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(totalEvents)/secs, "events/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkParallelStepFaults is BenchmarkParallelStep with the
-// "mixed" fault scenario active: the same tick loop now pays the
-// injector's pure-hash verdict on every request plus the client-side
-// retry/breaker machinery. Comparing ns/tick against the faults-off
-// run bounds the injection overhead (target: the faults-off numbers in
-// BenchmarkParallelStep move by under 5%, since a nil injector is one
-// pointer check).
-func BenchmarkParallelStepFaults(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			totalTicks, totalEvents := 0, 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := footsteps.TestConfig()
-				cfg.Days = 10
-				cfg.Workers = workers
-				cfg.Faults = faults.MustScenario("mixed")
-				w := core.NewWorld(cfg)
-				w.RunAll()
-				deadline := w.Plat.Now().Add(time.Duration(cfg.Days) * clock.Day)
-				events := 0
-				w.Plat.Log().Subscribe(func(platform.Event) { events++ })
-				b.StartTimer()
-				for {
-					at, ran := w.Sched.StepTick()
-					if ran == 0 || at.After(deadline) {
-						break
-					}
-					totalTicks++
-				}
-				totalEvents += events
-			}
-			b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-			b.ReportMetric(float64(totalEvents)/float64(b.N), "events/op")
-			if totalTicks > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(totalEvents)/secs, "events/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationAPI quantifies why AASs spoof the private mobile API:
 // the public OAuth surface is rate-limited into uselessness (§2).
 func BenchmarkAblationAPI(b *testing.B) {
@@ -703,359 +602,4 @@ func BenchmarkAblationAPI(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)/2, "likes-per-day")
 	})
-}
-
-// BenchmarkAllocStep is the allocation-focused twin of
-// BenchmarkParallelStep: the same 10-day tick loop, run with -benchmem
-// semantics (ReportAllocs), once with the scratch pools on (the default)
-// and once with them disabled. The pooled/unpooled delta is the measured
-// value of the zero-allocation work — scripts/bench.sh records both arms
-// in BENCH_PR5.json, and the alloc-budget tests pin the per-function
-// pieces this aggregate is made of.
-func BenchmarkAllocStep(b *testing.B) {
-	for _, pooled := range []bool{true, false} {
-		name := "pooled"
-		if !pooled {
-			name = "unpooled"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			totalTicks, totalEvents := 0, 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := footsteps.TestConfig()
-				cfg.Days = 10
-				cfg.Workers = 1
-				cfg.DisableScratchReuse = !pooled
-				w := core.NewWorld(cfg)
-				w.RunAll()
-				deadline := w.Plat.Now().Add(time.Duration(cfg.Days) * clock.Day)
-				events := 0
-				w.Plat.Log().Subscribe(func(platform.Event) { events++ })
-				b.StartTimer()
-				for {
-					at, ran := w.Sched.StepTick()
-					if ran == 0 || at.After(deadline) {
-						break
-					}
-					totalTicks++
-				}
-				totalEvents += events
-			}
-			b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-			b.ReportMetric(float64(totalEvents)/float64(b.N), "events/op")
-			if totalTicks > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-			}
-		})
-	}
-}
-
-// BenchmarkScaleWorld is the BENCH_SCALE arm: a million-account,
-// 90-day world — the paper's full population at its full measurement
-// window — exercising the struct-of-arrays account tables, compact
-// adjacency, and dense per-account tallies at the scale they were
-// built for. Beyond ns/tick it reports the two numbers the scale work
-// is judged on: live B/account (heap after a final GC over resident
-// account rows) and the peak heap high-water mark, sampled once per
-// simulated day (ReadMemStats daily is noise next to a day of ticks).
-//
-// At ~1 GiB live this benchmark is deliberately absent from the
-// default scripts/bench.sh sweep; run it via BENCH_SCALE=1
-// scripts/bench.sh or directly:
-//
-//	go test -run '^$' -bench ScaleWorld -benchtime 1x -timeout 60m .
-func BenchmarkScaleWorld(b *testing.B) {
-	const accounts = 1_000_000
-	const days = 90
-	totalTicks := 0
-	var peakHeap, liveHeap uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := footsteps.TestConfig()
-		cfg.Days = days
-		cfg.OrganicPopulation = accounts
-		cfg.Workers = 8
-		w := core.NewWorld(cfg)
-		w.RunAll()
-		deadline := w.Plat.Now().Add(time.Duration(days) * clock.Day)
-		nextSample := w.Plat.Now().Add(clock.Day)
-		b.StartTimer()
-		for {
-			at, ran := w.Sched.StepTick()
-			if ran == 0 || at.After(deadline) {
-				break
-			}
-			totalTicks++
-			if at.After(nextSample) {
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peakHeap {
-					peakHeap = ms.HeapAlloc
-				}
-				nextSample = nextSample.Add(clock.Day)
-			}
-		}
-		b.StopTimer()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		liveHeap = ms.HeapAlloc
-		if liveHeap > peakHeap {
-			peakHeap = liveHeap
-		}
-		// The world must survive until after the post-GC measurement, or
-		// the collector is free to reap the very tables being sized.
-		runtime.KeepAlive(w)
-	}
-	b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-	if totalTicks > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-	}
-	b.ReportMetric(float64(liveHeap)/float64(accounts), "B/account")
-	b.ReportMetric(float64(peakHeap)/(1<<20), "peak-heap-MiB")
-}
-
-// BenchmarkSnapshot prices the persistence layer on the same 10-day
-// world the step benchmarks use: encode measures a full FSNAP1 world
-// snapshot (reporting its size, since checkpoint cadence × size is the
-// disk budget), restore measures the whole resume path — reconstruct
-// the world from config, fast-forward the scheduler, and overlay the
-// snapshotted state. Restore is deliberately end-to-end: that is the
-// wall-clock cost a crashed run pays before it emits its first resumed
-// event.
-func BenchmarkSnapshot(b *testing.B) {
-	cfg := footsteps.TestConfig()
-	cfg.Days = 10
-	w := core.NewWorld(cfg)
-	w.RunAll()
-	if err := w.RunDays(cfg.Days); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("encode", func(b *testing.B) {
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := w.Snapshot(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(buf.Len()), "snap-bytes")
-		if secs := b.Elapsed().Seconds(); secs > 0 {
-			b.ReportMetric(float64(buf.Len())*float64(b.N)/secs/1e6, "MB/sec")
-		}
-	})
-
-	var snap bytes.Buffer
-	if err := w.Snapshot(&snap); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("restore", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.RestoreWorld(cfg, bytes.NewReader(snap.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(snap.Len()), "snap-bytes")
-	})
-}
-
-// BenchmarkTraceStep measures the cost of FTRC1 span tracing on the
-// 10-day tick loop across sample rates: off (nil tracer — the shipping
-// default, which must stay within the PR 5 alloc budgets), a sparse
-// 1/1024 production rate, a dense 1/16 rate, and the full 1/1 firehose.
-// Trace bytes go to io.Discard so the numbers isolate span assembly and
-// encoding, not disk. The tracing-off row is the regression guard: a
-// disabled tracer costs one nil check per request, so its ns/tick must
-// match BenchmarkParallelStep within noise; the 1/1024 row bounds the
-// recommended always-on overhead (target ≤5% over off).
-func BenchmarkTraceStep(b *testing.B) {
-	for _, sampleN := range []uint64{0, 1024, 16, 1} {
-		name := "off"
-		if sampleN > 0 {
-			name = fmt.Sprintf("sample=1_%d", sampleN)
-		}
-		b.Run(name, func(b *testing.B) {
-			totalTicks, totalEvents := 0, 0
-			var totalSpans uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := footsteps.TestConfig()
-				cfg.Days = 10
-				cfg.Workers = 4
-				var tr *trace.Tracer
-				if sampleN > 0 {
-					var err error
-					tr, err = trace.New(io.Discard, cfg.Seed, sampleN)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg.Trace = tr
-				}
-				w := core.NewWorld(cfg)
-				w.RunAll()
-				deadline := w.Plat.Now().Add(time.Duration(cfg.Days) * clock.Day)
-				events := 0
-				w.Plat.Log().Subscribe(func(platform.Event) { events++ })
-				b.StartTimer()
-				for {
-					at, ran := w.Sched.StepTick()
-					if ran == 0 || at.After(deadline) {
-						break
-					}
-					totalTicks++
-				}
-				b.StopTimer()
-				if tr != nil {
-					if err := tr.Close(); err != nil {
-						b.Fatal(err)
-					}
-					totalSpans += tr.Spans()
-				}
-				b.StartTimer()
-				totalEvents += events
-			}
-			b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-			b.ReportMetric(float64(totalEvents)/float64(b.N), "events/op")
-			b.ReportMetric(float64(totalSpans)/float64(b.N), "spans/op")
-			if totalTicks > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(totalEvents)/secs, "events/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkDurableStep measures what crash-tolerant durability costs on
-// the same 10-day tick loop: off (the PR 7 recording path — a plain
-// eventio.Writer streaming FSEV1 to a file, no crash tolerance), on
-// with batched fsync (the default — frames buffer in the live segment
-// and fsync only at the daily checkpoint), and on with
-// fsync-every-batch (maximal durability: every cut frame is synced
-// before the loop continues). All three modes take the identical daily
-// FSNAP1 checkpoint — off writes it with persistence.AtomicWriteFile,
-// exactly like `record -checkpoint-every 1` — so snapshot encode cost
-// and its GC pressure cancel out of the comparison; the checkpoint
-// itself is a once-per-day fixed cost, timed separately and reported
-// as ckpt-ns (compare BenchmarkSnapshot/encode). ns/tick times the
-// steady-state loop — Append, frame cuts, and the per-batch fsyncs of
-// fsync-every mode — which is where the ≤15% batched-mode budget
-// applies (docs/PERSISTENCE.md).
-func BenchmarkDurableStep(b *testing.B) {
-	modes := []struct {
-		name       string
-		durable    bool
-		fsyncEvery bool
-	}{
-		{"off", false, false},
-		{"batched", true, false},
-		{"fsync-every", true, true},
-	}
-	for _, m := range modes {
-		b.Run("mode="+m.name, func(b *testing.B) {
-			totalTicks, totalEvents, totalCkpts := 0, 0, 0
-			var ckptTime time.Duration
-			var plainFile *os.File
-			var plainWriter *eventio.Writer
-			var plainDir string
-			var snapBuf bytes.Buffer
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := footsteps.TestConfig()
-				cfg.Days = 10
-				cfg.Workers = 4
-				w := core.NewWorld(cfg)
-				events := 0
-				w.Plat.Log().Subscribe(func(platform.Event) { events++ })
-				var dlog *durable.Log
-				if m.durable {
-					var err error
-					dlog, err = durable.Create(durable.OSFS{}, b.TempDir()+"/log", durable.Options{
-						Seed: cfg.Seed, Fingerprint: cfg.Fingerprint(), FsyncEveryBatch: m.fsyncEvery,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					w.Plat.Log().Subscribe(func(ev platform.Event) { _ = dlog.Append(ev) })
-				} else {
-					plainDir = b.TempDir()
-					f, err := os.Create(plainDir + "/capture.fsev")
-					if err != nil {
-						b.Fatal(err)
-					}
-					wr, err := eventio.NewWriter(f)
-					if err != nil {
-						b.Fatal(err)
-					}
-					wr.Attach(w.Plat.Log())
-					plainFile, plainWriter = f, wr
-				}
-				w.RunAll()
-				start := w.Plat.Now()
-				deadline := start.Add(time.Duration(cfg.Days) * clock.Day)
-				nextDay := start.Add(clock.Day)
-				day := 0
-				b.StartTimer()
-				for {
-					at, ran := w.Sched.StepTick()
-					if ran == 0 || at.After(deadline) {
-						break
-					}
-					totalTicks++
-					if !at.Before(nextDay) {
-						day++
-						b.StopTimer()
-						ckptStart := time.Now()
-						if dlog != nil {
-							if err := dlog.Checkpoint(day, w.Snapshot); err != nil {
-								b.Fatal(err)
-							}
-						} else {
-							snapBuf.Reset()
-							if err := w.Snapshot(&snapBuf); err != nil {
-								b.Fatal(err)
-							}
-							if err := persistence.AtomicWriteFile(
-								fmt.Sprintf("%s/ckpt-day-%03d.fsnap", plainDir, day), snapBuf.Bytes()); err != nil {
-								b.Fatal(err)
-							}
-						}
-						ckptTime += time.Since(ckptStart)
-						totalCkpts++
-						nextDay = nextDay.Add(clock.Day)
-						b.StartTimer()
-					}
-				}
-				b.StopTimer()
-				if dlog != nil {
-					if err := dlog.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if plainWriter != nil {
-					if err := plainWriter.Flush(); err != nil {
-						b.Fatal(err)
-					}
-					plainFile.Close()
-					plainWriter, plainFile = nil, nil
-				}
-				totalEvents += events
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-			b.ReportMetric(float64(totalEvents)/float64(b.N), "events/op")
-			if totalTicks > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(totalEvents)/secs, "events/sec")
-			}
-			if totalCkpts > 0 {
-				b.ReportMetric(float64(ckptTime.Nanoseconds())/float64(totalCkpts), "ckpt-ns")
-			}
-		})
-	}
 }

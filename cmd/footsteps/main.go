@@ -187,8 +187,8 @@ func runFaults(cfg footsteps.Config) error {
 	}
 	w := core.NewWorld(cfg)
 	telemetryAttach(w)
-	fmt.Printf("Fault demo: profile %q over %d days (seed %d, workers %d)...\n",
-		cfg.Faults.Name, cfg.Days, cfg.Seed, cfg.Workers)
+	fmt.Printf("Fault demo: profile %q over %d days (seed %d)...\n",
+		cfg.Faults.Name, cfg.Days, cfg.Seed)
 	w.RunAll()
 	w.Sched.RunFor(time.Duration(cfg.Days) * clock.Day)
 	fmt.Println()
@@ -201,7 +201,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0/500, "customer-dynamics scale vs the paper")
 	days := flag.Int("days", 90, "measurement window in days")
 	quick := flag.Bool("quick", false, "small fast configuration")
-	workers := flag.Int("workers", 0, "worker pool size for parallel stepping (0 = sequential; same output either way)")
 	outDir := flag.String("o", "", "directory for machine-readable TSV exports (optional)")
 	record := flag.String("record", "", "write the full event stream to this FSEV1 capture file (business, record, replay)")
 	checkpointDir := flag.String("checkpoint-dir", "", "write FSNAP1 world checkpoints into this directory (record only)")
@@ -330,7 +329,6 @@ func main() {
 		cfg.Seed = *seed
 		cfg.Scale = *scale
 		cfg.Days = *days
-		cfg.Workers = *workers
 		cfg.Telemetry = telReg
 		cfg.Trace = traceTracer
 		cfg.Faults = faultProfile

@@ -264,7 +264,7 @@ func runLoadgen(target string, rps float64, duration time.Duration, conns, batch
 			time.Duration(enq.Quantile(0.50)), time.Duration(enq.Quantile(0.95)), time.Duration(enq.Quantile(0.99)), enq.Count)
 	}
 
-	// One machine-readable line for scripts/bench.sh.
+	// One machine-readable line for scripts that parse the run.
 	jsonLine, _ := json.Marshal(map[string]any{
 		"envelopes":      total,
 		"seconds":        elapsed.Seconds(),

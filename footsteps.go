@@ -52,7 +52,7 @@ func TestConfig() Config { return core.TestConfig() }
 
 // New returns DefaultConfig with the options applied:
 //
-//	cfg := footsteps.New(footsteps.WithWorkers(8))
+//	cfg := footsteps.New(footsteps.WithDays(30))
 func New(opts ...Option) Config { return core.New(opts...) }
 
 // NewTest returns TestConfig with the options applied.
@@ -82,12 +82,10 @@ var (
 	WithIPDailyBudget = core.WithIPDailyBudget
 )
 
-// Execution: how the deterministic timeline is driven. Neither option
-// changes any output, only speed.
+// Execution: how the deterministic timeline is driven. It changes no
+// output, only memory churn.
 var (
-	// WithWorkers sets the worker-pool size for parallel stepping.
-	WithWorkers = core.WithWorkers
-	// WithScratchReuse toggles per-worker scratch reuse.
+	// WithScratchReuse toggles cross-tick planning scratch reuse.
 	WithScratchReuse = core.WithScratchReuse
 )
 

@@ -81,18 +81,17 @@ func TestStudyReportGolden(t *testing.T) {
 	}
 }
 
-// TestStudyReportHashDeterminism is the end-to-end regression for
-// parallel stepping: the full business report must hash identically
-// across fresh World runs and across worker counts. Run with -cpu=1,4
-// in CI so the same assertions hold under different GOMAXPROCS.
+// TestStudyReportHashDeterminism is the end-to-end determinism
+// regression: the full business report must hash identically across
+// fresh World runs, and with telemetry on. Run with -cpu=1,4 in CI so the
+// same assertions hold under different GOMAXPROCS.
 func TestStudyReportHashDeterminism(t *testing.T) {
-	smallCfg := func(workers int) Config {
+	smallCfg := func() Config {
 		cfg := TestConfig()
 		cfg.Days = 8
 		cfg.OrganicPopulation = 400
 		cfg.PoolSize = 300
 		cfg.VPNUsers = 20
-		cfg.Workers = workers
 		return cfg
 	}
 	hash := func(cfg Config) string {
@@ -104,26 +103,19 @@ func TestStudyReportHashDeterminism(t *testing.T) {
 		sum := sha256.Sum256([]byte(FormatBusiness(res)))
 		return hex.EncodeToString(sum[:8])
 	}
-	seq := hash(smallCfg(0))
-	if again := hash(smallCfg(0)); again != seq {
-		t.Fatalf("two fresh sequential runs hashed differently: %s vs %s", seq, again)
-	}
-	for _, workers := range []int{4, 8} {
-		if h := hash(smallCfg(workers)); h != seq {
-			t.Errorf("workers=%d report hash %s differs from sequential %s", workers, h, seq)
-		}
+	want := hash(smallCfg())
+	if again := hash(smallCfg()); again != want {
+		t.Fatalf("two fresh runs hashed differently: %s vs %s", want, again)
 	}
 
 	// The pure-observer half of the contract: enabling telemetry must not
-	// move the report hash either, sequentially or in parallel.
-	for _, workers := range []int{0, 4} {
-		cfg := smallCfg(workers)
-		cfg.Telemetry = telemetry.NewRegistry()
-		if h := hash(cfg); h != seq {
-			t.Errorf("workers=%d with telemetry: report hash %s differs from baseline %s", workers, h, seq)
-		}
-		if len(cfg.Telemetry.Snapshot().Counters) == 0 {
-			t.Errorf("workers=%d: telemetry registry stayed empty; comparison is vacuous", workers)
-		}
+	// move the report hash either.
+	cfg := smallCfg()
+	cfg.Telemetry = telemetry.NewRegistry()
+	if h := hash(cfg); h != want {
+		t.Errorf("with telemetry: report hash %s differs from baseline %s", h, want)
+	}
+	if len(cfg.Telemetry.Snapshot().Counters) == 0 {
+		t.Error("telemetry registry stayed empty; comparison is vacuous")
 	}
 }

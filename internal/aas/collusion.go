@@ -420,11 +420,11 @@ func (s *CollusionService) assignProduct(c *Customer) {
 	}
 }
 
-// dailyTick runs the daily lifecycle. Detector shipping and arrivals stay
-// serial; per-customer decisions (adaptation rollover, churn, home
-// activity) are planned in parallel from each customer's own stream, and
-// the platform-touching outcomes — logins, posts, tier renewals and
-// deliveries — apply serially in shard order.
+// dailyTick runs the daily lifecycle. Detector shipping and arrivals run
+// first; per-customer decisions (adaptation rollover, churn, home
+// activity) are planned from each customer's own stream, and the
+// platform-touching outcomes — logins, posts, tier renewals and
+// deliveries — apply in customer order.
 func (s *CollusionService) dailyTick(scale float64) {
 	if s.stopped {
 		return
@@ -448,7 +448,7 @@ func (s *CollusionService) dailyTick(scale float64) {
 		}
 	}
 	s.keepFilter(alive)
-	runSharded(s.steps, s.lifeSC(), alive, func(c *Customer, emit func(lifeOp)) {
+	runSection(s.steps, s.lifeSC(), alive, func(c *Customer, emit func(lifeOp)) {
 		// Sources' daily adaptation windows roll for every enrolled
 		// account, managed or not (honeypots are sources too); the state
 		// is customer-local, so rolling it during planning is safe.
@@ -519,9 +519,9 @@ type freeReq struct {
 }
 
 // hourTick processes the hour's free requests: request counts and the
-// offering mix are planned in parallel from per-customer streams, then
-// each request is fulfilled serially (source selection draws from the
-// service stream during apply, where it is single-threaded).
+// offering mix are planned from per-customer streams, then each request
+// is fulfilled in customer order (source selection draws from the service
+// stream during apply).
 func (s *CollusionService) hourTick() {
 	if s.stopped {
 		return
@@ -535,7 +535,7 @@ func (s *CollusionService) hourTick() {
 		eligible = append(eligible, c)
 	}
 	s.keepFilter(eligible)
-	runSharded(s.steps, s.freeSC(), eligible, func(c *Customer, emit func(freeReq)) {
+	runSection(s.steps, s.freeSC(), eligible, func(c *Customer, emit func(freeReq)) {
 		n := c.rng.Poisson(s.freeRequestsPerDay / 24 * diurnal(now))
 		for i := 0; i < n; i++ {
 			// Request-type mix: like requests deliver twice the quantum of

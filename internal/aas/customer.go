@@ -94,9 +94,9 @@ type Customer struct {
 
 	// rng is the customer's private random stream, forked from the
 	// service stream at enrollment. Every per-customer decision in the
-	// engines' planning phase draws from it, so partitioning customers
-	// into shards — on any number of workers — never changes the numbers
-	// any customer sees. See docs/DETERMINISM.md.
+	// engines' planning phase draws from it, so which other customers
+	// plan in the same section never changes the numbers any customer
+	// sees. See docs/DETERMINISM.md.
 	rng *rng.RNG
 
 	// relRNG is a second private stream feeding only the resilience
@@ -112,8 +112,7 @@ type Customer struct {
 
 	// tagScratch is the reusable buffer pickTarget fills from the
 	// hashtag feed each draw. Customer-local because targeting runs in
-	// the parallel planning phase: one buffer per customer means one
-	// goroutine ever touches it.
+	// the planning phase, which must not write shared state.
 	tagScratch []platform.PostID
 }
 
@@ -261,21 +260,21 @@ type base struct {
 	// §6.4 evasion move.
 	proxies *netsim.ProxyPool
 
-	// steps is the worker pool the engines' tick planning fans out on.
-	// nil plans inline; either way the apply sequence is identical.
-	steps *step.Pool
+	// steps is the engine the tick sections run on (nil runs them with
+	// no phase word, tracing or counters).
+	steps *step.Engine
 
 	// Per-tick reusable scratch (see docs/PERFORMANCE.md): the customer
-	// filter slice every tick rebuilds, plus chunk/intent buffers per
-	// intent type. Reuse is a pure memory optimization — buffers are
-	// truncated to zero length before refill, so no tick ever observes a
-	// previous tick's contents; the simtest pooling property test diffs
-	// reuse-on vs reuse-off streams to pin that. noReuse (via
+	// filter slice every tick rebuilds, plus an intent buffer per intent
+	// type. Reuse is a pure memory optimization — buffers are truncated
+	// to zero length before refill, so no tick ever observes a previous
+	// tick's contents; the simtest pooling property test diffs reuse-on
+	// vs reuse-off streams to pin that. noReuse (via
 	// SetScratchReuse(false)) restores fresh per-tick allocations.
 	custScratch []*Customer
-	planScratch tickScratch[plannedOp]
-	lifeScratch tickScratch[lifeOp]
-	freeScratch tickScratch[freeReq]
+	planScratch step.Buffer[plannedOp]
+	lifeScratch step.Buffer[lifeOp]
+	freeScratch step.Buffer[freeReq]
 	noReuse     bool
 
 	// GroundTruth tallies for validating platform-side estimates.
@@ -345,12 +344,11 @@ type Scheduler interface {
 // meaningful before any enrollment.
 func (b *base) SetAPI(kind platform.APIKind) { b.api = kind }
 
-// SetStepPool installs the worker pool used for parallel intent
-// generation during ticks. A nil pool (the default) plans inline.
-func (b *base) SetStepPool(p *step.Pool) { b.steps = p }
+// SetStepEngine installs the engine the tick sections run on.
+func (b *base) SetStepEngine(e *step.Engine) { b.steps = e }
 
 // SetScratchReuse toggles cross-tick reuse of the engine's planning
-// scratch (filter slices, chunk bounds, intent buffers). Reuse is on by
+// scratch (filter slices, intent buffers). Reuse is on by
 // default and never changes the event stream; turning it off exists for
 // the simtest pooling property test and for bisecting suspected scratch
 // leaks.
@@ -376,21 +374,21 @@ func (b *base) keepFilter(s []*Customer) {
 
 // Scratch selectors: each returns the engine's reusable tick scratch for
 // one intent type, or nil (fresh allocations) when reuse is disabled.
-func (b *base) planSC() *tickScratch[plannedOp] {
+func (b *base) planSC() *step.Buffer[plannedOp] {
 	if b.noReuse {
 		return nil
 	}
 	return &b.planScratch
 }
 
-func (b *base) lifeSC() *tickScratch[lifeOp] {
+func (b *base) lifeSC() *step.Buffer[lifeOp] {
 	if b.noReuse {
 		return nil
 	}
 	return &b.lifeScratch
 }
 
-func (b *base) freeSC() *tickScratch[freeReq] {
+func (b *base) freeSC() *step.Buffer[freeReq] {
 	if b.noReuse {
 		return nil
 	}

@@ -203,10 +203,9 @@ func (s *ReciprocityService) spawnCustomer() *Customer {
 }
 
 // dailyTick runs arrivals, renewals, churn, and customers' own activity.
-// Arrivals stay serial — they draw from the service stream and mutate the
-// enrollment tables — while the per-customer lifecycle decisions are
-// planned in parallel from each customer's own stream and applied
-// serially in shard order.
+// Arrivals run first — they draw from the service stream and mutate the
+// enrollment tables — then the per-customer lifecycle decisions are
+// planned from each customer's own stream and applied in customer order.
 func (s *ReciprocityService) dailyTick(scale float64) {
 	if s.stopped {
 		return
@@ -225,7 +224,7 @@ func (s *ReciprocityService) dailyTick(scale float64) {
 		}
 	}
 	s.keepFilter(managed)
-	runSharded(s.steps, s.lifeSC(), managed, func(c *Customer, emit func(lifeOp)) {
+	runSection(s.steps, s.lifeSC(), managed, func(c *Customer, emit func(lifeOp)) {
 		op := lifeOp{c: c}
 		// Long-term customers renew once the previous period lapses.
 		op.renew = c.LongTermIntent && now.After(c.EngagedUntil) && now.After(c.PaidThrough)
@@ -274,9 +273,9 @@ func (s *ReciprocityService) dailyTick(scale float64) {
 
 // hourTick performs one hour's slice of automation for every active
 // account. Every stochastic decision — whether to post, how many actions
-// of each type, which targets — is planned in parallel from per-customer
-// streams against the pre-tick platform snapshot; the resulting intents
-// then execute serially in shard order. Outcome feedback (blocks, rate
+// of each type, which targets — is planned from per-customer streams
+// against the pre-tick platform state; the resulting intents then execute
+// in customer order. Outcome feedback (blocks, rate
 // limits, session revocation) happens during the serial apply, with the
 // same stop-this-action-type semantics the sequential loop had.
 func (s *ReciprocityService) hourTick() {
@@ -298,7 +297,7 @@ func (s *ReciprocityService) hourTick() {
 	}
 	s.applier.cur = nil
 	clear(s.applier.skip)
-	runSharded(s.steps, s.planSC(), active, func(c *Customer, emit func(plannedOp)) {
+	runSection(s.steps, s.planSC(), active, func(c *Customer, emit func(plannedOp)) {
 		s.planCustomer(c, now, emit)
 	}, s.applier.apply)
 	if now.Hour() == 23 {
@@ -311,7 +310,7 @@ func (s *ReciprocityService) hourTick() {
 }
 
 // planCustomer makes every stochastic decision for one customer's hour —
-// the parallel phase. It draws only from the customer's own forked
+// the plan phase. It draws only from the customer's own forked
 // stream, reads platform state without writing it, and emits the actions
 // the service intends to perform.
 func (s *ReciprocityService) planCustomer(c *Customer, now time.Time, emit func(plannedOp)) {
@@ -453,8 +452,7 @@ func (s *ReciprocityService) pickTarget(r *rng.RNG, c *Customer, needPost bool) 
 	if len(c.Hashtags) > 0 {
 		tag := c.Hashtags[r.Intn(len(c.Hashtags))]
 		// The feed query fills the customer's own scratch buffer: picking
-		// runs in the parallel planning phase, and per-customer scratch is
-		// touched by exactly one planning goroutine.
+		// runs in the planning phase, which must not write shared state.
 		c.tagScratch = s.plat.AppendRecentByTag(c.tagScratch[:0], tag, 64)
 		posts := c.tagScratch
 		if len(posts) > 0 {

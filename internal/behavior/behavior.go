@@ -133,16 +133,14 @@ type Population struct {
 	pools    map[string][]platform.AccountID
 	nextName int
 
-	// steps is the worker pool daily posting plans fan out on; nil plans
-	// inline with an identical apply sequence.
-	steps *step.Pool
+	// steps is the engine the daily posting sections run on.
+	steps *step.Engine
 
-	// Reusable daily-posting scratch (chunk bounds + per-shard intent
-	// buffers); see docs/PERFORMANCE.md. noReuse restores fresh per-day
-	// allocations for the simtest pooling property test.
-	postChunks [][2]int
-	postBufs   step.Buffers[*member]
-	noReuse    bool
+	// Reusable daily-posting intent buffer; see docs/PERFORMANCE.md.
+	// noReuse restores fresh per-day allocations for the simtest pooling
+	// property test.
+	postBuf step.Buffer[*member]
+	noReuse bool
 
 	// Reacted counts reciprocal actions issued, by channel, for tests and
 	// diagnostics.
@@ -176,7 +174,7 @@ type member struct {
 	tags []string
 
 	// rng is the member's private stream, forked at creation, so daily
-	// posting decisions stay identical under any shard partitioning.
+	// posting decisions do not depend on who else plans in the section.
 	rng *rng.RNG
 }
 
@@ -199,9 +197,8 @@ func New(model Model, plat *platform.Platform, sched *clock.Scheduler, r *rng.RN
 	return p
 }
 
-// SetStepPool installs the worker pool used for parallel planning of
-// daily posting. A nil pool (the default) plans inline.
-func (p *Population) SetStepPool(pool *step.Pool) { p.steps = pool }
+// SetStepEngine installs the engine the daily posting sections run on.
+func (p *Population) SetStepEngine(e *step.Engine) { p.steps = e }
 
 // SetScratchReuse toggles cross-day reuse of the posting scratch
 // buffers (on by default; reuse never changes the event stream).
@@ -561,24 +558,15 @@ func (p *Population) StartPosting(label string, days int, dailyProb float64) {
 	}
 	p.sched.EveryDay(13*time.Hour+30*time.Minute, days, func(int) {
 		// Plan phase: each member's post decision comes from their own
-		// stream, sharded independently of worker count; the posts — which
-		// mutate the platform and may lazily log the member in — apply
-		// serially in shard order.
-		var bounds [][2]int
-		var bufs *step.Buffers[*member]
-		if p.noReuse {
-			bounds = step.Chunks(len(ids), 64)
-		} else {
-			p.postChunks = step.ChunksInto(p.postChunks, len(ids), 64)
-			bounds = p.postChunks
-			bufs = &p.postBufs
+		// stream; the posts — which mutate the platform and may lazily log
+		// the member in — apply in member order.
+		var buf *step.Buffer[*member]
+		if !p.noReuse {
+			buf = &p.postBuf
 		}
-		step.RunInto(p.steps, bufs, len(bounds), func(si int, emit func(*member)) {
-			for _, id := range ids[bounds[si][0]:bounds[si][1]] {
-				m := p.members[id]
-				if m != nil && m.rng.Bool(dailyProb) {
-					emit(m)
-				}
+		step.RunInto(p.steps, buf, len(ids), func(i int, emit func(*member)) {
+			if m := p.members[ids[i]]; m != nil && m.rng.Bool(dailyProb) {
+				emit(m)
 			}
 		}, func(m *member) {
 			sess := p.session(m)

@@ -164,28 +164,6 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 	return ran
 }
 
-// StepTick executes every event scheduled for the earliest pending
-// instant — one tick — advancing the clock to it, and drains any events
-// the executing callbacks schedule for that same instant before
-// returning. It returns the tick's instant and the number of events run;
-// ran == 0 means the queue was empty and the clock did not move. Tick
-// stepping is what the parallel-stepping benchmarks and the determinism
-// harness drive: a tick is the unit whose internal work may fan out to a
-// worker pool, while ticks themselves always execute in timeline order.
-func (s *Scheduler) StepTick() (at time.Time, ran int) {
-	if len(s.queue) == 0 {
-		return s.clock.now, 0
-	}
-	at = s.queue[0].at
-	for len(s.queue) > 0 && s.queue[0].at.Equal(at) {
-		next := heap.Pop(&s.queue).(*event)
-		s.clock.now = next.at
-		next.fn()
-		ran++
-	}
-	return at, ran
-}
-
 // RunFor executes events for the next d of simulated time.
 func (s *Scheduler) RunFor(d time.Duration) int {
 	return s.RunUntil(s.clock.now.Add(d))

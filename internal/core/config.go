@@ -61,12 +61,6 @@ type Config struct {
 	// services concentrating volume on a handful of addresses feel it.
 	IPDailyBudget int
 
-	// Workers bounds the goroutines used for per-tick intent planning.
-	// 0 or 1 steps the world sequentially. Any value produces the same
-	// event stream for the same seed — worker count changes wall-clock
-	// time, never bytes (see docs/DETERMINISM.md).
-	Workers int
-
 	// Telemetry, when non-nil, receives counters, gauges, and tick-phase
 	// histograms from every layer of the world. Telemetry is a pure
 	// observer: it consumes no RNG draws and feeds nothing back into the
@@ -88,8 +82,8 @@ type Config struct {
 	// outages, rate-limit storms — injected by the platform on every
 	// request (see docs/FAULTS.md). nil (the default) disables
 	// injection; a faults-off run is byte-identical to a build without
-	// the fault layer, and any faulted run is byte-identical across
-	// worker counts.
+	// the fault layer, and any faulted run is byte-identical from run
+	// to run.
 	Faults *faults.Profile
 
 	// Trace, when non-nil, streams deterministic span records from every
@@ -103,9 +97,9 @@ type Config struct {
 	Trace *trace.Tracer
 
 	// CheckpointEvery makes World.RunDays write a snapshot after every
-	// N completed days (see docs/PERSISTENCE.md). 0 disables. Like
-	// Workers it never changes the event stream, only what
-	// gets written to disk alongside it.
+	// N completed days (see docs/PERSISTENCE.md). 0 disables. It never
+	// changes the event stream, only what gets written to disk alongside
+	// it.
 	CheckpointEvery int
 
 	// CheckpointDir is where periodic checkpoints land. Empty disables
@@ -114,8 +108,8 @@ type Config struct {
 
 	// Serving-layer knobs (internal/server, cmd/footsteps serve — see
 	// docs/API.md). All of them shape how network ingress reaches the
-	// world loop, never what the world does with it, so like Workers
-	// they are excluded from Fingerprint and a snapshot taken
+	// world loop, never what the world does with it, so like Telemetry
+	// and Trace they are excluded from Fingerprint and a snapshot taken
 	// under one serving config restores under any other.
 
 	// ServeAddr is the listen address for the HTTP/WS front end
@@ -148,9 +142,9 @@ type Config struct {
 
 // Fingerprint hashes every semantic config field — the knobs that shape
 // the simulated timeline. Pure performance and observability knobs
-// (Workers, Telemetry, Trace, DisableScratchReuse, the checkpoint
-// settings) are excluded, so a snapshot taken at one worker count
-// restores at any other. Seed is also excluded: it travels in the
+// (Telemetry, Trace, DisableScratchReuse, the checkpoint and serving
+// settings) are excluded, so a snapshot taken with them one way restores
+// with them any other way. Seed is also excluded: it travels in the
 // snapshot header as its own field with its own mismatch diagnostic.
 func (c Config) Fingerprint() uint64 {
 	h := fnv.New64a()

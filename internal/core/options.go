@@ -9,7 +9,7 @@ import (
 // Option mutates a Config during construction. Options compose left to
 // right over a base config, so new knobs stop widening struct literals:
 //
-//	cfg := core.New(core.WithWorkers(8), core.WithFaults("storm"))
+//	cfg := core.New(core.WithDays(30), core.WithFaults("storm"))
 //
 // The plain Config struct keeps working — options are a front door, not
 // a replacement.
@@ -41,9 +41,6 @@ func WithScale(scale float64) Option { return func(c *Config) { c.Scale = scale 
 
 // WithDays sets the measurement-window length.
 func WithDays(days int) Option { return func(c *Config) { c.Days = days } }
-
-// WithWorkers sets the intent-planning worker count.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithGraphWrites toggles full social-graph fidelity.
 func WithGraphWrites(on bool) Option { return func(c *Config) { c.GraphWrites = on } }

@@ -13,7 +13,7 @@ import (
 func TestOptionsComposeOverDefaults(t *testing.T) {
 	t.Parallel()
 	if got, want := New(), DefaultConfig(); got.Seed != want.Seed || got.Days != want.Days ||
-		got.Scale != want.Scale || got.Workers != want.Workers {
+		got.Scale != want.Scale || got.VPNUsers != want.VPNUsers {
 		t.Fatalf("New() = %+v, want DefaultConfig %+v", got, want)
 	}
 	if got, want := NewTest(), TestConfig(); got.Days != want.Days || got.OrganicPopulation != want.OrganicPopulation {
@@ -23,7 +23,6 @@ func TestOptionsComposeOverDefaults(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := New(
 		WithSeed(7),
-		WithWorkers(8),
 		WithDays(12),
 		WithScale(0.25),
 		WithGraphWrites(true),
@@ -34,7 +33,7 @@ func TestOptionsComposeOverDefaults(t *testing.T) {
 		WithTelemetry(reg),
 		WithFaults("storm"),
 	)
-	if cfg.Seed != 7 || cfg.Workers != 8 || cfg.Days != 12 ||
+	if cfg.Seed != 7 || cfg.Days != 12 ||
 		cfg.Scale != 0.25 || !cfg.GraphWrites || cfg.OrganicPopulation != 123 ||
 		cfg.PoolSize != 45 || cfg.VPNUsers != 6 || cfg.IPDailyBudget != 789 ||
 		cfg.Telemetry != reg {
@@ -59,19 +58,24 @@ func TestOptionsComposeOverDefaults(t *testing.T) {
 }
 
 // TestOptionConfigBuildsWorld is the integration smoke test: a world
-// built from an options-constructed config honors the worker-pool knob
-// end to end, and every world — sequential ones included — gets a pool,
-// since the pool carries the plan/apply phase word.
+// built from an options-constructed config gets a step engine, which
+// carries the plan/apply phase word, and the engine counts its sections
+// on the configured telemetry registry.
 func TestOptionConfigBuildsWorld(t *testing.T) {
 	t.Parallel()
-	cfg := NewTest(WithDays(2), WithWorkers(2),
+	reg := telemetry.NewRegistry()
+	cfg := NewTest(WithDays(2), WithTelemetry(reg),
 		WithOrganicPopulation(50), WithPoolSize(40), WithVPNUsers(4))
 	w := NewWorld(cfg)
-	if got := w.Steps.Workers(); got != 2 {
-		t.Errorf("pool workers = %d, want 2", got)
+	if w.Steps == nil {
+		t.Fatal("world has no step engine")
 	}
-	w0 := NewWorld(NewTest(WithDays(2), WithOrganicPopulation(50), WithPoolSize(40), WithVPNUsers(4)))
-	if w0.Steps == nil || w0.Steps.Workers() != 1 {
-		t.Errorf("sequential world pool = %+v, want a 1-worker pool", w0.Steps)
+	w.RunAll()
+	if err := w.RunDays(1); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter("step.sections").Value() == 0 || reg.Counter("step.intents").Value() == 0 {
+		t.Errorf("a stepped day counted %d sections and %d intents; the engine is not wired to telemetry",
+			reg.Counter("step.sections").Value(), reg.Counter("step.intents").Value())
 	}
 }

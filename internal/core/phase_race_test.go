@@ -13,9 +13,9 @@ import (
 
 // TestPhaseGuardTripsOnPlanMutation checks the single-writer rule is
 // enforced, not assumed: in a race-detector build, a platform or graph
-// mutator called from a generation function — during a plan phase of the
-// world's own pool — panics naming the mutator, while the same call from
-// apply goes through.
+// mutator called from a plan function — during a plan phase of the
+// world's own engine — panics naming the mutator, while the same call
+// from apply goes through.
 func TestPhaseGuardTripsOnPlanMutation(t *testing.T) {
 	t.Parallel()
 	newWorld := func() (*World, *platform.Session) {
@@ -55,7 +55,7 @@ func TestPhaseGuardTripsOnPlanMutation(t *testing.T) {
 		w, s := newWorld()
 		msg := func() (msg any) {
 			defer func() { msg = recover() }()
-			step.Run(w.Steps, 1, func(int, func(struct{})) { tc.call(w, s) }, func(struct{}) {})
+			step.RunInto(w.Steps, nil, 1, func(int, func(struct{})) { tc.call(w, s) }, func(struct{}) {})
 			return nil
 		}()
 		if msg == nil || !strings.Contains(fmt.Sprint(msg), tc.mutator) {
@@ -63,7 +63,7 @@ func TestPhaseGuardTripsOnPlanMutation(t *testing.T) {
 		}
 
 		w, s = newWorld()
-		step.Run(w.Steps, 1, func(_ int, emit func(struct{})) { emit(struct{}{}) },
+		step.RunInto(w.Steps, nil, 1, func(_ int, emit func(struct{})) { emit(struct{}{}) },
 			func(struct{}) { tc.call(w, s) })
 	}
 }

@@ -315,13 +315,13 @@ func (st *staged) commit(w *World) {
 // RestoreWorld rebuilds a world from a snapshot written by Snapshot. The
 // config must describe the same semantic world: the snapshot's seed and
 // config fingerprint are checked against cfg and a *persistence.
-// MismatchError is returned on disagreement. Performance knobs (Workers,
-// Telemetry) are free to differ — the restored timeline is
-// byte-identical regardless. Malformed bytes yield a
-// *persistence.TruncatedError, and a snapshot whose contents break a
-// structural invariant (duplicate, descending or out-of-range IDs, a
-// member list or service set this config does not build) a
-// *persistence.StateError. Either way no world is built.
+// MismatchError is returned on disagreement. Observability and
+// performance knobs (Telemetry, Trace, DisableScratchReuse) are free to
+// differ — the restored timeline is byte-identical regardless. Malformed
+// bytes yield a *persistence.TruncatedError, and a snapshot whose
+// contents break a structural invariant (duplicate, descending or
+// out-of-range IDs, a member list or service set this config does not
+// build) a *persistence.StateError. Either way no world is built.
 //
 // The returned world sits at the snapshot instant with lifecycle
 // schedules live (RunAll has been applied); drive it with RunDays. No

@@ -108,7 +108,7 @@ func (w *World) updateGauges() {
 	reg.Gauge("runtime.gc_cycles").Set(int64(ms.NumGC))
 	reg.Gauge("runtime.pause_total_ns").Set(int64(ms.PauseTotalNs))
 	// Goroutine count sits next to the MemStats gauges: at one sample per
-	// simulated day it is diagnostic (a leaking worker pool shows as a
+	// simulated day it is diagnostic (a goroutine leak shows as a
 	// climbing line), not a perturbation.
 	reg.Gauge("runtime.goroutines").Set(int64(runtime.NumGoroutine()))
 }

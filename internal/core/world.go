@@ -41,9 +41,9 @@ type World struct {
 	// ProxyASNs back the evasion proxy networks of the §6.4 epilogue.
 	ProxyASNs []netsim.ASN
 
-	// Steps is the worker pool behind per-tick stepping; with
-	// cfg.Workers <= 1 planning runs inline on the calling goroutine.
-	Steps *step.Pool
+	// Steps is the engine behind per-tick plan/apply sections; it carries
+	// the world's phase word.
+	Steps *step.Engine
 
 	// Faults is the installed fault injector; nil when cfg.Faults is
 	// nil (injection off).
@@ -155,16 +155,12 @@ func newWorld(cfg Config, restoring bool) *World {
 		plat.SetFaultInjector(w.Faults)
 	}
 
-	// Every world gets a pool, even a sequential one: the pool carries
-	// the phase word that marks plan phases, and the platform and graph
-	// check it on every mutation (the single-writer rule; see
-	// step.Phase). Run with workers <= 1 is the inline path either way.
+	// The engine carries the phase word that marks plan phases, and the
+	// platform and graph check it on every mutation (the single-writer
+	// rule; see step.Phase).
 	phase := new(step.Phase)
 	plat.SetPhase(phase)
-	w.Steps = step.NewPool(cfg.Workers)
-	w.Steps.SetPhase(phase)
-	w.Steps.SetTracer(telemetry.NewTickTracer(cfg.Telemetry))
-	w.Steps.SetTrace(cfg.Trace)
+	w.Steps = step.NewEngine(phase, cfg.Telemetry, cfg.Trace)
 
 	// Organic population: honeypot monitoring must observe reciprocation,
 	// so the framework subscribes before the population acts; subscriber
@@ -173,7 +169,7 @@ func newWorld(cfg Config, restoring bool) *World {
 	w.Honeypots.Wire()
 
 	w.Pop = behavior.New(behavior.DefaultModel(), plat, sched, root.Split("population"))
-	w.Pop.SetStepPool(w.Steps)
+	w.Pop.SetStepEngine(w.Steps)
 	w.Pop.SetScratchReuse(!cfg.DisableScratchReuse)
 	if restoring {
 		w.Pop.ReserveMembers(cfg.OrganicPopulation)
@@ -200,7 +196,7 @@ func newWorld(cfg Config, restoring bool) *World {
 		switch spec.Technique {
 		case aas.TechniqueReciprocity:
 			svc := aas.NewReciprocityService(spec, plat, sched, root.Split("svc-"+spec.Name))
-			svc.SetStepPool(w.Steps)
+			svc.SetStepEngine(w.Steps)
 			svc.SetScratchReuse(!cfg.DisableScratchReuse)
 			svc.WireTelemetry(cfg.Telemetry)
 			svc.WireTrace(cfg.Trace)
@@ -216,7 +212,7 @@ func newWorld(cfg Config, restoring bool) *World {
 				ipPool = 4 // §5: concentrated on very few addresses
 			}
 			svc := aas.NewCollusionService(spec, plat, sched, root.Split("svc-"+spec.Name), ipPool)
-			svc.SetStepPool(w.Steps)
+			svc.SetStepEngine(w.Steps)
 			svc.SetScratchReuse(!cfg.DisableScratchReuse)
 			svc.WireTelemetry(cfg.Telemetry)
 			svc.WireTrace(cfg.Trace)
@@ -273,9 +269,8 @@ func (w *World) setupVPNUsers() {
 	if len(members) == 0 {
 		return
 	}
-	// Each VPN user draws daily activity from a private forked stream so
-	// the plan phase can shard them across workers without changing what
-	// any user does.
+	// Each VPN user draws daily activity from a private forked stream, so
+	// what one user does never depends on the others.
 	w.vpnRNGs = make([]*rng.RNG, len(w.vpnSessions))
 	for i := range w.vpnRNGs {
 		w.vpnRNGs[i] = r.Fork(uint64(i))
@@ -287,16 +282,16 @@ func (w *World) setupVPNUsers() {
 		post   platform.PostID
 	}
 	// Modest daily organic activity through the VPN: action counts and
-	// targets are planned in parallel against the pre-tick snapshot, then
-	// the likes and follows apply serially in user order. The intent
-	// buffers persist in the closure and are reused day over day.
-	var vpnBufs step.Buffers[vpnOp]
+	// targets are planned against the pre-tick state, then the likes and
+	// follows apply in user order. The intent buffer persists in the
+	// closure and is reused day over day.
+	var vpnBuf step.Buffer[vpnOp]
 	w.Sched.EveryDay(11*time.Hour, w.Cfg.Days+7, func(int) {
-		bufs := &vpnBufs
+		buf := &vpnBuf
 		if w.Cfg.DisableScratchReuse {
-			bufs = nil
+			buf = nil
 		}
-		step.RunInto(w.Steps, bufs, len(w.vpnSessions), func(i int, emit func(vpnOp)) {
+		step.RunInto(w.Steps, buf, len(w.vpnSessions), func(i int, emit func(vpnOp)) {
 			ur := w.vpnRNGs[i]
 			n := 2 + ur.Intn(25)
 			for k := 0; k < n; k++ {

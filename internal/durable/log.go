@@ -25,8 +25,8 @@ type Options struct {
 	// live segment. Default 1024.
 	BatchEvents int
 	// FsyncEveryBatch forces an fsync after every frame write instead
-	// of only at checkpoints — maximal durability, measured cost in
-	// BenchmarkDurableStep.
+	// of only at checkpoints — maximal durability, at the cost of one
+	// fsync per frame.
 	FsyncEveryBatch bool
 	// Telemetry receives durable.* counters; nil is fine.
 	Telemetry *telemetry.Registry

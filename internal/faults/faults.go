@@ -13,7 +13,7 @@
 // Determinism is the package's defining constraint: per-request fault
 // verdicts come from a pure hash of (injector seed, window, request
 // identity), never from a sequential RNG, so verdicts are independent
-// of worker count and call order. See docs/FAULTS.md for the full
+// of call order. See docs/FAULTS.md for the full
 // rules.
 package faults
 

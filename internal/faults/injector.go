@@ -15,10 +15,9 @@ import (
 //
 // The injector is seeded with exactly one draw from a dedicated forked
 // rng stream and is stateless afterwards: every verdict is a pure
-// function of (seed, window, request identity). That property — not a
-// lock — is what keeps faulted runs byte-identical across worker
-// counts: no matter which goroutine asks first, the answer for a given
-// request is the same.
+// function of (seed, window, request identity). That property is what
+// keeps faulted runs byte-identical from run to run: no matter which
+// request asks first, the answer for a given request is the same.
 type Injector struct {
 	profile *Profile
 	seed    uint64
@@ -128,8 +127,8 @@ func (i *Injector) Decide(now time.Time, actor platform.AccountID, action platfo
 
 // roll maps (seed, roll stream, request identity) to a uniform float64
 // in [0, 1). It is a pure function — no state, no draw sequence — so a
-// request's verdict cannot depend on scheduling, worker count, or how
-// many other requests were rolled before it.
+// request's verdict cannot depend on scheduling or how many other
+// requests were rolled before it.
 func (i *Injector) roll(stream uint64, now time.Time, actor platform.AccountID, action platform.ActionType, salt uint64) float64 {
 	x := mix64(i.seed ^ stream)
 	x = mix64(x ^ uint64(now.UnixNano()))

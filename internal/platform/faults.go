@@ -28,11 +28,10 @@ type FaultDecision struct {
 // FaultInjector is consulted on every platform request (session
 // actions and logins). Implementations MUST be pure functions of their
 // arguments plus construction-time state: the platform calls Decide
-// from the world's serial apply paths, and run determinism
-// across worker counts rests on the verdict for a request being
-// independent of call order. internal/faults provides the
-// implementation; the interface lives here so the dependency points
-// from faults to platform.
+// from the world's serial apply paths, and run determinism rests on the
+// verdict for a request being independent of call order.
+// internal/faults provides the implementation; the interface lives here
+// so the dependency points from faults to platform.
 type FaultInjector interface {
 	Decide(now time.Time, actor AccountID, action ActionType, asn netsim.ASN, salt uint64) FaultDecision
 }

@@ -136,13 +136,11 @@ func (f GatekeeperFunc) Check(req Event) Verdict { return f(req) }
 
 // Platform is the simulated service. It is single-writer and holds no
 // locks. Pure queries (Exists, LatestPost, PostAuthor, Posts,
-// RecentByTag, …) may run from many goroutines at once — the parallel
-// stepping engine's plan phase interrogates platform state from every
-// worker — while mutations (registration, login, the Do(Request) action
-// pipeline, restore) run only on the world's one goroutine, outside any
-// plan phase: in step apply, in scheduler callbacks, and at the ingress
-// drain point. The plan/apply barrier orders the two, so the rule needs
-// no lock; step.Phase enforces it in race-detector builds.
+// RecentByTag, …) may run in a step section's plan phase, while
+// mutations (registration, login, the Do(Request) action pipeline,
+// restore) run only outside any plan phase: in step apply, in scheduler
+// callbacks, and at the ingress drain point, all on the world's one
+// goroutine. step.Phase enforces the rule in race-detector builds.
 type Platform struct {
 	cfg   Config
 	graph *socialgraph.Graph
@@ -496,7 +494,7 @@ func (p *Platform) Login(username, password string, ci ClientInfo) (*Session, er
 	}
 	var sp *trace.Active
 	if tr := p.tracer; tr != nil {
-		sp = tr.StartRequest(trace.KindLogin, uint64(id), 0, uint8(ActionLogin))
+		sp = tr.StartRequest(trace.KindLogin, uint64(id), uint8(ActionLogin))
 	}
 	r, ok := p.accts.live(id)
 	if !ok || p.accts.passwords[r] != password {

@@ -88,7 +88,7 @@ func (p *Platform) Do(req Request) Response {
 	// makes every mark below a no-op.
 	var sp *trace.Active
 	if tr := p.tracer; tr != nil {
-		sp = tr.StartRequest(trace.KindRequest, uint64(s.id), 0, uint8(req.Action))
+		sp = tr.StartRequest(trace.KindRequest, uint64(s.id), uint8(req.Action))
 	}
 
 	ev := Event{

@@ -60,10 +60,10 @@ func (r *RNG) Split(label string) *RNG {
 // the per-actor analogue of Split. The child is a pure function of
 // (parent seed, id): it does not depend on how many values the parent has
 // produced, on how many siblings were forked, or on the order forks
-// happen in. This is the contract parallel stepping relies on: every
-// actor draws from its own Fork(actorID) stream, so partitioning actors
-// into any number of shards, run on any number of workers, can never
-// change the numbers any actor sees.
+// happen in. This is the contract stepping relies on: every actor draws
+// from its own Fork(actorID) stream, so which other actors plan in the
+// same section, and in what order, can never change the numbers any
+// actor sees.
 func (r *RNG) Fork(id uint64) *RNG {
 	// SplitMix64 finalizer on the id keeps adjacent ids far apart in seed
 	// space, then mix with the parent's construction-time seed material.

@@ -107,7 +107,7 @@ func reconstruct(t *testing.T, fsys durable.FS) []byte {
 // byte-identical to a plain Capture of the same config.
 func TestDurableLogInert(t *testing.T) {
 	t.Parallel()
-	cfg := smallConfig(42, 4)
+	cfg := smallConfig(42)
 	want := Capture(cfg)
 	for _, every := range []bool{false, true} {
 		every := every
@@ -178,37 +178,31 @@ func crashMatrixCase(t *testing.T, cfg core.Config, baseline []byte, fracs []flo
 	}
 }
 
-// TestCrashRecoveryProperty is the tentpole matrix: workers {1,4,8},
-// faults off and on, three replica worlds per cell (see replicas), three
-// deterministic kill points each (the failure mode at each point — short
-// write, fsync error, ENOSPC — is a SplitMix64 verdict of the kill op).
+// TestCrashRecoveryProperty is the tentpole matrix: faults off and on,
+// nine replica worlds each (see replicas), three deterministic kill
+// points per replica (the failure mode at each point — short write,
+// fsync error, ENOSPC — is a SplitMix64 verdict of the kill op).
 func TestCrashRecoveryProperty(t *testing.T) {
 	t.Parallel()
 	replicaList := replicas
-	workersList := []int{1, 4, 8}
 	fracs := []float64{0.25, 0.55, 0.85}
 	if testing.Short() {
-		replicaList, workersList = replicas[1:2], []int{4}
+		replicaList = replicas[4:5]
+	}
+	config := func(faulted bool) core.Config {
+		if faulted {
+			return faultedConfig(7)
+		}
+		return smallConfig(7)
 	}
 	for _, faulted := range []bool{false, true} {
 		faulted := faulted
-		base := smallConfig(7, 1)
-		if faulted {
-			base = faultedConfig(7, 1)
-		}
-		baseline := Capture(base)
+		baseline := Capture(config(faulted))
 		for _, replica := range replicaList {
-			for _, workers := range workersList {
-				workers := workers
-				t.Run(fmt.Sprintf("faults=%v/%s/workers=%d", faulted, replica, workers), func(t *testing.T) {
-					t.Parallel()
-					cfg := smallConfig(7, workers)
-					if faulted {
-						cfg = faultedConfig(7, workers)
-					}
-					crashMatrixCase(t, cfg, baseline, fracs)
-				})
-			}
+			t.Run(fmt.Sprintf("faults=%v/%s", faulted, replica), func(t *testing.T) {
+				t.Parallel()
+				crashMatrixCase(t, config(faulted), baseline, fracs)
+			})
 		}
 	}
 }
@@ -218,7 +212,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // silently shortened stream.
 func TestCrashRecoveryTypedErrors(t *testing.T) {
 	t.Parallel()
-	cfg := smallConfig(3, 1)
+	cfg := smallConfig(3)
 	opts := durable.Options{Seed: cfg.Seed, Fingerprint: cfg.Fingerprint()}
 	build := func(t *testing.T) *durable.MemFS {
 		fsys := durable.NewMemFS()

@@ -18,8 +18,8 @@ import (
 
 // faultedConfig is smallConfig with the "mixed" built-in scenario: all
 // five fault kinds firing inside the six-day window.
-func faultedConfig(seed uint64, workers int) core.Config {
-	cfg := smallConfig(seed, workers)
+func faultedConfig(seed uint64) core.Config {
+	cfg := smallConfig(seed)
 	cfg.Faults = faults.MustScenario("mixed")
 	return cfg
 }
@@ -43,7 +43,7 @@ func TestFaultsOffGoldenStream(t *testing.T) {
 		wantHash = "fb3cf3641ce581995b04def49af3e7c21d2ab9af81610e787daee77ad9cec51f"
 		wantLen  = 677665
 	)
-	got := Capture(smallConfig(1, 0))
+	got := Capture(smallConfig(1))
 	sum := sha256.Sum256(got)
 	gotHash := hex.EncodeToString(sum[:])
 	if len(got) != wantLen || gotHash != wantHash {
@@ -52,29 +52,27 @@ func TestFaultsOffGoldenStream(t *testing.T) {
 	}
 }
 
-// TestFaultedStreamDeterminism is the tentpole contract for injection:
-// with a fault profile active, the stream must still be byte-identical
-// across worker counts and across fresh runs — fault verdicts are pure
-// functions of (seed, request), not of scheduling.
+// TestFaultedStreamDeterminism is the determinism contract with a fault
+// profile active: worlds stepping side by side produce the stream of a
+// world stepping on its own — fault verdicts are pure functions of
+// (seed, request), not of scheduling or of other worlds in the process.
 func TestFaultedStreamDeterminism(t *testing.T) {
 	t.Parallel()
-	want := Capture(faultedConfig(1, 0))
+	want := Capture(faultedConfig(1))
 
 	// Vacuity guard: the scenario must actually have injected faults,
-	// otherwise worker-equality proves nothing about the injector.
+	// otherwise equality proves nothing about the injector.
 	if n := countUnavailable(t, want); n < 50 {
 		t.Fatalf("mixed scenario emitted only %d unavailable events; faulted comparison would be vacuous", n)
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		got := Capture(faultedConfig(1, workers))
-		if !bytes.Equal(want, got) {
-			t.Errorf("workers=%d: faulted stream diverged from sequential run: %s != %s (lengths %d vs %d)",
-				workers, Hash(got), Hash(want), len(got), len(want))
+	got := make([][]byte, 2)
+	sideBySide(len(got), func(i int) { got[i] = Capture(faultedConfig(1)) })
+	for i, g := range got {
+		if !bytes.Equal(want, g) {
+			t.Errorf("world %d of %d side by side: faulted stream diverged from the world run alone: %s != %s (lengths %d vs %d)",
+				i+1, len(got), Hash(g), Hash(want), len(g), len(want))
 		}
-	}
-	if again := Capture(faultedConfig(1, 0)); !bytes.Equal(want, again) {
-		t.Errorf("same faulted config diverged across fresh runs: %s != %s", Hash(want), Hash(again))
 	}
 }
 
@@ -83,8 +81,8 @@ func TestFaultedStreamDeterminism(t *testing.T) {
 // changes anything. The faulted stream must not equal the clean one.
 func TestFaultedStreamDiffersFromBaseline(t *testing.T) {
 	t.Parallel()
-	clean := Capture(smallConfig(2, 0))
-	faulted := Capture(faultedConfig(2, 0))
+	clean := Capture(smallConfig(2))
+	faulted := Capture(faultedConfig(2))
 	if bytes.Equal(clean, faulted) {
 		t.Fatal("mixed fault scenario produced a byte-identical stream to the clean run; injection is dead")
 	}
@@ -107,7 +105,7 @@ func TestFaultedStreamDiffersFromBaseline(t *testing.T) {
 //     retries were scheduled, and re-logins were attempted.
 func TestFaultRetryProperties(t *testing.T) {
 	t.Parallel()
-	cfg := faultedConfig(5, 4)
+	cfg := faultedConfig(5)
 	cfg.GraphWrites = true
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
@@ -208,38 +206,47 @@ func TestFaultRetryProperties(t *testing.T) {
 	}
 }
 
-// TestFaultedTelemetryWorkerStable asserts the fault/retry counters are
+// TestFaultedTelemetryStable asserts the fault/retry counters are
 // themselves deterministic: the same faulted config yields the same
-// counter values at any worker count (the report's resilience section
-// is part of the reproducible output).
-func TestFaultedTelemetryWorkerStable(t *testing.T) {
+// counter values in a world stepping alone and in worlds stepping side
+// by side (the report's resilience section is part of the reproducible
+// output).
+func TestFaultedTelemetryStable(t *testing.T) {
 	t.Parallel()
-	counters := func(workers int) string {
-		cfg := faultedConfig(9, workers)
-		reg := telemetry.NewRegistry()
-		cfg.Telemetry = reg
+	counters := func() string {
+		cfg := faultedConfig(9)
+		cfg.Telemetry = telemetry.NewRegistry()
 		Capture(cfg)
-		snap := reg.Snapshot().Counters
-		var b strings.Builder
-		for _, k := range sortedKeys(snap) {
-			if strings.HasPrefix(k, "faults.") || strings.Contains(k, ".retries.") ||
-				strings.Contains(k, ".breaker.") || strings.Contains(k, ".relogin.") ||
-				strings.Contains(k, ".shed.") {
-				fmt.Fprintf(&b, "%s=%d\n", k, snap[k])
-			}
-		}
-		return b.String()
+		return faultCounters(cfg.Telemetry)
 	}
-	want := counters(0)
+	want := counters()
 	if want == "" {
 		t.Fatal("no fault/resilience counters recorded; comparison is vacuous")
 	}
-	for _, workers := range []int{4, 8} {
-		if got := counters(workers); got != want {
-			t.Errorf("workers=%d: fault counters diverged from sequential run:\n--- sequential\n%s--- workers=%d\n%s",
-				workers, want, workers, got)
+	got := make([]string, 2)
+	sideBySide(len(got), func(i int) { got[i] = counters() })
+	for i, g := range got {
+		if g != want {
+			t.Errorf("world %d of %d side by side: fault counters diverged from the world run alone:\n--- alone\n%s--- side by side\n%s",
+				i+1, len(got), want, g)
 		}
 	}
+}
+
+// faultCounters renders the fault and resilience counters of reg, one
+// "name=value" line each in name order: the report's resilience section
+// is part of the reproducible output.
+func faultCounters(reg *telemetry.Registry) string {
+	snap := reg.Snapshot().Counters
+	var b strings.Builder
+	for _, k := range sortedKeys(snap) {
+		if strings.HasPrefix(k, "faults.") || strings.Contains(k, ".retries.") ||
+			strings.Contains(k, ".breaker.") || strings.Contains(k, ".relogin.") ||
+			strings.Contains(k, ".shed.") {
+			fmt.Fprintf(&b, "%s=%d\n", k, snap[k])
+		}
+	}
+	return b.String()
 }
 
 func sortedKeys(m map[string]int64) []string {

@@ -16,8 +16,7 @@ import (
 // (internal/server): a world driven through the library path — ServeTick
 // plus Executor.Apply at scripted sim instants — must produce the exact
 // FSEV1 bytes that re-driving its FING1 ingress log into a fresh world
-// produces, at any worker count. This is the contract
-// that makes a serve session auditable: record the ingress, replay it,
+// produces. This is the contract that makes a serve session auditable: record the ingress, replay it,
 // and the whole event stream (organic traffic interleaved with wire
 // traffic) reproduces bit for bit.
 
@@ -169,32 +168,18 @@ func replayIngressRun(t *testing.T, cfg core.Config, log []byte) []byte {
 	return stream.Bytes()
 }
 
-// TestIngressReplayMatchesLive pins the serve determinism contract at
-// workers {1,4}: the ingress-log replay reproduces the live stream byte
-// for byte, and the stream itself is invariant across execution
-// strategies — parallel stepping changes nothing about what happened,
-// only how fast.
+// TestIngressReplayMatchesLive pins the serve determinism contract: the
+// ingress-log replay reproduces the live stream byte for byte.
 func TestIngressReplayMatchesLive(t *testing.T) {
 	t.Parallel()
-	var want []byte
-	var wantFrom string
-	for _, workers := range []int{1, 4} {
-		name := fmt.Sprintf("workers=%d", workers)
-		cfg := smallConfig(5, workers)
-		live := captureIngressRun(t, cfg)
-		if len(live.stream) == 0 || len(live.log) == 0 {
-			t.Fatalf("%s: empty capture (stream %d bytes, log %d bytes)", name, len(live.stream), len(live.log))
-		}
-		replayed := replayIngressRun(t, cfg, live.log)
-		if !bytes.Equal(live.stream, replayed) {
-			t.Errorf("%s: ingress replay diverged: live %s (%d bytes) vs replay %s (%d bytes)",
-				name, Hash(live.stream), len(live.stream), Hash(replayed), len(replayed))
-		}
-		if want == nil {
-			want, wantFrom = live.stream, name
-		} else if !bytes.Equal(want, live.stream) {
-			t.Errorf("%s: stream differs from %s: %s vs %s",
-				name, wantFrom, Hash(live.stream), Hash(want))
-		}
+	cfg := smallConfig(5)
+	live := captureIngressRun(t, cfg)
+	if len(live.stream) == 0 || len(live.log) == 0 {
+		t.Fatalf("empty capture (stream %d bytes, log %d bytes)", len(live.stream), len(live.log))
+	}
+	replayed := replayIngressRun(t, cfg, live.log)
+	if !bytes.Equal(live.stream, replayed) {
+		t.Errorf("ingress replay diverged: live %s (%d bytes) vs replay %s (%d bytes)",
+			Hash(live.stream), len(live.stream), Hash(replayed), len(replayed))
 	}
 }

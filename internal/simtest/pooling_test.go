@@ -8,11 +8,11 @@ import (
 )
 
 // noReuseConfig is smallConfig with every scratch-buffer pool disabled:
-// intent buffers, shard-bounds slices, plan/lifecycle/free-delivery
-// scratch, and the per-customer hashtag query buffer all allocate fresh
-// per tick, exactly as the pre-pooling code did.
-func noReuseConfig(seed uint64, workers int) core.Config {
-	cfg := smallConfig(seed, workers)
+// intent buffers, customer filter slices and the per-customer hashtag
+// query buffer all allocate fresh per tick, exactly as the pre-pooling
+// code did.
+func noReuseConfig(seed uint64) core.Config {
+	cfg := smallConfig(seed)
 	cfg.DisableScratchReuse = true
 	return cfg
 }
@@ -20,21 +20,18 @@ func noReuseConfig(seed uint64, workers int) core.Config {
 // TestScratchReuseStreamInvariance is the pooling safety contract: buffer
 // reuse across ticks is a pure memory optimization, so the event stream
 // with pooling on (the default) must be byte-identical to the stream with
-// pooling off, at every worker count. A divergence means a pooled buffer
+// pooling off. A divergence means a pooled buffer
 // leaked state across ticks — a missed [:0] truncation, a stale entry
 // surviving a clear, or an epoch-mark collision in the collusion dedup.
 func TestScratchReuseStreamInvariance(t *testing.T) {
 	t.Parallel()
-	want := Capture(noReuseConfig(1, 0))
+	want := Capture(noReuseConfig(1))
 	if n := countEvents(t, want); n < 1000 {
 		t.Fatalf("pool-disabled run produced only %d events; comparison would be vacuous", n)
 	}
-	for _, workers := range []int{0, 1, 4, 8} {
-		pooled := Capture(smallConfig(1, workers))
-		if !bytes.Equal(want, pooled) {
-			t.Errorf("workers=%d: pooled stream diverged from pool-disabled run: %s != %s (lengths %d vs %d)",
-				workers, Hash(pooled), Hash(want), len(pooled), len(want))
-		}
+	if pooled := Capture(smallConfig(1)); !bytes.Equal(want, pooled) {
+		t.Errorf("pooled stream diverged from pool-disabled run: %s != %s (lengths %d vs %d)",
+			Hash(pooled), Hash(want), len(pooled), len(want))
 	}
 }
 
@@ -45,17 +42,14 @@ func TestScratchReuseStreamInvariance(t *testing.T) {
 // planning buffers that produced the request were pooled.
 func TestScratchReuseFaultedStreamInvariance(t *testing.T) {
 	t.Parallel()
-	noReuse := faultedConfig(1, 0)
+	noReuse := faultedConfig(1)
 	noReuse.DisableScratchReuse = true
 	want := Capture(noReuse)
 	if n := countEvents(t, want); n < 1000 {
 		t.Fatalf("pool-disabled faulted run produced only %d events; comparison would be vacuous", n)
 	}
-	for _, workers := range []int{0, 4} {
-		pooled := Capture(faultedConfig(1, workers))
-		if !bytes.Equal(want, pooled) {
-			t.Errorf("workers=%d: pooled faulted stream diverged: %s != %s (lengths %d vs %d)",
-				workers, Hash(pooled), Hash(want), len(pooled), len(want))
-		}
+	if pooled := Capture(faultedConfig(1)); !bytes.Equal(want, pooled) {
+		t.Errorf("pooled faulted stream diverged: %s != %s (lengths %d vs %d)",
+			Hash(pooled), Hash(want), len(pooled), len(want))
 	}
 }

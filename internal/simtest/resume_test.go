@@ -4,26 +4,29 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"footsteps/internal/core"
 	"footsteps/internal/eventio"
 	"footsteps/internal/persistence"
+	"footsteps/internal/telemetry"
+	"footsteps/internal/trace"
 )
 
 // These tests lock in the resume-equivalence invariant (see
 // docs/PERSISTENCE.md): a world restored from a day-N snapshot must
 // produce, for the remainder of the window, an FSEV1 event stream
 // byte-identical to the corresponding suffix of a straight-through run —
-// and must end in byte-identical world state. Like the worker-count
-// tests, the comparison is over encoded bytes, so any divergence in
-// event content, order, timing, or final state fails loudly.
+// and must end in byte-identical world state. The comparison is over
+// encoded bytes, so any divergence in event content, order, timing, or
+// final state fails loudly.
 
 // resumeConfig is smallConfig stretched to eight days so the snapshot
 // days {1, 3, 7} from the issue's matrix all fall inside the window.
-func resumeConfig(seed uint64, workers int) core.Config {
-	cfg := smallConfig(seed, workers)
+func resumeConfig(seed uint64) core.Config {
+	cfg := smallConfig(seed)
 	cfg.Days = 8
 	return cfg
 }
@@ -137,7 +140,7 @@ func snapshotInstant(t *testing.T, snap []byte) time.Time {
 // the exact final state.
 func TestResumeEquivalence(t *testing.T) {
 	t.Parallel()
-	cfg := resumeConfig(1, 0)
+	cfg := resumeConfig(1)
 	snaps := map[int]*bytes.Buffer{1: {}, 3: {}, 7: {}}
 	baseline := captureWithSnapshots(t, cfg, snaps)
 	if n := countEvents(t, baseline); n < 1000 {
@@ -163,65 +166,59 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossShardsAndWorkers restores one day-3 snapshot at every
-// worker count, into three replica worlds each (see replicas), and
-// demands the identical suffix and final state from each: the worker
-// count stays a pure performance knob across a checkpoint boundary.
-func TestResumeAcrossShardsAndWorkers(t *testing.T) {
+// TestResumeAcrossReplicas restores one day-3 snapshot into three
+// replica worlds, in parallel, and demands the identical suffix and final
+// state from each: restoring shares no state between worlds in one
+// process.
+func TestResumeAcrossReplicas(t *testing.T) {
 	t.Parallel()
-	cfg := resumeConfig(2, 0)
+	cfg := resumeConfig(2)
 	snaps := map[int]*bytes.Buffer{3: {}}
 	baseline := captureWithSnapshots(t, cfg, snaps)
 	snap := snaps[3].Bytes()
 	want := suffixAfter(t, baseline, snapshotInstant(t, snap))
 
-	// Final state after a straight-through resumed run at the reference
-	// configuration anchors the cross-matrix state comparison.
+	// Final state after a straight-through resumed run anchors the
+	// replicas' state comparison.
 	refStream, refFinal := captureResumed(t, cfg, snap)
 	if !bytes.Equal(want, refStream) {
 		t.Fatalf("reference resume diverged: hash %s != %s", Hash(refStream), Hash(want))
 	}
 
-	for _, replica := range replicas {
-		for _, workers := range []int{1, 4, 8} {
-			workers := workers
-			t.Run(fmt.Sprintf("%s/workers=%d", replica, workers), func(t *testing.T) {
-				t.Parallel()
-				rcfg := cfg
-				rcfg.Workers = workers
-				got, final := captureResumed(t, rcfg, snap)
-				if !bytes.Equal(want, got) {
-					t.Errorf("resumed stream diverged: hash %s != %s (lengths %d vs %d)",
-						Hash(got), Hash(want), len(got), len(want))
-				}
-				if !bytes.Equal(refFinal, final) {
-					t.Errorf("final world state diverged: hash %s != %s (lengths %d vs %d)",
-						Hash(final), Hash(refFinal), len(final), len(refFinal))
-				}
-			})
-		}
+	for replica := 1; replica <= 3; replica++ {
+		t.Run(fmt.Sprintf("replica=%d", replica), func(t *testing.T) {
+			t.Parallel()
+			got, final := captureResumed(t, cfg, snap)
+			if !bytes.Equal(want, got) {
+				t.Errorf("resumed stream diverged: hash %s != %s (lengths %d vs %d)",
+					Hash(got), Hash(want), len(got), len(want))
+			}
+			if !bytes.Equal(refFinal, final) {
+				t.Errorf("final world state diverged: hash %s != %s (lengths %d vs %d)",
+					Hash(final), Hash(refFinal), len(final), len(refFinal))
+			}
+		})
 	}
 }
 
 // TestResumeEquivalenceFaulted repeats the invariant with the mixed
 // fault scenario live: retry queues, breaker positions, and fault
-// windows must all survive the checkpoint.
+// windows must all survive the checkpoint. The snapshot is restored into
+// two replica worlds in parallel; their subtest names are the worker
+// counts they ran with when planning had a worker pool, kept so the test
+// IDs stay stable.
 func TestResumeEquivalenceFaulted(t *testing.T) {
 	t.Parallel()
-	cfg := faultedConfig(3, 0)
+	cfg := faultedConfig(3)
 	cfg.Days = 8
 	snaps := map[int]*bytes.Buffer{3: {}}
 	baseline := captureWithSnapshots(t, cfg, snaps)
 	snap := snaps[3].Bytes()
 	want := suffixAfter(t, baseline, snapshotInstant(t, snap))
-	for _, workers := range []int{0, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, replica := range []string{"workers=0", "workers=4"} {
+		t.Run(replica, func(t *testing.T) {
 			t.Parallel()
-			rcfg := cfg
-			rcfg.Workers = workers
-			got, _ := captureResumed(t, rcfg, snap)
-			if !bytes.Equal(want, got) {
+			if got, _ := captureResumed(t, cfg, snap); !bytes.Equal(want, got) {
 				t.Errorf("faulted resume diverged: hash %s != %s (lengths %d vs %d)",
 					Hash(got), Hash(want), len(got), len(want))
 			}
@@ -235,7 +232,7 @@ func TestResumeEquivalenceFaulted(t *testing.T) {
 // silently produce a diverging world.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	t.Parallel()
-	cfg := resumeConfig(4, 0)
+	cfg := resumeConfig(4)
 	snaps := map[int]*bytes.Buffer{1: {}}
 	captureWithSnapshots(t, cfg, snaps)
 	snap := snaps[1].Bytes()
@@ -254,11 +251,16 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Errorf("wrong config: want MismatchError{Field: config fingerprint}, got %v", err)
 	}
 
-	// Performance knobs are excluded from the fingerprint on purpose.
-	perfCfg := cfg
-	perfCfg.Workers = 8
-	if _, err := core.RestoreWorld(perfCfg, bytes.NewReader(snap)); err != nil {
-		t.Errorf("worker change must not invalidate a snapshot, got %v", err)
+	// Observability knobs are excluded from the fingerprint on purpose.
+	obsCfg := cfg
+	obsCfg.Telemetry = telemetry.NewRegistry()
+	tr, err := trace.New(io.Discard, cfg.Seed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsCfg.Trace = tr
+	if _, err := core.RestoreWorld(obsCfg, bytes.NewReader(snap)); err != nil {
+		t.Errorf("telemetry and tracing must not invalidate a snapshot, got %v", err)
 	}
 
 	// A truncated checkpoint must surface a TruncatedError with the
@@ -277,7 +279,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 // and demands a typed *persistence.StateError, never a panic.
 func TestRestoreRejectsCorruptIDs(t *testing.T) {
 	t.Parallel()
-	cfg := resumeConfig(4, 0)
+	cfg := resumeConfig(4)
 	cfg.GraphWrites = true
 	snaps := map[int]*bytes.Buffer{1: {}}
 	captureWithSnapshots(t, cfg, snaps)

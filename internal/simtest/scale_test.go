@@ -17,7 +17,6 @@ func scaleConfig(accounts, days int) core.Config {
 	cfg := core.TestConfig()
 	cfg.Days = days
 	cfg.OrganicPopulation = accounts
-	cfg.Workers = 4
 	return cfg
 }
 

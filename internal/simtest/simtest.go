@@ -1,15 +1,15 @@
 // Package simtest is the simulator's determinism harness: it runs whole
 // worlds to completion, captures their full event streams in the FSEV1
-// binary encoding, and lets tests assert the core contract of parallel
-// stepping — that the post-merge event stream is byte-identical to the
-// sequential run for the same seed, for any worker count.
+// binary encoding, and lets tests assert the core determinism contract —
+// that the event stream is a pure function of the config and seed, and
+// that observers, scratch reuse and checkpoints never move it.
 //
 // The comparison is deliberately over encoded bytes, not summary
 // statistics: two streams that differ anywhere (an extra event, a
 // reordered pair, a different timestamp or source IP) cannot hash equal,
-// so any scheduling nondeterminism introduced into the intent/apply
-// pipeline fails loudly here. Run under -race, these tests double as the
-// data-race gauntlet for the parallel planning phase.
+// so any nondeterminism introduced into the plan/apply pipeline fails
+// loudly here. Run under -race, these tests also arm the single-writer
+// phase guard (step.Phase) on every world they build.
 package simtest
 
 import (

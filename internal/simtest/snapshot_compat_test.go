@@ -10,7 +10,7 @@ import (
 
 // TestRestoreLegacyV1Snapshot locks in cross-version checkpoint
 // compatibility: testdata holds a real FSNAP1 checkpoint (written at
-// day 3 of resumeConfig(1, 0) by the pre-FSNAP2 encoder), and a world
+// day 3 of resumeConfig(1) by the pre-FSNAP2 encoder), and a world
 // restored from it must replay the exact remaining event bytes of a
 // straight-through run — the same resume-equivalence contract the
 // current-format snapshots are held to.
@@ -31,7 +31,7 @@ func TestRestoreLegacyV1Snapshot(t *testing.T) {
 		t.Fatalf("testdata checkpoint is at day %d, want 3", h.Day)
 	}
 
-	cfg := resumeConfig(1, 0)
+	cfg := resumeConfig(1)
 	full := captureWithSnapshots(t, cfg, nil)
 	resumed, _ := captureResumed(t, cfg, snap)
 	want := suffixAfter(t, full, h.Now)

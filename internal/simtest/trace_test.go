@@ -33,26 +33,23 @@ func tracedCapture(t *testing.T, cfg core.Config, sampleN uint64) ([]byte, []byt
 // TestTraceInertness is the tentpole invariant for span tracing: a world
 // recording a full FTRC1 trace — every request span, every tick section,
 // every instant — produces the byte-identical FSEV1 event stream of an
-// untraced world, at every worker count. The tracer
-// hooks sit directly on the platform's request path and the step pool's
-// section barrier, so any feedback (an RNG draw, a reordered apply, an
-// extra allocation observed through timing-sensitive code) diverges the
-// bytes and fails here.
+// untraced world. The tracer hooks sit directly on the platform's request
+// path and the step engine's section barrier, so any feedback (an RNG
+// draw, a reordered apply, an extra allocation observed through
+// timing-sensitive code) diverges the bytes and fails here.
 func TestTraceInertness(t *testing.T) {
 	t.Parallel()
-	want := Capture(smallConfig(1, 0))
+	want := Capture(smallConfig(1))
 	if n := countEvents(t, want); n < 1000 {
 		t.Fatalf("baseline run produced only %d events; comparison would be vacuous", n)
 	}
-	for _, workers := range []int{1, 4, 8} {
-		got, traced := tracedCapture(t, smallConfig(1, workers), 1)
-		if !bytes.Equal(want, got) {
-			t.Errorf("workers=%d: tracing changed the stream: %s != %s (lengths %d vs %d)",
-				workers, Hash(got), Hash(want), len(got), len(want))
-		}
-		if len(traced) == 0 {
-			t.Errorf("workers=%d: tracer wrote nothing; inertness comparison is vacuous", workers)
-		}
+	got, traced := tracedCapture(t, smallConfig(1), 1)
+	if !bytes.Equal(want, got) {
+		t.Errorf("tracing changed the stream: %s != %s (lengths %d vs %d)",
+			Hash(got), Hash(want), len(got), len(want))
+	}
+	if len(traced) == 0 {
+		t.Error("tracer wrote nothing; inertness comparison is vacuous")
 	}
 }
 
@@ -63,9 +60,9 @@ func TestTraceInertness(t *testing.T) {
 // like a full trace does.
 func TestTraceInertnessSampled(t *testing.T) {
 	t.Parallel()
-	want := Capture(smallConfig(9, 0))
+	want := Capture(smallConfig(9))
 	for _, sampleN := range []uint64{16, 1024} {
-		got, traced := tracedCapture(t, smallConfig(9, 4), sampleN)
+		got, traced := tracedCapture(t, smallConfig(9), sampleN)
 		if !bytes.Equal(want, got) {
 			t.Errorf("sample=1/%d: tracing changed the stream: %s != %s (lengths %d vs %d)",
 				sampleN, Hash(got), Hash(want), len(got), len(want))
@@ -82,17 +79,14 @@ func TestTraceInertnessSampled(t *testing.T) {
 // faulted timeline.
 func TestTraceInertnessFaulted(t *testing.T) {
 	t.Parallel()
-	want := Capture(faultedConfig(1, 0))
-	for _, workers := range []int{1, 8} {
-		got, traced := tracedCapture(t, faultedConfig(1, workers), 1)
-		if !bytes.Equal(want, got) {
-			t.Errorf("workers=%d: tracing changed the faulted stream: %s != %s (lengths %d vs %d)",
-				workers, Hash(got), Hash(want), len(got), len(want))
-		}
-		ids := traceIdentities(t, traced)
-		if len(ids) == 0 {
-			t.Errorf("workers=%d: faulted trace empty", workers)
-		}
+	want := Capture(faultedConfig(1))
+	got, traced := tracedCapture(t, faultedConfig(1), 1)
+	if !bytes.Equal(want, got) {
+		t.Errorf("tracing changed the faulted stream: %s != %s (lengths %d vs %d)",
+			Hash(got), Hash(want), len(got), len(want))
+	}
+	if len(traceIdentities(t, traced)) == 0 {
+		t.Error("faulted trace empty")
 	}
 }
 
@@ -126,25 +120,25 @@ func traceIdentities(t *testing.T, data []byte) []string {
 	return out
 }
 
-// TestTraceIdentityStable pins span identity across worker counts: the
+// TestTraceIdentityStable pins span identity from run to run: the
 // ordered sequence of identity tuples — tick, shard, seq, parent, kind,
-// verdicts, payload — must be identical whether the world planned on one
-// goroutine or eight. Only the wall-clock timing fields may differ.
+// verdicts, payload — must be identical across two fresh runs of the
+// same config. Only the wall-clock timing fields may differ.
 func TestTraceIdentityStable(t *testing.T) {
 	t.Parallel()
-	_, seq := tracedCapture(t, smallConfig(7, 1), 1)
-	want := traceIdentities(t, seq)
+	_, first := tracedCapture(t, smallConfig(7), 1)
+	want := traceIdentities(t, first)
 	if len(want) < 1000 {
-		t.Fatalf("sequential trace has only %d spans; comparison would be vacuous", len(want))
+		t.Fatalf("trace has only %d spans; comparison would be vacuous", len(want))
 	}
-	_, par := tracedCapture(t, smallConfig(7, 8), 1)
-	got := traceIdentities(t, par)
+	_, second := tracedCapture(t, smallConfig(7), 1)
+	got := traceIdentities(t, second)
 	if len(got) != len(want) {
-		t.Fatalf("span count diverged across worker counts: %d vs %d", len(got), len(want))
+		t.Fatalf("span count diverged across runs: %d vs %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("span %d identity diverged across worker counts:\n  workers=1: %s\n  workers=8: %s", i, want[i], got[i])
+			t.Fatalf("span %d identity diverged across runs:\n  first:  %s\n  second: %s", i, want[i], got[i])
 		}
 	}
 }
@@ -156,13 +150,13 @@ func TestTraceIdentityStable(t *testing.T) {
 // and machines.
 func TestTraceSampleSubset(t *testing.T) {
 	t.Parallel()
-	_, full := tracedCapture(t, smallConfig(13, 4), 1)
+	_, full := tracedCapture(t, smallConfig(13), 1)
 	fullIDs := traceIdentities(t, full)
 	seen := make(map[string]int, len(fullIDs))
 	for _, k := range fullIDs {
 		seen[k]++
 	}
-	_, sampled := tracedCapture(t, smallConfig(13, 4), 64)
+	_, sampled := tracedCapture(t, smallConfig(13), 64)
 	sampledIDs := traceIdentities(t, sampled)
 	if len(sampledIDs) == 0 {
 		t.Fatal("1/64 trace is empty; subset check is vacuous")

@@ -11,9 +11,9 @@
 // Records are struct-of-arrays tables addressed by ID, with
 // sorted-[]uint32 adjacency (see table.go), sized for million-account
 // worlds. The graph is single-writer and holds no locks: reads may run
-// from many goroutines at once (the parallel plan phase), but every
-// mutation runs on the world's one goroutine, outside any plan phase —
-// the ownership rule step.Phase enforces in race-detector builds.
+// in a step section's plan phase, but every mutation runs outside any
+// plan phase — the ownership rule step.Phase enforces in race-detector
+// builds.
 package socialgraph
 
 import (

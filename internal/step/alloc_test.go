@@ -1,57 +1,44 @@
 package step
 
-import "testing"
+import (
+	"testing"
 
-// Steady-state allocation budgets for the tick hot path, enforced by the
-// TestAllocBudget tests below. Budgets count allocations per RunInto
-// call (one simulated tick section) with warm reusable Buffers. Raise a
-// budget only with a profile showing why — see docs/PERFORMANCE.md.
-const (
-	// Warm Buffers cache both the intent slices and the per-shard emit
-	// closures; the only remaining per-call allocation is the runShard
-	// dispatch closure.
-	allocBudgetRunInto    = 1
-	allocBudgetChunksInto = 0
+	"footsteps/internal/telemetry"
 )
 
+// Steady-state allocation budget for the tick hot path, enforced by
+// TestAllocBudgetRunInto below. The budget counts allocations per RunInto
+// call (one simulated tick section) with a warm reusable Buffer. Raise it
+// only with a profile showing why — see docs/PERFORMANCE.md.
+//
+// A warm Buffer caches both the intent slice and the emit closure, so a
+// section allocates nothing.
+const allocBudgetRunInto = 0
+
 // TestAllocBudgetRunInto pins the per-tick allocation count of the
-// inline intent/apply cycle when the caller supplies warm Buffers.
+// plan/apply cycle when the caller supplies a warm Buffer, on an engine
+// with a phase word and live counters.
 func TestAllocBudgetRunInto(t *testing.T) {
-	const shards = 8
-	var b Buffers[int]
+	const actors = 8
+	e := NewEngine(new(Phase), telemetry.NewRegistry(), nil)
+	var b Buffer[int]
 	sum := 0
-	gen := func(shard int, emit func(int)) {
-		for i := 0; i < 16; i++ {
-			emit(shard*16 + i)
+	plan := func(i int, emit func(int)) {
+		for k := 0; k < 16; k++ {
+			emit(i*16 + k)
 		}
 	}
 	apply := func(v int) { sum += v }
-	// Warm the shard buffers to their steady capacity.
-	RunInto[int](nil, &b, shards, gen, apply)
+	// Warm the buffer to its steady capacity.
+	RunInto(e, &b, actors, plan, apply)
 	got := testing.AllocsPerRun(100, func() {
-		RunInto[int](nil, &b, shards, gen, apply)
+		RunInto(e, &b, actors, plan, apply)
 	})
 	if got > allocBudgetRunInto {
-		t.Errorf("step.RunInto allocates %.1f per tick over %d warm shards, budget %d — pooled intent buffers or cached emit closures regressed",
-			got, shards, allocBudgetRunInto)
+		t.Errorf("step.RunInto allocates %.1f per tick over %d actors with a warm buffer, budget %d — the reused intent slice or cached emit closure regressed",
+			got, actors, allocBudgetRunInto)
 	}
 	if sum == 0 {
 		t.Fatal("apply never ran; measurement is vacuous")
-	}
-}
-
-// TestAllocBudgetChunksInto pins the shard-bounds recomputation: with a
-// warm destination it must not allocate.
-func TestAllocBudgetChunksInto(t *testing.T) {
-	bounds := ChunksInto(nil, 1000, 16)
-	if len(bounds) == 0 {
-		t.Fatal("no bounds produced; measurement is vacuous")
-	}
-	got := testing.AllocsPerRun(100, func() {
-		bounds = ChunksInto(bounds[:0], 1000, 16)
-	})
-	if got > allocBudgetChunksInto {
-		t.Errorf("step.ChunksInto allocates %.1f/op into a warm buffer, budget %d",
-			got, allocBudgetChunksInto)
 	}
 }

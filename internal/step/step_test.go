@@ -1,41 +1,146 @@
 package step
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
-	"sync/atomic"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"footsteps/internal/rng"
 	"footsteps/internal/telemetry"
+	"footsteps/internal/trace"
 )
 
-// collect runs one intent/apply cycle where each shard emits a
-// deterministic pseudo-random number of items drawn from a forked stream,
-// and returns the applied sequence.
-func collect(workers, shards int, seed uint64) []string {
+// TestRunInto pins the section contract: plan sees the pre-apply state,
+// apply runs in emission order, the engine counts sections and intents,
+// and every traced section has exactly one plan child carrying the
+// intents planned.
+func TestRunInto(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name      string
+		actors    int
+		sections  int
+		emits     func(i int) int // intents actor i emits
+		reuse     bool
+		nilEngine bool
+	}{
+		{name: "nil engine", actors: 5, sections: 2, emits: func(int) int { return 1 }, nilEngine: true},
+		{name: "one actor", actors: 1, sections: 1, emits: func(int) int { return 3 }},
+		{name: "uneven, fresh buffer", actors: 40, sections: 3, emits: func(i int) int { return i * 7 % 5 }},
+		{name: "uneven, reused buffer", actors: 40, sections: 3, emits: func(i int) int { return i * 7 % 5 }, reuse: true},
+		{name: "no intents", actors: 6, sections: 2, emits: func(int) int { return 0 }, reuse: true},
+		{name: "no actors", actors: 0, sections: 2, emits: func(int) int { return 1 }, reuse: true},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			reg := telemetry.NewRegistry()
+			var spans bytes.Buffer
+			tr, err := trace.New(&spans, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e *Engine
+			if !tc.nilEngine {
+				e = NewEngine(new(Phase), reg, tr)
+			}
+			var buf *Buffer[[2]int]
+			if tc.reuse {
+				buf = new(Buffer[[2]int])
+			}
+
+			state := 0 // shared state: only apply writes it
+			var perSection []int
+			for s := 0; s < tc.sections; s++ {
+				before := state
+				var emitted, applied [][2]int
+				RunInto(e, buf, tc.actors, func(i int, emit func([2]int)) {
+					if state != before {
+						t.Fatalf("section %d: actor %d planned against state %d, want pre-apply %d", s, i, state, before)
+					}
+					for k := 0; k < tc.emits(i); k++ {
+						v := [2]int{i, k}
+						emitted = append(emitted, v)
+						emit(v)
+					}
+				}, func(v [2]int) {
+					state++
+					applied = append(applied, v)
+				})
+				if len(applied) != len(emitted) {
+					t.Fatalf("section %d: applied %d intents, emitted %d", s, len(applied), len(emitted))
+				}
+				for k := range emitted {
+					if applied[k] != emitted[k] {
+						t.Fatalf("section %d: apply %d got %v, emitted %v", s, k, applied[k], emitted[k])
+					}
+				}
+				if tc.actors > 0 {
+					perSection = append(perSection, len(emitted))
+				}
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if tc.nilEngine {
+				if n := len(reg.Snapshot().Counters); n != 0 || tr.Spans() != 0 {
+					t.Fatalf("nil engine recorded %d counters, %d spans", n, tr.Spans())
+				}
+				return
+			}
+			total := 0
+			for _, n := range perSection {
+				total += n
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counters["step.sections"]; got != int64(len(perSection)) {
+				t.Errorf("step.sections = %d, want %d", got, len(perSection))
+			}
+			if got := snap.Counters["step.intents"]; got != int64(total) {
+				t.Errorf("step.intents = %d, want %d", got, total)
+			}
+			checkSectionSpans(t, spans.Bytes(), perSection)
+		})
+	}
+}
+
+// collect runs one section where each actor emits a deterministic
+// pseudo-random number of items drawn from its own forked stream, and
+// returns the applied sequence.
+func collect(e *Engine, b *Buffer[string], actors int, seed uint64) []string {
 	root := rng.New(seed)
-	pool := NewPool(workers)
 	var out []string
-	Run(pool, shards, func(shard int, emit func(string)) {
-		r := root.Fork(uint64(shard))
+	RunInto(e, b, actors, func(i int, emit func(string)) {
+		r := root.Fork(uint64(i))
 		n := r.Intn(7)
 		for k := 0; k < n; k++ {
-			emit(fmt.Sprintf("s%d.%d:%d", shard, k, r.Uint64()))
+			emit(fmt.Sprintf("a%d.%d:%d", i, k, r.Uint64()))
 		}
 	}, func(v string) { out = append(out, v) })
 	return out
 }
 
-// TestRunMergeOrderIndependentOfWorkers is the pool's core contract: any
-// worker count produces the identical apply sequence.
-func TestRunMergeOrderIndependentOfWorkers(t *testing.T) {
+// TestRunMergeOrderIndependentOfEngine: the apply sequence is the same
+// whether the section runs on a nil engine, on one with counters and a
+// span tracer, or with a reused buffer — observers and scratch reuse
+// never reorder intents.
+func TestRunMergeOrderIndependentOfEngine(t *testing.T) {
 	t.Parallel()
-	check := func(seed uint64, shards uint8, workers uint8) bool {
-		n := int(shards%33) + 1
-		w := int(workers%16) + 2
-		want := collect(1, n, seed)
-		got := collect(w, n, seed)
+	check := func(seed uint64, actors uint8) bool {
+		n := int(actors%33) + 1
+		want := collect(nil, nil, n, seed)
+		tr, err := trace.New(io.Discard, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := new(Buffer[string])
+		collect(nil, buf, n, seed+1) // leave stale intents in the buffer
+		got := collect(NewEngine(new(Phase), telemetry.NewRegistry(), tr), buf, n, seed)
 		if len(want) != len(got) {
 			return false
 		}
@@ -51,128 +156,112 @@ func TestRunMergeOrderIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestRunBarrierBeforeApply: no apply may run before every shard has
-// generated (generation must observe the pre-tick snapshot).
+// TestRunBarrierBeforeApply: no apply may run before every actor has
+// planned (planning must observe the pre-section state).
 func TestRunBarrierBeforeApply(t *testing.T) {
 	t.Parallel()
-	var generated atomic.Int32
-	const shards = 50
-	Run(NewPool(8), shards, func(shard int, emit func(int)) {
-		generated.Add(1)
-		emit(shard)
+	planned := 0
+	const actors = 50
+	RunInto(NewEngine(new(Phase), nil, nil), nil, actors, func(i int, emit func(int)) {
+		planned++
+		emit(i)
 	}, func(int) {
-		if g := generated.Load(); g != shards {
-			t.Errorf("apply ran with only %d/%d shards generated", g, shards)
+		if planned != actors {
+			t.Errorf("apply ran with only %d/%d actors planned", planned, actors)
 		}
 	})
 }
 
-// TestRunAppliesSerially: apply must never run concurrently with itself.
+// TestRunAppliesSerially: apply never re-enters itself, and runs exactly
+// once per emitted intent.
 func TestRunAppliesSerially(t *testing.T) {
 	t.Parallel()
-	var inApply atomic.Int32
+	inApply := 0
 	applied := 0
-	Run(NewPool(6), 40, func(shard int, emit func(int)) {
+	RunInto(NewEngine(new(Phase), nil, nil), nil, 40, func(i int, emit func(int)) {
 		for k := 0; k < 5; k++ {
-			emit(shard*10 + k)
+			emit(i*10 + k)
 		}
 	}, func(int) {
-		if inApply.Add(1) != 1 {
-			t.Error("concurrent apply")
+		inApply++
+		if inApply != 1 {
+			t.Error("apply re-entered")
 		}
 		applied++
-		inApply.Add(-1)
+		inApply--
 	})
 	if applied != 40*5 {
 		t.Fatalf("applied %d intents, want %d", applied, 40*5)
 	}
 }
 
-// TestRunGenConcurrencyBounded: at most Workers() gens in flight.
-func TestRunGenConcurrencyBounded(t *testing.T) {
-	t.Parallel()
-	const workers = 3
-	var inGen, peak atomic.Int32
-	Run(NewPool(workers), 64, func(shard int, emit func(struct{})) {
-		n := inGen.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		inGen.Add(-1)
-	}, func(struct{}) {})
-	if p := peak.Load(); p > workers {
-		t.Fatalf("observed %d concurrent gens, bound %d", p, workers)
-	}
-}
-
-// TestNilPoolRunsInline: a nil *Pool is a valid sequential pool.
-func TestNilPoolRunsInline(t *testing.T) {
-	t.Parallel()
-	var p *Pool
-	if p.Workers() != 1 {
-		t.Fatalf("nil pool workers = %d", p.Workers())
-	}
-	got := 0
-	Run(p, 5, func(shard int, emit func(int)) { emit(shard) }, func(v int) { got += v })
-	if got != 0+1+2+3+4 {
-		t.Fatalf("nil pool applied sum %d", got)
-	}
-}
-
-// TestChunksCoverExactly: chunk bounds tile [0, count) with no gaps or
-// overlaps regardless of parameters.
-func TestChunksCoverExactly(t *testing.T) {
-	t.Parallel()
-	check := func(count uint16, chunk uint8) bool {
-		n := int(count % 500)
-		c := int(chunk % 40)
-		bounds := Chunks(n, c)
-		next := 0
-		for _, b := range bounds {
-			if b[0] != next || b[1] <= b[0] || b[1] > n {
-				return false
-			}
-			next = b[1]
-		}
-		return next == n || (n == 0 && bounds == nil)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTracerObservesRun: a wired tracer records sections, shards, and
-// intent counts on both the inline and pooled paths, and identical
-// generation happens with or without it.
+// TestTracerObservesRun: a wired span tracer records the section with
+// one plan child carrying the intent count, the engine counts the section
+// and its intents, and apply sees what it sees without them.
 func TestTracerObservesRun(t *testing.T) {
 	t.Parallel()
-	for _, workers := range []int{1, 4} {
-		reg := telemetry.NewRegistry()
-		p := NewPool(workers)
-		p.SetTracer(telemetry.NewTickTracer(reg))
+	run := func(e *Engine) int {
 		sum := 0
-		Run(p, 6, func(shard int, emit func(int)) {
-			emit(shard)
-			emit(shard * 10)
+		RunInto(e, nil, 6, func(i int, emit func(int)) {
+			emit(i)
+			emit(i * 10)
 		}, func(v int) { sum += v })
-		if want := (0 + 1 + 2 + 3 + 4 + 5) * 11; sum != want {
-			t.Fatalf("workers=%d: applied sum %d, want %d", workers, sum, want)
+		return sum
+	}
+	reg := telemetry.NewRegistry()
+	var spans bytes.Buffer
+	tr, err := trace.New(&spans, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := run(NewEngine(new(Phase), reg, tr))
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	untraced := run(nil)
+	if want := (0 + 1 + 2 + 3 + 4 + 5) * 11; sum != want || untraced != want {
+		t.Fatalf("applied sum %d traced, %d untraced, want %d", sum, untraced, want)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["step.sections"] != 1 {
+		t.Fatalf("sections = %d", snap.Counters["step.sections"])
+	}
+	if snap.Counters["step.intents"] != 12 {
+		t.Fatalf("intents = %d", snap.Counters["step.intents"])
+	}
+	checkSectionSpans(t, spans.Bytes(), []int{12})
+}
+
+// checkSectionSpans decodes an FTRC1 stream and checks it holds one
+// section per entry of intents, each followed by exactly one plan child
+// whose Value is that section's intent count.
+func checkSectionSpans(t *testing.T, stream []byte, intents []int) {
+	t.Helper()
+	r, err := trace.NewReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []trace.Span
+	for {
+		sp, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		snap := reg.Snapshot()
-		if snap.Counters["step.sections"] != 1 {
-			t.Fatalf("workers=%d: sections = %d", workers, snap.Counters["step.sections"])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if snap.Counters["step.shards"] != 6 {
-			t.Fatalf("workers=%d: shards = %d", workers, snap.Counters["step.shards"])
+		got = append(got, *sp)
+	}
+	if len(got) != 2*len(intents) {
+		t.Fatalf("trace holds %d spans, want a section and a plan child for each of %d sections", len(got), len(intents))
+	}
+	for s, n := range intents {
+		sec, plan := got[2*s], got[2*s+1]
+		if sec.Kind != trace.KindSection || sec.Value != int64(n) {
+			t.Errorf("section %d span = %+v, want KindSection with Value %d", s, sec, n)
 		}
-		if snap.Counters["step.intents"] != 12 {
-			t.Fatalf("workers=%d: intents = %d", workers, snap.Counters["step.intents"])
-		}
-		if snap.Histograms["step.apply.ns"].Count != 1 {
-			t.Fatalf("workers=%d: apply histogram count = %d", workers, snap.Histograms["step.apply.ns"].Count)
+		if plan.Kind != trace.KindPlan || plan.Parent != sec.ID() || plan.Shard != 0 || plan.Seq != sec.Seq+1 || plan.Value != int64(n) {
+			t.Errorf("section %d plan child = %+v, want KindPlan under %d, Shard 0, Seq %d, Value %d", s, plan, sec.ID(), sec.Seq+1, n)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's instrumentation plane: a
 // lock-cheap registry of counters, gauges, and fixed-bucket histograms,
-// a tick-phase tracer for the parallel stepping engine, a per-day JSONL
-// sink, and a debug HTTP listener exposing expvar snapshots and pprof.
+// a per-day JSONL sink, and a debug HTTP listener exposing expvar
+// snapshots and pprof.
 //
 // The package is a strict leaf: it imports only the standard library, so
 // every hot layer (platform, detection, intervention, aas, step, core)
@@ -10,7 +10,7 @@
 // Telemetry is a PURE OBSERVER. Instruments never touch simulation
 // state, never draw from any RNG, and never emit platform events, so the
 // FSEV1 event stream is byte-identical with telemetry on, off, or
-// sampled live over HTTP at any worker count (see docs/OBSERVABILITY.md
+// sampled live over HTTP (see docs/OBSERVABILITY.md
 // and docs/DETERMINISM.md). Every instrument method is nil-safe — a nil
 // *Registry hands out nil instruments whose methods no-op — so wiring
 // code calls unconditionally and "telemetry off" costs one nil check.
@@ -140,10 +140,6 @@ var FineDurationBuckets = []int64{
 	100_000, 200_000, 500_000, 1_000_000, // 100µs–1ms
 	5_000_000, 30_000_000, 100_000_000, 1_000_000_000, 10_000_000_000,
 }
-
-// CountBuckets is the default bound set for per-tick item counts
-// (intents planned, events applied).
-var CountBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
 
 // Registry is a named instrument set. Lookups take a read lock only when
 // the instrument already exists; hot paths should capture instrument

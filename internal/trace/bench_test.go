@@ -21,7 +21,7 @@ func BenchmarkRequestSpan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick++
-		sp := tr.StartRequest(KindRequest, 42, 3, 1)
+		sp := tr.StartRequest(KindRequest, 42, 1)
 		sp.Stage(StagePreflight, VerdictOK)
 		sp.Stage(StageSession, VerdictOK)
 		sp.Stage(StageFaults, VerdictOK)

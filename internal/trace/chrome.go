@@ -26,7 +26,7 @@ func chromePID(k Kind) int {
 // (the "X" complete-event form), loadable in about:tracing or Perfetto.
 // Request spans expand into one slice per pipeline stage stacked under
 // the request slice; timestamps are microseconds of wall time since
-// tracer start, tracks (tid) are shard indices.
+// tracer start, tracks (tid) are the spans' Shard field.
 func ExportChrome(w io.Writer, r *Reader) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
@@ -68,7 +68,7 @@ func ExportChrome(w io.Writer, r *Reader) error {
 		case KindSection:
 			name = "tick section"
 		case KindPlan:
-			name = fmt.Sprintf("plan shard %d", sp.Shard)
+			name = "plan"
 		default:
 			name = fmt.Sprintf("%s %s", sp.Kind, VerdictName(sp.Code))
 		}

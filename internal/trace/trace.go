@@ -7,12 +7,12 @@
 // The design contract mirrors telemetry's pure-observer rule, but is
 // stricter because spans carry identity:
 //
-//   - Span identity derives from (tick, shard, sequence), where tick is
-//     the simulated instant and sequence is a per-tick counter advanced
-//     only on the serial scheduler/apply goroutine. Wall clocks and
-//     global atomic counters never reach an identity field, so the span
-//     IDs in a trace are byte-identical across worker counts — only the
-//     timing fields (Start, Wall, stage durations) vary run to run.
+//   - Span identity derives from (tick, sequence), where tick is the
+//     simulated instant and sequence is a per-tick counter advanced only
+//     on the serial scheduler/apply goroutine. Wall clocks and global
+//     atomic counters never reach an identity field, so the span IDs in
+//     a trace are byte-identical from run to run — only the timing
+//     fields (Start, Wall, stage durations) vary.
 //   - Sampling is a pure SplitMix64 hash of (seed, tick, sequence).
 //     Sequence numbers are allocated for *every* request, sampled or
 //     not, so the identity of any given span is stable at every sample
@@ -50,7 +50,7 @@ const (
 	StageApply                  // state mutation
 	StageTelemetry              // ASN resolve + metric increments
 	StageEmit                   // event-log fan-out to subscribers
-	StagePlan                   // a stepping shard's generation phase
+	StagePlan                   // a step section's plan phase
 	stageCount
 )
 
@@ -87,7 +87,7 @@ const (
 	KindRequest     Kind = iota // one platform.Do request
 	KindLogin                   // one platform.Login
 	KindSection                 // one step.RunInto section (plan + apply)
-	KindPlan                    // one shard's generation phase (child of a section)
+	KindPlan                    // a section's plan phase (its one child)
 	KindRetry                   // an AAS backoff retry being scheduled
 	KindBreaker                 // a circuit-breaker transition
 	KindEnforcement             // an intervention/enforcement decision
@@ -179,7 +179,7 @@ type StageRec struct {
 // measurements and vary run to run.
 type Span struct {
 	Tick   int64  // simulated instant, UnixNano
-	Shard  uint32 // plan shard index for plan spans (request spans carry 0)
+	Shard  uint32 // always 0; older traces carry plan shard indices here
 	Seq    uint32 // per-tick sequence number, serially allocated
 	Parent uint64 // parent span ID; 0 = root
 	Kind   Kind
@@ -199,7 +199,7 @@ type Span struct {
 
 // ID returns the span's deterministic identifier: a SplitMix64 mix of
 // (Tick, Seq). Every span emitted at one tick holds a distinct Seq, so
-// IDs are unique within a trace and identical across worker counts.
+// IDs are unique within a trace and identical from run to run.
 func (s *Span) ID() uint64 { return SpanID(s.Tick, s.Seq) }
 
 // Day returns the simulated day index of the span (days since epochNanos).
@@ -237,12 +237,10 @@ func Sampled(seed uint64, tick int64, seq uint32, sampleN uint64) bool {
 // nil *Tracer: every method no-ops, which is the tracing-off state and
 // costs one pointer check per call site.
 //
-// A Tracer is NOT safe for concurrent span emission. All span starts,
-// stage marks, ends, and instants must happen on the serial scheduler/
-// apply goroutine — which is where every platform mutation already
-// lives, so the constraint is free. The one concurrent entry point is
-// Section.ShardDone, which writes to disjoint per-shard slots and emits
-// nothing.
+// A Tracer is NOT safe for concurrent use. All span starts, stage
+// marks, ends, and instants must happen on the serial scheduler/apply
+// goroutine — which is where every platform mutation already lives, so
+// the constraint is free.
 type Tracer struct {
 	w         *Writer
 	seed      uint64
@@ -375,7 +373,7 @@ type Active struct {
 // allocated whether or not the span is sampled — and returns nil when
 // the sampler passes on it. The returned Active is tracer-owned scratch,
 // valid until End.
-func (t *Tracer) StartRequest(kind Kind, actor uint64, shard uint32, action uint8) *Active {
+func (t *Tracer) StartRequest(kind Kind, actor uint64, action uint8) *Active {
 	if t == nil {
 		return nil
 	}
@@ -388,7 +386,7 @@ func (t *Tracer) StartRequest(kind Kind, actor uint64, shard uint32, action uint
 	a := &t.active
 	a.t = t
 	a.span = Span{
-		Tick: tick, Shard: shard, Seq: seq,
+		Tick: tick, Seq: seq,
 		Kind: kind, Action: action, Actor: actor,
 		Stages: a.span.Stages[:0],
 	}
@@ -446,31 +444,24 @@ func (t *Tracer) Instant(kind Kind, actor uint64, action uint8, code uint8, pare
 	t.write(sp)
 }
 
-// Section is one in-flight step.RunInto section span: the per-shard
-// plan phase plus the serial apply phase. ShardDone may be called
-// concurrently (disjoint slots); StartSection and End must stay on the
-// serial goroutine. A nil *Section no-ops.
+// Section is one in-flight step.RunInto section span: the plan phase
+// plus the apply phase. StartSection and End run on the serial
+// goroutine. A nil *Section no-ops.
 type Section struct {
-	t        *Tracer
-	span     Span
-	childSeq uint32 // first child seq; shard i's plan span is childSeq+i
-	planDur  []int64
-	planN    []int32
-	start    time.Time
+	t    *Tracer
+	span Span
 }
 
-// StartSection opens a section span over n plan shards. One sequence
-// number is allocated for the section and n more are reserved for its
-// per-shard plan children — unconditionally, so identities stay stable
-// across sample rates. Returns nil when the section goes unsampled;
-// the section and its children sample as a unit.
-func (t *Tracer) StartSection(n int) *Section {
-	if t == nil || n <= 0 {
+// StartSection opens a section span. Two sequence numbers are allocated,
+// the section's and its plan child's — unconditionally, so identities
+// stay stable across sample rates. Returns nil when the section goes
+// unsampled; the section and its child sample as a unit.
+func (t *Tracer) StartSection() *Section {
+	if t == nil {
 		return nil
 	}
 	tick, seq := t.nextSeq()
-	childSeq := t.seq
-	t.seq += uint32(n)
+	t.seq++ // the plan child's
 	if !Sampled(t.seed, tick, seq, t.sampleN) {
 		return nil
 	}
@@ -478,59 +469,33 @@ func (t *Tracer) StartSection(n int) *Section {
 	s.t = t
 	s.span = Span{
 		Tick: tick, Seq: seq, Kind: KindSection,
-		Value:  int64(n),
+		Start:  int64(time.Since(t.wallStart)),
 		Stages: s.span.Stages[:0],
 	}
-	s.childSeq = childSeq
-	if cap(s.planDur) < n {
-		s.planDur = make([]int64, n)
-		s.planN = make([]int32, n)
-	}
-	s.planDur = s.planDur[:n]
-	s.planN = s.planN[:n]
-	for i := range s.planDur {
-		s.planDur[i], s.planN[i] = 0, 0
-	}
-	s.start = time.Now()
-	s.span.Start = int64(s.start.Sub(t.wallStart))
 	return s
 }
 
-// ShardDone records one shard's plan phase. Safe to call concurrently
-// from pool workers: each shard writes only its own slot.
-func (s *Section) ShardDone(shard int, d time.Duration, intents int) {
-	if s == nil {
-		return
-	}
-	s.planDur[shard] = int64(d)
-	s.planN[shard] = int32(intents)
-}
-
-// End closes the section with the serial apply phase's duration and
-// intent count, emits the section span, then its per-shard plan
-// children in shard order — all on the serial goroutine, after the
-// worker barrier, so emission order is deterministic.
-func (s *Section) End(applyDur time.Duration, applied int) {
+// End closes the section with its plan and apply durations and the
+// intents it planned (and applied), then emits the section span and its
+// one plan child.
+func (s *Section) End(planDur, applyDur time.Duration, intents int) {
 	if s == nil {
 		return
 	}
 	t := s.t
 	s.span.Wall = int64(time.Since(t.wallStart)) - s.span.Start
-	s.span.Value = int64(applied)
+	s.span.Value = int64(intents)
 	s.span.Stages = append(s.span.Stages, StageRec{Stage: StageApply, Ns: int64(applyDur)})
 	t.write(&s.span)
-	parent := s.span.ID()
-	for i := range s.planDur {
-		sp := &t.scratch
-		*sp = Span{
-			Tick: s.span.Tick, Shard: uint32(i), Seq: s.childSeq + uint32(i),
-			Parent: parent, Kind: KindPlan,
-			Value: int64(s.planN[i]),
-			Start: s.span.Start, Wall: s.planDur[i],
-			Stages: sp.Stages[:0],
-		}
-		t.write(sp)
+	sp := &t.scratch
+	*sp = Span{
+		Tick: s.span.Tick, Seq: s.span.Seq + 1,
+		Parent: s.span.ID(), Kind: KindPlan,
+		Value: int64(intents),
+		Start: s.span.Start, Wall: int64(planDur),
+		Stages: sp.Stages[:0],
 	}
+	t.write(sp)
 }
 
 // Spans reports how many spans have been written.

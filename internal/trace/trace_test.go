@@ -34,19 +34,18 @@ func TestNilTracerNoops(t *testing.T) {
 	var tr *Tracer
 	tr.BindClock(func() int64 { return 0 })
 	tr.WireTelemetry(nil)
-	if a := tr.StartRequest(KindRequest, 1, 0, 0); a != nil {
+	if a := tr.StartRequest(KindRequest, 1, 0); a != nil {
 		t.Fatal("nil tracer returned a live span")
 	}
 	var a *Active
 	a.Stage(StageApply, VerdictOK)
 	a.End(0, 0, 0, 0)
 	tr.Instant(KindRetry, 1, 0, 0, 0, 0)
-	if s := tr.StartSection(4); s != nil {
+	if s := tr.StartSection(); s != nil {
 		t.Fatal("nil tracer returned a live section")
 	}
 	var sec *Section
-	sec.ShardDone(0, time.Millisecond, 3)
-	sec.End(time.Millisecond, 3)
+	sec.End(time.Millisecond, time.Millisecond, 3)
 	if tr.CurrentRequest() != 0 || tr.LastRequest() != 0 || tr.Spans() != 0 || tr.SampleN() != 0 {
 		t.Fatal("nil tracer reported state")
 	}
@@ -76,7 +75,7 @@ func TestRequestSpanRoundTrip(t *testing.T) {
 	tick := int64(1000)
 	tr.BindClock(func() int64 { return tick })
 
-	a := tr.StartRequest(KindRequest, 7, 3, 1)
+	a := tr.StartRequest(KindRequest, 7, 1)
 	if a == nil {
 		t.Fatal("1/1 sampler dropped a span")
 	}
@@ -104,7 +103,7 @@ func TestRequestSpanRoundTrip(t *testing.T) {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
 	req := spans[0]
-	if req.Tick != 1000 || req.Shard != 3 || req.Seq != 0 || req.Kind != KindRequest {
+	if req.Tick != 1000 || req.Shard != 0 || req.Seq != 0 || req.Kind != KindRequest {
 		t.Fatalf("request identity wrong: %+v", req)
 	}
 	if req.Actor != 7 || req.Target != 9 || req.ASN != 64500 || req.Code != 2 || req.Action != 1 {
@@ -138,7 +137,7 @@ func TestSamplingIdentityStable(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			tick = int64(i) * 1e9
 			for j := 0; j < 8; j++ {
-				a := tr.StartRequest(KindRequest, uint64(j), 0, 0)
+				a := tr.StartRequest(KindRequest, uint64(j), 0)
 				a.Stage(StageApply, VerdictOK)
 				a.End(0, 0, 0, 0)
 			}
@@ -183,21 +182,18 @@ func TestSectionSpans(t *testing.T) {
 	}
 	tr.BindClock(func() int64 { return 5e9 })
 
-	sec := tr.StartSection(3)
+	sec := tr.StartSection()
 	if sec == nil {
 		t.Fatal("1/1 sampler dropped the section")
 	}
-	sec.ShardDone(2, 30*time.Microsecond, 12)
-	sec.ShardDone(0, 10*time.Microsecond, 4)
-	sec.ShardDone(1, 20*time.Microsecond, 8)
-	sec.End(100*time.Microsecond, 24)
+	sec.End(30*time.Microsecond, 100*time.Microsecond, 24)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	spans := collect(t, buf.Bytes())
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want section + 3 plans", len(spans))
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want section + plan", len(spans))
 	}
 	section := spans[0]
 	if section.Kind != KindSection || section.Seq != 0 || section.Value != 24 {
@@ -206,14 +202,12 @@ func TestSectionSpans(t *testing.T) {
 	if len(section.Stages) != 1 || section.Stages[0].Stage != StageApply || section.Stages[0].Ns != int64(100*time.Microsecond) {
 		t.Fatalf("section apply stage wrong: %+v", section.Stages)
 	}
-	for i, sp := range spans[1:] {
-		if sp.Kind != KindPlan || sp.Shard != uint32(i) || sp.Seq != uint32(1+i) || sp.Parent != section.ID() {
-			t.Fatalf("plan child %d wrong: %+v", i, sp)
-		}
-		wantDur := int64((10 + 10*i)) * int64(time.Microsecond)
-		if sp.Wall != wantDur || sp.Value != int64(4*(1+i)) {
-			t.Fatalf("plan child %d payload wrong: %+v", i, sp)
-		}
+	plan := spans[1]
+	if plan.Kind != KindPlan || plan.Shard != 0 || plan.Seq != 1 || plan.Parent != section.ID() {
+		t.Fatalf("plan child wrong: %+v", plan)
+	}
+	if plan.Wall != int64(30*time.Microsecond) || plan.Value != 24 || plan.Start != section.Start {
+		t.Fatalf("plan child payload wrong: %+v", plan)
 	}
 }
 
@@ -228,8 +222,8 @@ func TestSectionSeqReservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.BindClock(func() int64 { return 7e9 })
-	if sec := tr.StartSection(5); sec != nil {
-		sec.End(0, 0)
+	if sec := tr.StartSection(); sec != nil {
+		sec.End(0, 0, 0)
 	}
 	// Parented instants always emit; its Seq proves the reservation.
 	tr.Instant(KindRetry, 1, 0, 0, 12345, 0)
@@ -240,9 +234,9 @@ func TestSectionSeqReservation(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
-	// Section took seq 0, its 5 children took 1..5, so the instant is 6.
-	if spans[0].Seq != 6 {
-		t.Fatalf("instant seq = %d, want 6 (section must reserve child seqs)", spans[0].Seq)
+	// Section took seq 0, its plan child 1, so the instant is 2.
+	if spans[0].Seq != 2 {
+		t.Fatalf("instant seq = %d, want 2 (section must reserve its child's seq)", spans[0].Seq)
 	}
 }
 
@@ -255,7 +249,7 @@ func TestTracerStickyWriteError(t *testing.T) {
 	// Overflow the 64 KiB buffer twice so the failing sink is hit after
 	// its one allowed write.
 	for i := 0; i < 20000 && tr.Err() == nil; i++ {
-		a := tr.StartRequest(KindRequest, 1, 0, 0)
+		a := tr.StartRequest(KindRequest, 1, 0)
 		a.Stage(StageApply, VerdictOK)
 		a.End(0, 0, 0, 0)
 	}
@@ -287,11 +281,11 @@ func TestStatsAggregation(t *testing.T) {
 	tick := int64(epochNanos)
 	tr.BindClock(func() int64 { return tick })
 
-	a := tr.StartRequest(KindRequest, 10, 0, 1) // follow
+	a := tr.StartRequest(KindRequest, 10, 1) // follow
 	a.Stage(StagePreflight, VerdictOK)
 	a.Stage(StageRateLimit, VerdictDenied)
-	a.End(2, 20, 0, 100)                        // ratelimited
-	b := tr.StartRequest(KindRequest, 11, 0, 0) // like
+	a.End(2, 20, 0, 100)                     // ratelimited
+	b := tr.StartRequest(KindRequest, 11, 0) // like
 	b.Stage(StageApply, VerdictOK)
 	b.End(0, 21, 0, 100) // allowed
 	tr.Instant(KindBreaker, 11, 0, BreakerOpened, 0, 0)
@@ -351,21 +345,36 @@ func TestExportChrome(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.BindClock(func() int64 { return 0 })
-	a := tr.StartRequest(KindRequest, 1, 2, 0)
+	a := tr.StartRequest(KindRequest, 1, 0)
 	a.Stage(StageApply, VerdictOK)
 	a.End(0, 3, 0, 0)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	// Traces written while plan phases ran on several shards carry the
+	// shard index in Shard; the export keeps it as the track.
+	var old bytes.Buffer
+	w, err := NewWriter(&old, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := ExportChrome(&out, r); err != nil {
+	if err := w.WriteSpan(&Span{Kind: KindPlan, Shard: 2, Seq: 3, Parent: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"traceEvents":[`, `"ph":"X"`, `"tid":2`, `request like`, `"apply"`} {
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, stream := range [][]byte{buf.Bytes(), old.Bytes()} {
+		r, err := NewReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ExportChrome(&out, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{`"traceEvents":[`, `"ph":"X"`, `"tid":0`, `"tid":2`, `request like`, `"apply"`, `"plan"`} {
 		if !bytes.Contains(out.Bytes(), []byte(want)) {
 			t.Fatalf("chrome export missing %q:\n%s", want, out.String())
 		}
