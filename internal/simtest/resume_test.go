@@ -204,9 +204,7 @@ func TestResumeAcrossReplicas(t *testing.T) {
 // TestResumeEquivalenceFaulted repeats the invariant with the mixed
 // fault scenario live: retry queues, breaker positions, and fault
 // windows must all survive the checkpoint. The snapshot is restored into
-// two replica worlds in parallel; their subtest names are the worker
-// counts they ran with when planning had a worker pool, kept so the test
-// IDs stay stable.
+// two replica worlds in parallel.
 func TestResumeEquivalenceFaulted(t *testing.T) {
 	t.Parallel()
 	cfg := faultedConfig(3)
@@ -215,8 +213,8 @@ func TestResumeEquivalenceFaulted(t *testing.T) {
 	baseline := captureWithSnapshots(t, cfg, snaps)
 	snap := snaps[3].Bytes()
 	want := suffixAfter(t, baseline, snapshotInstant(t, snap))
-	for _, replica := range []string{"workers=0", "workers=4"} {
-		t.Run(replica, func(t *testing.T) {
+	for replica := 1; replica <= 2; replica++ {
+		t.Run(fmt.Sprintf("replica=%d", replica), func(t *testing.T) {
 			t.Parallel()
 			if got, _ := captureResumed(t, cfg, snap); !bytes.Equal(want, got) {
 				t.Errorf("faulted resume diverged: hash %s != %s (lengths %d vs %d)",

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +52,62 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("re-encode unstable:\n %s\n %s", out, out2)
 		}
 	})
+}
+
+// parseRequestJSON is the reference decoder: ParseRequest as it was
+// built on encoding/json. ParseRequest must agree with it on every input
+// (same Request, same accept/reject code); only a malformed Detail may
+// differ.
+func parseRequestJSON(data []byte) (Request, *Error) {
+	var req Request
+	if len(data) > MaxEnvelopeBytes {
+		return req, Errf(CodeTooLarge, "envelope is %d bytes (max %d)", len(data), MaxEnvelopeBytes)
+	}
+	if err := json.Unmarshal(data, &req); err != nil {
+		return Request{}, Errf(CodeMalformed, "bad envelope: %v", err)
+	}
+	return req, req.Validate()
+}
+
+// FuzzParseRequestMatchesJSON is the differential check of the
+// hand-written envelope decoder against encoding/json. The checked-in
+// corpus covers each rule of the envelope grammar (docs/API.md).
+func FuzzParseRequestMatchesJSON(f *testing.F) {
+	f.Add([]byte(`{"v":1,"op":"comment","token":"t","post":5,"text":"x"}`))
+	f.Fuzz(checkMatchesJSON)
+}
+
+// checkMatchesJSON fails t unless ParseRequest and the encoding/json
+// reference agree on data.
+func checkMatchesJSON(t *testing.T, data []byte) {
+	t.Helper()
+	got, gerr := ParseRequest(data)
+	want, werr := parseRequestJSON(data)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Code != werr.Code {
+		t.Fatalf("ParseRequest(%.200q) error = %v, encoding/json gives %v", data, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseRequest(%.200q) =\n %#v\nencoding/json gives\n %#v", data, got, want)
+	}
+}
+
+// TestParseRequestNestingLimit checks encoding/json's nesting limit at
+// its edge: an unknown value may nest to depth 10000, counting the
+// envelope as 1, and no deeper. (Kept out of the fuzz corpus: inputs
+// this large make the fuzzer's minimizer crawl.)
+func TestParseRequestNestingLimit(t *testing.T) {
+	for _, depth := range []int{9999, 10000, 10001} {
+		arrays := `{"v":1,"x":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `}`
+		objects := `{"v":1,"x":` + strings.Repeat(`{"a":`, depth-1) + `0` + strings.Repeat("}", depth-1) + `}`
+		mixed := `{"v":1,"x":` + strings.Repeat(`[{"a":`, (depth-1)/2) + `0` + strings.Repeat("}]", (depth-1)/2) + `}`
+		for _, env := range []string{arrays, objects, mixed} {
+			checkMatchesJSON(t, []byte(env))
+			_, werr := ParseRequest([]byte(env))
+			if accepted := werr == nil || werr.Code != CodeMalformed; accepted != (depth <= 10000) {
+				t.Errorf("depth %d: ParseRequest error %v", depth, werr)
+			}
+		}
+	}
 }
 
 // FuzzLogReader holds the ingress-log decoder's promise: arbitrary

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // The FING1 ingress log records exactly the network inputs the world
@@ -68,7 +69,8 @@ type LogRecord struct {
 	// Unix epoch.
 	AtNanos int64
 	// Envelopes are the raw request envelope bytes admitted at that
-	// instant, in admission order. Nil on the end record.
+	// instant, in admission order. Nil on the end record. They alias
+	// the reader's batch buffer: valid until the next call to Next.
 	Envelopes [][]byte
 	// End marks the final record.
 	End bool
@@ -140,11 +142,15 @@ func (lw *LogWriter) Flush() error {
 	return lw.err
 }
 
-// LogReader decodes an ingress log sequentially.
+// LogReader decodes an ingress log sequentially. It decodes each batch
+// into one buffer that it reuses for the next, so a record's envelopes
+// are valid only until the next call to Next.
 type LogReader struct {
 	r      *bufio.Reader
 	offset int64
 	done   bool
+	buf    []byte   // envelope bytes of the current batch
+	envs   [][]byte // the current batch's envelopes, slicing buf
 }
 
 // NewLogReader checks the magic and returns a reader positioned at the
@@ -216,7 +222,9 @@ func (lr *LogReader) Next() (LogRecord, error) {
 	if count > maxLogBatch {
 		return LogRecord{}, &CorruptLogError{Offset: lr.offset, Reason: fmt.Sprintf("batch declares %d envelopes (max %d)", count, maxLogBatch)}
 	}
-	rec.Envelopes = make([][]byte, 0, min(count, 1024))
+	// The buffers grow only as envelopes arrive, so a lying count or size
+	// costs at most one envelope's cap beyond what the bytes read need.
+	lr.buf, lr.envs = lr.buf[:0], lr.envs[:0]
 	for i := uint64(0); i < count; i++ {
 		size, err := lr.readUvarint()
 		if err != nil {
@@ -225,32 +233,22 @@ func (lr *LogReader) Next() (LogRecord, error) {
 		if size > MaxEnvelopeBytes {
 			return LogRecord{}, &CorruptLogError{Offset: lr.offset, Reason: fmt.Sprintf("envelope declares %d bytes (max %d)", size, MaxEnvelopeBytes)}
 		}
-		env := make([]byte, size)
-		if _, err := io.ReadFull(lr.r, env); err != nil {
+		start := len(lr.buf)
+		lr.buf = slices.Grow(lr.buf, int(size))[:start+int(size)]
+		if _, err := io.ReadFull(lr.r, lr.buf[start:]); err != nil {
 			return LogRecord{}, &TruncatedError{Offset: lr.offset}
 		}
 		lr.offset += int64(size)
-		rec.Envelopes = append(rec.Envelopes, env)
+		lr.envs = append(lr.envs, lr.buf[start:])
 	}
+	// Growing buf may have moved it: re-slice every envelope from the
+	// final buffer, capped so an append cannot run into the next one.
+	start := 0
+	for i, env := range lr.envs {
+		end := start + len(env)
+		lr.envs[i] = lr.buf[start:end:end]
+		start = end
+	}
+	rec.Envelopes = lr.envs
 	return rec, nil
-}
-
-// ReadLog decodes a complete ingress log. It fails with *TruncatedError
-// if the stream lacks an end record.
-func ReadLog(r io.Reader) ([]LogRecord, error) {
-	lr, err := NewLogReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var recs []LogRecord
-	for {
-		rec, err := lr.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
 }

@@ -11,6 +11,13 @@
 // maps every one of them to an explicit string that is frozen per wire
 // version. See docs/API.md for the full schema and versioning policy.
 //
+// Request envelopes are decoded by a hand-written, single-pass decoder
+// (decode.go): no reflection, one allocation per non-empty string field.
+// It accepts exactly what encoding/json accepts into a Request and
+// yields the same value, so ingress logs recorded before it replay
+// unchanged. FuzzParseRequestMatchesJSON holds that equivalence; this
+// package imports encoding/json only in its tests, as that reference.
+//
 // Parsing never panics and never allocates unboundedly: envelopes are
 // size-capped, every malformed input maps to a typed *Error with a
 // machine-readable Code, and the fuzz targets in fuzz_test.go hold the
@@ -18,7 +25,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -268,7 +274,7 @@ func ParseRequest(data []byte) (Request, *Error) {
 	if len(data) > MaxEnvelopeBytes {
 		return req, Errf(CodeTooLarge, "envelope is %d bytes (max %d)", len(data), MaxEnvelopeBytes)
 	}
-	if err := json.Unmarshal(data, &req); err != nil {
+	if err := decodeRequest(data, &req); err != nil {
 		return Request{}, Errf(CodeMalformed, "bad envelope: %v", err)
 	}
 	return req, req.Validate()

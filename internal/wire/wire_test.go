@@ -203,7 +203,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	recs, err := readLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLogErrors(t *testing.T) {
 
 	// Every proper prefix that cuts a record must fail typed, never panic.
 	for n := len(LogMagic); n < len(full); n++ {
-		_, err := ReadLog(bytes.NewReader(full[:n]))
+		_, err := readLog(bytes.NewReader(full[:n]))
 		if err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded as complete", n, len(full))
 		}
@@ -250,7 +250,7 @@ func TestLogErrors(t *testing.T) {
 
 	// Unknown op byte.
 	bad := append(append([]byte{}, full[:len(LogMagic)]...), 0xEE)
-	if _, err := ReadLog(bytes.NewReader(bad)); err == nil {
+	if _, err := readLog(bytes.NewReader(bad)); err == nil {
 		t.Error("unknown op accepted")
 	} else {
 		var ce *CorruptLogError
@@ -265,7 +265,7 @@ func TestLogErrors(t *testing.T) {
 	lw2, _ := NewLogWriter(&noEnd)
 	_ = lw2.Batch(1000, nil)
 	_ = lw2.Flush()
-	if _, err := ReadLog(bytes.NewReader(noEnd.Bytes())); !errors.As(err, &trunc) {
+	if _, err := readLog(bytes.NewReader(noEnd.Bytes())); !errors.As(err, &trunc) {
 		t.Errorf("missing end record: got %v", err)
 	}
 
@@ -285,5 +285,33 @@ func TestLogErrors(t *testing.T) {
 	}
 	if _, err := lr.Next(); err != io.EOF {
 		t.Errorf("after end: got %v, want io.EOF", err)
+	}
+}
+
+// readLog decodes a complete ingress log, copying each record's
+// envelopes out of the reader's reused buffer. It fails with
+// *TruncatedError if the stream lacks an end record.
+func readLog(r io.Reader) ([]LogRecord, error) {
+	lr, err := NewLogReader(r)
+	if err != nil {
+		return nil, err
+	}
+	var recs []LogRecord
+	for {
+		rec, err := lr.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if rec.Envelopes != nil {
+			envs := make([][]byte, len(rec.Envelopes))
+			for i, env := range rec.Envelopes {
+				envs[i] = bytes.Clone(env)
+			}
+			rec.Envelopes = envs
+		}
+		recs = append(recs, rec)
 	}
 }
