@@ -29,7 +29,7 @@ import (
 // invariant and layout are documented in docs/PERSISTENCE.md).
 //
 // Snapshot writes every section straight from the live components into
-// one reused buffer: a day boundary is quiescent (the world is
+// the caller's buffer: a day boundary is quiescent (the world is
 // single-writer), so the tables are read in place, with no copy.
 //
 // Restore decodes first, constructs second, and commits last. Every
@@ -55,19 +55,38 @@ import (
 // Snapshot writes the world's complete mutable state to out as one
 // FSNAP2 stream (persistence.Version). Call only at a quiescent instant
 // (a day boundary, as RunDays does): no tick may be mid-flight.
+//
+// A *bytes.Buffer out, as durable.Log.Checkpoint passes, is encoded
+// into in place: grown once to the size hint, then written through its
+// spare capacity, so the world keeps no copy of the snapshot and a
+// buffer reused from one checkpoint to the next is sized by the last
+// one. Any other writer is handed the bytes of a buffer used once.
 func (w *World) Snapshot(out io.Writer) error {
-	_, err := out.Write(w.encodeSnapshot())
-	return err
+	b, ok := out.(*bytes.Buffer)
+	if !ok {
+		b = new(bytes.Buffer)
+	}
+	b.Grow(w.snapshotSizeHint())
+	e := persistence.NewEncoder(b.AvailableBuffer())
+	w.encodeSnapshot(e)
+	if b.Len() == 0 {
+		// The buffer takes the encoder's array as it is: its own when the
+		// stream fit, or the one append grew when it did not. Writing the
+		// grown stream instead would copy it into a third array, twice
+		// the hint.
+		*b = *bytes.NewBuffer(e.Bytes())
+	} else {
+		b.Write(e.Bytes()) // copies nothing when the stream fit
+	}
+	if !ok {
+		_, err := out.Write(b.Bytes())
+		return err
+	}
+	return nil
 }
 
-// encodeSnapshot encodes the world into its snapshot buffer, which is
-// reused from one snapshot to the next, and returns the bytes; they are
-// valid until the next snapshot. The first snapshot sizes the buffer
-// from the account count, later ones from the previous snapshot.
-func (w *World) encodeSnapshot() []byte {
-	e := &w.snapEnc
-	e.Reset()
-	e.Grow(snapshotBytesPerAccount * w.Plat.NumAccounts())
+// encodeSnapshot appends the world's FSNAP2 stream to e.
+func (w *World) encodeSnapshot(e *persistence.Encoder) {
 	persistence.WriteHeader(e, persistence.Header{
 		Version:     persistence.Version,
 		Seed:        w.Cfg.Seed,
@@ -76,11 +95,13 @@ func (w *World) encodeSnapshot() []byte {
 		Now:         w.Sched.Clock().Now(),
 	})
 	persistence.WriteBody(e, w.snapshotSource())
-	return e.Bytes()
 }
 
-// snapshotBytesPerAccount is the first snapshot's buffer estimate: a
-// 100k-account DefaultConfig world writes ~190 bytes per account.
+// snapshotSizeHint is the room a snapshot buffer is grown to before
+// encoding: a 100k-account DefaultConfig world writes ~190 bytes per
+// account. A reused buffer that already holds it does not grow again.
+func (w *World) snapshotSizeHint() int { return snapshotBytesPerAccount * w.Plat.NumAccounts() }
+
 const snapshotBytesPerAccount = 192
 
 // snapshotSource lists the world's sections: the live components
@@ -436,7 +457,11 @@ func (w *World) WriteCheckpoint() (string, error) {
 		return "", err
 	}
 	path := filepath.Join(w.checkpointDir, fmt.Sprintf("checkpoint-day-%03d.fsnap", w.daysRun))
-	if err := persistence.AtomicWriteFile(path, w.encodeSnapshot()); err != nil {
+	e := &w.snapEnc
+	e.Reset()
+	e.Grow(w.snapshotSizeHint())
+	w.encodeSnapshot(e)
+	if err := persistence.AtomicWriteFile(path, e.Bytes()); err != nil {
 		return "", err
 	}
 	return path, nil

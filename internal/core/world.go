@@ -80,8 +80,9 @@ type World struct {
 	checkpointDir   string
 	daysRun         int
 
-	// snapEnc is the snapshot buffer, reused by every Snapshot and
-	// WriteCheckpoint (see encodeSnapshot).
+	// snapEnc is WriteCheckpoint's snapshot buffer, reused from one
+	// checkpoint file to the next. Snapshot encodes into its caller's
+	// buffer instead.
 	snapEnc persistence.Encoder
 }
 

@@ -15,7 +15,7 @@
 // payloads of every data frame, in segment order, is byte-identical to
 // the stream an uninterrupted eventio.Writer would have produced. One
 // string table spans the whole log; Resume primes the writer with the
-// table decoded from the retained prefix so later string ids match.
+// table it scans from the retained prefix so later string ids match.
 //
 // Recovery trusts only what the manifest claims is durable: everything
 // before the manifest's (segment, offset) must verify, and everything

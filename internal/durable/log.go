@@ -357,12 +357,14 @@ func (l *Log) stickSync(err error) error {
 }
 
 // Resume opens an existing durable log after a crash or clean stop.
-// It validates the manifest, verifies every frame the manifest claims
-// durable, truncates the live segment back to the checkpoint instant
-// (discarding intact-but-uncovered tail frames and any torn tail),
-// deletes later segments, rebuilds the encoder's string table from the
-// retained stream, and returns a log ready to Append the re-derived
-// suffix. The world itself is restored by the caller from
+// It validates the manifest and verifies every frame the manifest
+// claims durable: each frame's CRC, each data frame's FSEV1 records in
+// place (which rebuilds the encoder's string table), each frame's event
+// count against its header, and the region's against the manifest. Only
+// then does it truncate the live segment back to the checkpoint instant
+// (discarding intact-but-uncovered tail frames and any torn tail) and
+// delete later segments. It returns a log ready to Append the
+// re-derived suffix. The world itself is restored by the caller from
 // Recovery.Checkpoint via core.RestoreWorld.
 func Resume(fsys FS, dir string, opt Options) (*Log, error) {
 	opt = opt.withDefaults()
@@ -388,22 +390,26 @@ func Resume(fsys FS, dir string, opt Options) (*Log, error) {
 		rec.Checkpoint = ckpt
 	}
 
-	// Verify the durable region and collect its stream bytes: all data
-	// frames of segments 0..live-1 (each must be sealed and intact),
-	// plus the live segment's frames up to the manifest offset.
-	stream := bytes.NewBuffer(eventio.StreamMagic())
+	// Verify the durable region frame by frame, in log order: every data
+	// frame of segments 0..live-1 (each must be sealed and intact), then
+	// the live segment's frames up to the manifest offset. The scanner's
+	// string table is the one the resumed writer continues.
+	var sc eventio.Scanner
 	for idx := uint64(0); idx < m.LiveSegment; idx++ {
 		s, err := scanWholeSegment(fsys, dir, idx)
 		if err != nil {
 			return nil, err
 		}
+		segPath := path.Join(dir, segName(idx))
 		if s.Torn != nil || !s.Sealed {
-			return nil, &CorruptError{Path: path.Join(dir, segName(idx)), Offset: s.End,
+			return nil, &CorruptError{Path: segPath, Offset: s.End,
 				Err: fmt.Errorf("sealed segment damaged: %w", tornOr(s))}
 		}
 		for _, f := range s.Frames {
 			if f.Kind == frameData {
-				stream.Write(f.Payload)
+				if err := checkFrame(&sc, segPath, f); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -438,7 +444,9 @@ func Resume(fsys FS, dir string, opt Options) (*Log, error) {
 			continue
 		}
 		if f.Kind == frameData {
-			stream.Write(f.Payload)
+			if err := checkFrame(&sc, livePath, f); err != nil {
+				return nil, err
+			}
 			liveFrames++
 			livePayload += uint64(len(f.Payload))
 		}
@@ -447,6 +455,10 @@ func Resume(fsys FS, dir string, opt Options) (*Log, error) {
 	if cut != int64(m.LiveOffset) {
 		return nil, &CorruptError{Path: livePath, Offset: cut,
 			Err: fmt.Errorf("no frame boundary at manifest offset %d", m.LiveOffset)}
+	}
+	if sc.Events() != m.Events {
+		return nil, &CorruptError{Path: livePath, Offset: cut,
+			Err: fmt.Errorf("durable region holds %d events, manifest says %d", sc.Events(), m.Events)}
 	}
 	rec.TornTail = s.Torn
 
@@ -478,26 +490,6 @@ func Resume(fsys FS, dir string, opt Options) (*Log, error) {
 		}
 	}
 
-	// Decode the retained stream to rebuild the string table — and as a
-	// final cross-check that the durable region really is one valid
-	// FSEV1 prefix with exactly the manifest's event count.
-	r, err := eventio.NewReader(bytes.NewReader(stream.Bytes()))
-	if err != nil {
-		return nil, &CorruptError{Path: dir, Offset: -1, Err: err}
-	}
-	for {
-		if _, err := r.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, &CorruptError{Path: dir, Offset: -1,
-				Err: fmt.Errorf("durable region does not decode as FSEV1: %w", err)}
-		}
-	}
-	if r.Events() != m.Events {
-		return nil, &CorruptError{Path: dir, Offset: -1,
-			Err: fmt.Errorf("durable region holds %d events, manifest says %d", r.Events(), m.Events)}
-	}
-
 	seg, err := fsys.OpenAppend(livePath)
 	if err != nil {
 		return nil, err
@@ -509,9 +501,30 @@ func Resume(fsys FS, dir string, opt Options) (*Log, error) {
 	l.segPayload = livePayload
 	l.ckptDay = m.CheckpointDay
 	l.ckptFile = m.CheckpointFile
-	l.initWriter(r.Strings(), m.Events)
+	l.initWriter(sc.Strings(), m.Events)
 	l.rec = rec
 	return l, nil
+}
+
+// checkFrame checks data frame f of the segment file at file, the next
+// frame of the durable region in log order, with the region's scanner.
+// The payload is scanned in place as whole FSEV1 records, since the
+// writer cuts frames on record boundaries, and must hold exactly the
+// events its header's cumulative count adds to the previous frame's.
+func checkFrame(sc *eventio.Scanner, file string, f Frame) error {
+	before := sc.Events()
+	n, err := sc.Scan(f.Payload)
+	if err != nil {
+		return &CorruptError{Path: file, Offset: f.Offset + frameHeaderLen + int64(n),
+			Err: fmt.Errorf("durable region does not decode as FSEV1 (frame at offset %d, record at payload offset %d): %w",
+				f.Offset, n, err)}
+	}
+	if sc.Events() != f.Events {
+		return &CorruptError{Path: file, Offset: f.Offset,
+			Err: fmt.Errorf("frame holds %d events, but its header's cumulative count is %d after %d",
+				sc.Events()-before, f.Events, before)}
+	}
+	return nil
 }
 
 func scanWholeSegment(fsys FS, dir string, idx uint64) (*segScan, error) {

@@ -22,9 +22,12 @@ import (
 // The CRC covers the first 13 header bytes (kind, length, events) plus
 // the payload, so a bit flip anywhere in the frame is caught. Data
 // frame payloads are raw eventio record bytes, cut on record
-// boundaries; the events field is the cumulative count across the whole
-// log through the end of the frame. A sealed segment ends with exactly
-// one footer frame and nothing after it.
+// boundaries: a record never crosses a frame's end. The events field is
+// the cumulative count across the whole log through the end of the
+// frame. Resume enforces both: it scans each durable data frame's
+// payload as whole records and requires it to hold exactly the events
+// its header adds to the previous frame's. A sealed segment ends with
+// exactly one footer frame and nothing after it.
 
 const (
 	frameData   byte = 1

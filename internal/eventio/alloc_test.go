@@ -18,6 +18,7 @@ import (
 const (
 	allocBudgetWriterWrite = 0
 	allocBudgetReaderNext  = 0
+	allocBudgetScan        = 0
 )
 
 func allocEvent(seq uint64) platform.Event {
@@ -92,5 +93,41 @@ func TestAllocBudgetReaderNext(t *testing.T) {
 	if got > allocBudgetReaderNext {
 		t.Errorf("eventio.Reader.Next allocates %.1f/op in steady state, budget %d — per-record scratch reuse regressed",
 			got, allocBudgetReaderNext)
+	}
+}
+
+// TestAllocBudgetScan pins Scanner.Scan at zero allocations per event
+// record once the record's client is in the scanner's string table.
+func TestAllocBudgetScan(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first write adds the client's string-table record and warms
+	// the table; the second is one bare event record.
+	var cut int
+	for i := uint64(0); i < 2; i++ {
+		cut = buf.Len()
+		if err := w.Write(allocEvent(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sc Scanner
+	if _, err := sc.Scan(buf.Bytes()[len(magic):cut]); err != nil {
+		t.Fatal(err)
+	}
+	record := buf.Bytes()[cut:]
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := sc.Scan(record); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+	})
+	if got > allocBudgetScan {
+		t.Errorf("eventio.Scanner.Scan allocates %.1f per event record on a warm string table, budget %d",
+			got, allocBudgetScan)
 	}
 }

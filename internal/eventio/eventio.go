@@ -60,8 +60,8 @@ func NewWriter(w io.Writer) (*Writer, error) {
 // after a crash or handoff: it writes no magic header, seeds the string
 // table with the fingerprints the stream has already emitted (in table
 // order, so ids 0..len-1 resolve identically), and starts the event
-// count at events. Feed it the table a Reader collected over the
-// retained prefix (Reader.Strings) and the records it emits concatenate
+// count at events. Feed it the table a Reader or Scanner collected over
+// the retained prefix (Strings) and the records it emits concatenate
 // onto that prefix to form one valid FSEV1 stream — byte-identical to
 // what an uninterrupted writer would have produced.
 func NewWriterResume(w io.Writer, strings []string, events uint64) *Writer {
@@ -328,6 +328,116 @@ func (r *Reader) ReadAll() ([]platform.Event, error) {
 		}
 		out = append(out, ev)
 	}
+}
+
+// errOverflow is binary.ReadUvarint's overflow error, restated because
+// encoding/binary does not export it: Scanner reports what Reader does.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// Scanner checks FSEV1 record bytes in place. It makes exactly the
+// record checks Reader.Next makes — a known opcode, a string length of
+// at most 1<<16 with all its bytes present, ten complete
+// non-overflowing uvarints per event, a client ref inside the string
+// table — and collects the same string table, interned the same way,
+// but it reads a byte slice without copying it and builds no events.
+// internal/durable runs one over each frame payload of a log it resumes.
+//
+// The zero value is ready to use. Successive Scan calls continue one
+// stream: the string table and the event count span them.
+type Scanner struct {
+	strs   []string
+	events uint64
+}
+
+// Strings returns the string table collected so far, in id order, as
+// Reader.Strings does. The slice is the scanner's own; a later Scan may
+// append to it.
+func (s *Scanner) Strings() []string { return s.strs }
+
+// Events returns the number of complete events scanned so far.
+func (s *Scanner) Events() uint64 { return s.events }
+
+// Scan checks p, a run of records without the magic header, and returns
+// the length of its prefix of whole valid records: len(p) when err is
+// nil, and otherwise the offset in p of the record that fails. A record
+// cut by the end of p is a *TruncatedError. Errors read as Reader.Next's
+// would for the stream magic+p, except that every byte offset in them is
+// an offset in p. Scan allocates only for a string it has not interned.
+func (s *Scanner) Scan(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		start := n
+		switch op := p[start]; op {
+		case opString:
+			l, i, err := uvarint(p, start+1)
+			if err != nil {
+				return start, s.truncated(start, "string length", err)
+			}
+			if l > 1<<16 {
+				return start, fmt.Errorf("eventio: implausible string length %d at event %d (byte offset %d)", l, s.events, start)
+			}
+			if l > uint64(len(p)-i) {
+				return start, s.truncated(start, "string body", io.ErrUnexpectedEOF)
+			}
+			s.strs = append(s.strs, intern.Bytes(p[i:i+int(l)]))
+			n = i + int(l)
+		case opEvent:
+			i := start + 1
+			var ref uint64 // field 8 of 10, the client's string id
+			for f := 0; f < 10; f++ {
+				var v uint64
+				if i < len(p) && p[i] < 0x80 { // most fields fit one byte
+					v = uint64(p[i])
+					i++
+				} else {
+					var err error
+					if v, i, err = uvarint(p, i); err != nil {
+						return start, s.truncated(start, "event record", err)
+					}
+				}
+				if f == 8 {
+					ref = v
+				}
+			}
+			if ref >= uint64(len(s.strs)) {
+				return start, fmt.Errorf("eventio: dangling string ref %d", ref)
+			}
+			s.events++
+			n = i
+		default:
+			return start, fmt.Errorf("eventio: unknown opcode %d at event %d (byte offset %d)", op, s.events, start)
+		}
+	}
+	return n, nil
+}
+
+func (s *Scanner) truncated(start int, what string, err error) error {
+	return &TruncatedError{Events: s.events, Offset: int64(start), Err: fmt.Errorf("%s: %w", what, err)}
+}
+
+// uvarint decodes the uvarint at p[i:] by binary.ReadUvarint's rules
+// and returns it with the offset just past it. Running out of bytes is
+// io.ErrUnexpectedEOF, the error Reader reports for a record cut
+// anywhere inside it.
+func uvarint(p []byte, i int) (uint64, int, error) {
+	var x uint64
+	var s uint
+	for k := 0; k < binary.MaxVarintLen64; k++ {
+		if i >= len(p) {
+			return 0, i, io.ErrUnexpectedEOF
+		}
+		b := p[i]
+		i++
+		if b < 0x80 {
+			if k == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, i, errOverflow
+			}
+			return x | uint64(b)<<s, i, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, i, errOverflow
 }
 
 // jsonEvent is the interchange shape for the JSONL codec.

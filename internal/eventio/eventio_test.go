@@ -367,6 +367,28 @@ func BenchmarkReaderThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkScanThroughput checks the stream BenchmarkReaderThroughput
+// decodes, in place, as durable.Resume does.
+func BenchmarkScanThroughput(b *testing.B) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	ev := sampleEvents()[1]
+	for i := 0; i < 100000; i++ {
+		ev.Seq = uint64(i)
+		w.Write(ev)
+	}
+	w.Flush()
+	body := buf.Bytes()[len(magic):]
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sc Scanner
+		if _, err := sc.Scan(body); err != nil || sc.Events() != 100000 {
+			b.Fatalf("scanned %d events: %v", sc.Events(), err)
+		}
+	}
+}
+
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"footsteps/internal/netsim"
 	"footsteps/internal/platform"
@@ -159,4 +161,67 @@ func truncatedSeedBodies() [][]byte {
 		}
 	}
 	return bodies
+}
+
+// FuzzScanMatchesReader holds Scanner to Reader's record checks. For any
+// record bytes b, scanning b in place and draining a Reader over magic+b
+// must collect the same string table (the same interned strings, in the
+// same order) and the same event count, and fail on the same inputs. A
+// truncation must be a *TruncatedError on both sides with the same event
+// count, cause and offset (Scanner's counts from the start of b,
+// Reader's from the start of the stream); any other failure must read
+// the same up to its byte offset. The checked-in corpus holds a seed per
+// record rule: a valid stream, an unknown opcode, an implausible string
+// length, a string cut in its length or body, an event cut in a field,
+// an event field that overflows (both of binary.ReadUvarint's overflow
+// shapes), and a dangling client ref.
+func FuzzScanMatchesReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := NewReader(bytes.NewReader(append(append([]byte(nil), magic...), b...)))
+		if err != nil {
+			t.Fatalf("new reader: %v", err)
+		}
+		_, rerr := r.ReadAll()
+		var sc Scanner
+		n, serr := sc.Scan(b)
+		if (rerr == nil) != (serr == nil) {
+			t.Fatalf("reader error %v, scanner error %v", rerr, serr)
+		}
+		if sc.Events() != r.Events() {
+			t.Fatalf("scanner counts %d events, reader %d", sc.Events(), r.Events())
+		}
+		rs, ss := r.Strings(), sc.Strings()
+		if len(rs) != len(ss) {
+			t.Fatalf("scanner collects %d strings, reader %d", len(ss), len(rs))
+		}
+		for i := range rs {
+			if ss[i] != rs[i] || (len(rs[i]) > 0 && unsafe.StringData(ss[i]) != unsafe.StringData(rs[i])) {
+				t.Fatalf("string %d: scanner %q and reader %q are not one interned string", i, ss[i], rs[i])
+			}
+		}
+		if serr == nil {
+			if n != len(b) {
+				t.Fatalf("clean scan consumed %d of %d bytes", n, len(b))
+			}
+			return
+		}
+		var rt, st *TruncatedError
+		if errors.As(rerr, &rt) != errors.As(serr, &st) {
+			t.Fatalf("only one side reports a truncation: reader %v, scanner %v", rerr, serr)
+		}
+		if st == nil {
+			rmsg, _, _ := strings.Cut(rerr.Error(), " (byte offset")
+			smsg, _, _ := strings.Cut(serr.Error(), " (byte offset")
+			if rmsg != smsg {
+				t.Fatalf("reader fails with %q, scanner with %q", rerr, serr)
+			}
+			return
+		}
+		if st.Events != rt.Events || st.Offset+int64(len(magic)) != rt.Offset || st.Err.Error() != rt.Err.Error() {
+			t.Fatalf("truncation differs: reader %v, scanner %v", rt, st)
+		}
+		if int64(n) != st.Offset {
+			t.Fatalf("scanner stops at %d but reports the cut record at %d", n, st.Offset)
+		}
+	})
 }

@@ -112,6 +112,10 @@ type Encoder struct {
 	rows int // rows written from row sources, to check their counts
 }
 
+// NewEncoder returns an encoder that appends to buf, such as the spare
+// capacity bytes.Buffer.AvailableBuffer returns.
+func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
 // Bytes returns the encoded stream.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"footsteps/internal/core"
 	"footsteps/internal/eventio"
@@ -140,7 +141,10 @@ func TestTelemetryPureObserver(t *testing.T) {
 // TestDebugListenerPureObserver runs a capture with the -debug-addr
 // machinery live and a goroutine hammering /metrics.json throughout —
 // snapshots taken concurrently with the world stepping. The stream must
-// still match the uninstrumented baseline byte for byte.
+// still match the uninstrumented baseline byte for byte. The capture
+// starts only once a first poll has come back, and the poller stops
+// only after one more, so a poll is in flight while the world steps
+// however the goroutines are scheduled.
 func TestDebugListenerPureObserver(t *testing.T) {
 	t.Parallel()
 	want := Capture(smallConfig(5))
@@ -154,6 +158,7 @@ func TestDebugListenerPureObserver(t *testing.T) {
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	polled := make(chan struct{}, 1) // a poll has come back since the last receive
 	polls := 0
 	go func() {
 		defer close(done)
@@ -168,10 +173,32 @@ func TestDebugListenerPureObserver(t *testing.T) {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				polls++
+				select {
+				case polled <- struct{}{}:
+				default:
+				}
 			}
 		}
 	}()
-	got := Capture(cfg)
+	// waitPoll waits for a poll to come back, giving up after a while so
+	// a listener that never answers fails the polls check below.
+	waitPoll := func() bool {
+		select {
+		case <-polled:
+			return true
+		case <-time.After(30 * time.Second):
+			return false
+		}
+	}
+	var got []byte
+	if waitPoll() {
+		select { // drop a token a poll since the first may have left
+		case <-polled:
+		default:
+		}
+		got = Capture(cfg)
+		waitPoll()
+	}
 	close(stop)
 	<-done
 
