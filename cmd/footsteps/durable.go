@@ -14,7 +14,7 @@ import (
 
 // runDurable is the crash-tolerant lifecycle: the event stream goes
 // into a checksummed segment log under -durable DIR, with an atomic
-// FSNAP1 checkpoint and manifest swing at every day boundary. With
+// FSNAP2 checkpoint and manifest swing at every day boundary. With
 // -resume the same invocation recovers after a crash — the manifest's
 // (checkpoint, segment, offset) triple is validated, the torn tail
 // discarded, the world restored, and the remaining days re-driven; the

@@ -203,9 +203,9 @@ func main() {
 	quick := flag.Bool("quick", false, "small fast configuration")
 	outDir := flag.String("o", "", "directory for machine-readable TSV exports (optional)")
 	record := flag.String("record", "", "write the full event stream to this FSEV1 capture file (business, record, replay)")
-	checkpointDir := flag.String("checkpoint-dir", "", "write FSNAP1 world checkpoints into this directory (record only)")
+	checkpointDir := flag.String("checkpoint-dir", "", "write FSNAP2 world checkpoints into this directory (record only)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in days, 0 = off (record only)")
-	fromSnap := flag.String("from", "", "FSNAP1 checkpoint to restore before replaying (replay only)")
+	fromSnap := flag.String("from", "", "FSNAP2 checkpoint to restore before replaying (replay only)")
 	durableDir := flag.String("durable", "", "durable log directory: checksummed segments + atomic checkpoints (run only)")
 	resumeFlag := flag.Bool("resume", false, "recover the -durable log after a crash and finish the run (run only)")
 	crashAfterOp := flag.Uint64("crash-after-op", 0, "kill the process at this durable filesystem op, for crash-injection testing (run only)")
@@ -223,7 +223,6 @@ func main() {
 	serveAddr := flag.String("serve-addr", "127.0.0.1:8343", "listen address for the serve command")
 	servePace := flag.Float64("serve-pace", 0, "sim-seconds per wall-second while serving (0 = default 60)")
 	serveQueue := flag.Int("serve-queue", 0, "ingress queue depth before requests shed as overloaded (0 = default)")
-	serveBatch := flag.Int("serve-batch", 0, "max envelopes applied per world-loop drain (0 = default)")
 	ingressLog := flag.String("ingress-log", "", "FING1 ingress log: written by serve, re-driven by replay")
 	lgTarget := flag.String("target", "http://127.0.0.1:8343", "serve instance base URL (loadgen only)")
 	lgRPS := flag.Float64("rps", 0, "target request rate, 0 = unthrottled (loadgen only)")
@@ -337,7 +336,6 @@ func main() {
 		cfg.ServeAddr = *serveAddr
 		cfg.ServePace = *servePace
 		cfg.ServeQueueDepth = *serveQueue
-		cfg.ServeMaxBatch = *serveBatch
 		cfg.ServeIngressLog = *ingressLog
 		if *quick {
 			cfg.Scale = footsteps.TestConfig().Scale
@@ -434,7 +432,7 @@ commands:
   graphdetect    FRAUDAR-style graph baseline vs signal attribution
   faults         fault-injection demo: AAS resilience under infrastructure failure
   sweep          multi-seed replication of the Table 5 measurement
-  record         canonical run with -record/-checkpoint-* artifacts (FSEV1 + FSNAP1)
+  record         canonical run with -record/-checkpoint-* artifacts (FSEV1 + FSNAP2)
   run            crash-tolerant run: durable segment log + atomic checkpoints (-durable, -resume)
   serve          host the world behind the HTTP/WS /v1 API (-serve-addr, -ingress-log; docs/API.md)
   loadgen        drive mixed /v1 traffic at a serve instance (-target, -rps, -duration, -conns)

@@ -82,13 +82,6 @@ var (
 	WithIPDailyBudget = core.WithIPDailyBudget
 )
 
-// Execution: how the deterministic timeline is driven. It changes no
-// output, only memory churn.
-var (
-	// WithScratchReuse toggles cross-tick planning scratch reuse.
-	WithScratchReuse = core.WithScratchReuse
-)
-
 // Observation: pure observers of the run (metrics, traces, faults).
 var (
 	// WithTelemetry attaches a metric registry (see docs/OBSERVABILITY.md).
@@ -103,7 +96,7 @@ var (
 
 // Durability: checkpoint artifacts for crash recovery and replay.
 var (
-	// WithCheckpointEvery sets the FSNAP1 checkpoint cadence in days.
+	// WithCheckpointEvery sets the FSNAP2 checkpoint cadence in days.
 	WithCheckpointEvery = core.WithCheckpointEvery
 	// WithCheckpointDir sets where checkpoints are written.
 	WithCheckpointDir = core.WithCheckpointDir
@@ -119,8 +112,6 @@ var (
 	WithServeQueueDepth = core.WithServeQueueDepth
 	// WithServePace sets sim-seconds advanced per wall-second.
 	WithServePace = core.WithServePace
-	// WithServeMaxBatch caps envelopes applied per world-loop drain.
-	WithServeMaxBatch = core.WithServeMaxBatch
 	// WithServeIngressLog records every admitted envelope batch to a
 	// FING1 log that `footsteps replay -ingress-log` re-drives.
 	WithServeIngressLog = core.WithServeIngressLog

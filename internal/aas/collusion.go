@@ -441,14 +441,14 @@ func (s *CollusionService) dailyTick(scale float64) {
 		s.spawnCustomer()
 	}
 
-	alive := s.filterCustomers()
+	alive := s.custScratch[:0]
 	for _, c := range s.customers {
 		if !c.Churned {
 			alive = append(alive, c)
 		}
 	}
-	s.keepFilter(alive)
-	runSection(s.steps, s.lifeSC(), alive, func(c *Customer, emit func(lifeOp)) {
+	s.custScratch = alive
+	runSection(s.steps, &s.lifeScratch, alive, func(c *Customer, emit func(lifeOp)) {
 		// Sources' daily adaptation windows roll for every enrolled
 		// account, managed or not (honeypots are sources too); the state
 		// is customer-local, so rolling it during planning is safe.
@@ -527,15 +527,15 @@ func (s *CollusionService) hourTick() {
 		return
 	}
 	now := s.plat.Now()
-	eligible := s.filterCustomers()
+	eligible := s.custScratch[:0]
 	for _, c := range s.customers {
 		if !c.Managed || !s.activeAt(c, now) || c.Product == PaidMonthlyTier || c.Product == PaidOneTime {
 			continue
 		}
 		eligible = append(eligible, c)
 	}
-	s.keepFilter(eligible)
-	runSection(s.steps, s.freeSC(), eligible, func(c *Customer, emit func(freeReq)) {
+	s.custScratch = eligible
+	runSection(s.steps, &s.freeScratch, eligible, func(c *Customer, emit func(freeReq)) {
 		n := c.rng.Poisson(s.freeRequestsPerDay / 24 * diurnal(now))
 		for i := 0; i < n; i++ {
 			// Request-type mix: like requests deliver twice the quantum of

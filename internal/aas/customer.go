@@ -268,14 +268,12 @@ type base struct {
 	// filter slice every tick rebuilds, plus an intent buffer per intent
 	// type. Reuse is a pure memory optimization — buffers are truncated
 	// to zero length before refill, so no tick ever observes a previous
-	// tick's contents; the simtest pooling property test diffs reuse-on
-	// vs reuse-off streams to pin that. noReuse (via
-	// SetScratchReuse(false)) restores fresh per-tick allocations.
+	// tick's contents; the simtest pooled goldens pin the stream to the
+	// bytes it had before pooling.
 	custScratch []*Customer
 	planScratch step.Buffer[plannedOp]
 	lifeScratch step.Buffer[lifeOp]
 	freeScratch step.Buffer[freeReq]
-	noReuse     bool
 
 	// GroundTruth tallies for validating platform-side estimates.
 	Revenue       float64
@@ -346,54 +344,6 @@ func (b *base) SetAPI(kind platform.APIKind) { b.api = kind }
 
 // SetStepEngine installs the engine the tick sections run on.
 func (b *base) SetStepEngine(e *step.Engine) { b.steps = e }
-
-// SetScratchReuse toggles cross-tick reuse of the engine's planning
-// scratch (filter slices, intent buffers). Reuse is on by
-// default and never changes the event stream; turning it off exists for
-// the simtest pooling property test and for bisecting suspected scratch
-// leaks.
-func (b *base) SetScratchReuse(on bool) { b.noReuse = !on }
-
-// filterCustomers returns a zero-length customer slice to filter into,
-// reusing the engine's scratch capacity unless reuse is disabled. The
-// caller must pass the appended result to keepFilter so the grown
-// capacity survives to the next tick.
-func (b *base) filterCustomers() []*Customer {
-	if b.noReuse {
-		return nil
-	}
-	return b.custScratch[:0]
-}
-
-// keepFilter stores a filterCustomers slice back for the next tick.
-func (b *base) keepFilter(s []*Customer) {
-	if !b.noReuse {
-		b.custScratch = s
-	}
-}
-
-// Scratch selectors: each returns the engine's reusable tick scratch for
-// one intent type, or nil (fresh allocations) when reuse is disabled.
-func (b *base) planSC() *step.Buffer[plannedOp] {
-	if b.noReuse {
-		return nil
-	}
-	return &b.planScratch
-}
-
-func (b *base) lifeSC() *step.Buffer[lifeOp] {
-	if b.noReuse {
-		return nil
-	}
-	return &b.lifeScratch
-}
-
-func (b *base) freeSC() *step.Buffer[freeReq] {
-	if b.noReuse {
-		return nil
-	}
-	return &b.freeScratch
-}
 
 // WireTelemetry registers per-service attempt/success counters on reg,
 // named aas.<service>.attempts / aas.<service>.successes. Telemetry is a

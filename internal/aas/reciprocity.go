@@ -217,14 +217,14 @@ func (s *ReciprocityService) dailyTick(scale float64) {
 		s.spawnCustomer()
 	}
 
-	managed := s.filterCustomers()
+	managed := s.custScratch[:0]
 	for _, c := range s.customers {
 		if c.Managed && !c.Churned {
 			managed = append(managed, c)
 		}
 	}
-	s.keepFilter(managed)
-	runSection(s.steps, s.lifeSC(), managed, func(c *Customer, emit func(lifeOp)) {
+	s.custScratch = managed
+	runSection(s.steps, &s.lifeScratch, managed, func(c *Customer, emit func(lifeOp)) {
 		op := lifeOp{c: c}
 		// Long-term customers renew once the previous period lapses.
 		op.renew = c.LongTermIntent && now.After(c.EngagedUntil) && now.After(c.PaidThrough)
@@ -283,13 +283,13 @@ func (s *ReciprocityService) hourTick() {
 		return
 	}
 	now := s.plat.Now()
-	active := s.filterCustomers()
+	active := s.custScratch[:0]
 	for _, c := range s.customers {
 		if s.activeAt(c, now) {
 			active = append(active, c)
 		}
 	}
-	s.keepFilter(active)
+	s.custScratch = active
 	// The applier persists across ticks; resetting cur and the skip set
 	// makes each tick start from exactly the state a fresh applier has.
 	if s.applier.skip == nil {
@@ -297,7 +297,7 @@ func (s *ReciprocityService) hourTick() {
 	}
 	s.applier.cur = nil
 	clear(s.applier.skip)
-	runSection(s.steps, s.planSC(), active, func(c *Customer, emit func(plannedOp)) {
+	runSection(s.steps, &s.planScratch, active, func(c *Customer, emit func(plannedOp)) {
 		s.planCustomer(c, now, emit)
 	}, s.applier.apply)
 	if now.Hour() == 23 {

@@ -137,10 +137,7 @@ type Population struct {
 	steps *step.Engine
 
 	// Reusable daily-posting intent buffer; see docs/PERFORMANCE.md.
-	// noReuse restores fresh per-day allocations for the simtest pooling
-	// property test.
 	postBuf step.Buffer[*member]
-	noReuse bool
 
 	// Reacted counts reciprocal actions issued, by channel, for tests and
 	// diagnostics.
@@ -199,10 +196,6 @@ func New(model Model, plat *platform.Platform, sched *clock.Scheduler, r *rng.RN
 
 // SetStepEngine installs the engine the daily posting sections run on.
 func (p *Population) SetStepEngine(e *step.Engine) { p.steps = e }
-
-// SetScratchReuse toggles cross-day reuse of the posting scratch
-// buffers (on by default; reuse never changes the event stream).
-func (p *Population) SetScratchReuse(on bool) { p.noReuse = !on }
 
 // AddMembers grows the general population by n members drawn from
 // GeneralSpec and returns their IDs.
@@ -560,11 +553,7 @@ func (p *Population) StartPosting(label string, days int, dailyProb float64) {
 		// Plan phase: each member's post decision comes from their own
 		// stream; the posts — which mutate the platform and may lazily log
 		// the member in — apply in member order.
-		var buf *step.Buffer[*member]
-		if !p.noReuse {
-			buf = &p.postBuf
-		}
-		step.RunInto(p.steps, buf, len(ids), func(i int, emit func(*member)) {
+		step.RunInto(p.steps, &p.postBuf, len(ids), func(i int, emit func(*member)) {
 			if m := p.members[ids[i]]; m != nil && m.rng.Bool(dailyProb) {
 				emit(m)
 			}

@@ -68,15 +68,6 @@ type Config struct {
 	// (see docs/OBSERVABILITY.md). nil disables instrumentation.
 	Telemetry *telemetry.Registry
 
-	// DisableScratchReuse turns off cross-tick reuse of planning scratch
-	// (intent buffers, chunk bounds, customer filter slices) throughout
-	// the world, restoring fresh per-tick allocations. Reuse is a pure
-	// memory optimization — the event stream is byte-identical either
-	// way, pinned by the pooling property test in internal/simtest. The
-	// knob exists for that test and for bisecting suspected scratch
-	// leaks; leave it off (reuse on) otherwise.
-	DisableScratchReuse bool
-
 	// Faults, when non-nil, schedules deterministic infrastructure
 	// faults — transient unavailability, session-store flaps, ASN
 	// outages, rate-limit storms — injected by the platform on every
@@ -128,12 +119,6 @@ type Config struct {
 	// ingress log replays identically at any pace.
 	ServePace float64
 
-	// ServeMaxBatch caps how many queued envelopes one drain applies
-	// (0 means the server default). Bounding the batch keeps worst-case
-	// drain latency flat under load; the remainder stays queued for the
-	// next drain.
-	ServeMaxBatch int
-
 	// ServeIngressLog, when non-empty, records every admitted envelope
 	// with its drain instant to this FING1 file, making the served run
 	// replayable (cmd/footsteps replay -ingress-log).
@@ -142,7 +127,7 @@ type Config struct {
 
 // Fingerprint hashes every semantic config field — the knobs that shape
 // the simulated timeline. Pure performance and observability knobs
-// (Telemetry, Trace, DisableScratchReuse, the checkpoint and serving
+// (Telemetry, Trace, the checkpoint and serving
 // settings) are excluded, so a snapshot taken with them one way restores
 // with them any other way. Seed is also excluded: it travels in the
 // snapshot header as its own field with its own mismatch diagnostic.

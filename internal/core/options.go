@@ -57,13 +57,6 @@ func WithVPNUsers(n int) Option { return func(c *Config) { c.VPNUsers = n } }
 // WithIPDailyBudget sets the per-IP daily action cap (0 disables).
 func WithIPDailyBudget(n int) Option { return func(c *Config) { c.IPDailyBudget = n } }
 
-// WithScratchReuse toggles cross-tick reuse of planning scratch buffers
-// (on by default; reuse never changes the event stream — see
-// docs/PERFORMANCE.md).
-func WithScratchReuse(on bool) Option {
-	return func(c *Config) { c.DisableScratchReuse = !on }
-}
-
 // WithTelemetry attaches a telemetry registry (nil disables).
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *Config) { c.Telemetry = reg }
@@ -116,12 +109,6 @@ func WithServeQueueDepth(n int) Option {
 // serving (1.0 = real time; 0 = server default).
 func WithServePace(pace float64) Option {
 	return func(c *Config) { c.ServePace = pace }
-}
-
-// WithServeMaxBatch caps envelopes applied per drain (0 = server
-// default).
-func WithServeMaxBatch(n int) Option {
-	return func(c *Config) { c.ServeMaxBatch = n }
 }
 
 // WithServeIngressLog records admitted envelopes and their drain

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -67,18 +68,25 @@ func TestAllocBudgetLyingCount(t *testing.T) {
 		t.Fatalf("lying input is %d bytes, want under 100", len(data))
 	}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	w, err := RestoreWorld(cfg, bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
+	// TotalAlloc is process-wide, so one stray runtime allocation can land
+	// inside a single measured restore. The restore is deterministic: take
+	// the smallest of five, which a real regression raises in every run.
+	var alloc uint64 = math.MaxUint64
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w, err := RestoreWorld(cfg, bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
 
-	var te *persistence.TruncatedError
-	if w != nil || !errors.As(err, &te) {
-		t.Fatalf("want a *persistence.TruncatedError and no world, got %v", err)
+		var te *persistence.TruncatedError
+		if w != nil || !errors.As(err, &te) {
+			t.Fatalf("want a *persistence.TruncatedError and no world, got %v", err)
+		}
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
 	}
 	const multiple = 64
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > multiple*uint64(len(data)) {
+	if alloc > multiple*uint64(len(data)) {
 		t.Errorf("restoring a %d-byte lying snapshot allocated %d bytes, over %d× its size", len(data), alloc, multiple)
 	}
 }

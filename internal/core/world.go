@@ -171,7 +171,6 @@ func newWorld(cfg Config, restoring bool) *World {
 
 	w.Pop = behavior.New(behavior.DefaultModel(), plat, sched, root.Split("population"))
 	w.Pop.SetStepEngine(w.Steps)
-	w.Pop.SetScratchReuse(!cfg.DisableScratchReuse)
 	if restoring {
 		w.Pop.ReserveMembers(cfg.OrganicPopulation)
 	} else {
@@ -198,7 +197,6 @@ func newWorld(cfg Config, restoring bool) *World {
 		case aas.TechniqueReciprocity:
 			svc := aas.NewReciprocityService(spec, plat, sched, root.Split("svc-"+spec.Name))
 			svc.SetStepEngine(w.Steps)
-			svc.SetScratchReuse(!cfg.DisableScratchReuse)
 			svc.WireTelemetry(cfg.Telemetry)
 			svc.WireTrace(cfg.Trace)
 			if restoring {
@@ -214,7 +212,6 @@ func newWorld(cfg Config, restoring bool) *World {
 			}
 			svc := aas.NewCollusionService(spec, plat, sched, root.Split("svc-"+spec.Name), ipPool)
 			svc.SetStepEngine(w.Steps)
-			svc.SetScratchReuse(!cfg.DisableScratchReuse)
 			svc.WireTelemetry(cfg.Telemetry)
 			svc.WireTrace(cfg.Trace)
 			w.Coll[spec.Name] = svc
@@ -288,11 +285,7 @@ func (w *World) setupVPNUsers() {
 	// closure and is reused day over day.
 	var vpnBuf step.Buffer[vpnOp]
 	w.Sched.EveryDay(11*time.Hour, w.Cfg.Days+7, func(int) {
-		buf := &vpnBuf
-		if w.Cfg.DisableScratchReuse {
-			buf = nil
-		}
-		step.RunInto(w.Steps, buf, len(w.vpnSessions), func(i int, emit func(vpnOp)) {
+		step.RunInto(w.Steps, &vpnBuf, len(w.vpnSessions), func(i int, emit func(vpnOp)) {
 			ur := w.vpnRNGs[i]
 			n := 2 + ur.Intn(25)
 			for k := 0; k < n; k++ {

@@ -1,12 +1,15 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"path"
+
+	"footsteps/internal/framing"
 )
 
 // Manifest is the log's single source of truth for what is durable:
@@ -65,10 +68,8 @@ func decodeManifest(name string, data []byte) (*Manifest, error) {
 	if len(data) < len(manifestMagic)+4 {
 		return bad(fmt.Sprintf("truncated (%d bytes)", len(data)), nil)
 	}
-	for i, c := range manifestMagic {
-		if data[i] != c {
-			return bad("bad magic", nil)
-		}
+	if !bytes.HasPrefix(data, manifestMagic) {
+		return bad("bad magic", nil)
 	}
 	body := data[len(manifestMagic) : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -76,31 +77,26 @@ func decodeManifest(name string, data []byte) (*Manifest, error) {
 		return bad(fmt.Sprintf("checksum mismatch (want %08x, got %08x)", want, got), nil)
 	}
 	var m Manifest
-	fields := []*uint64{&m.Version, &m.Seed, &m.Fingerprint, &m.CheckpointDay}
-	for _, f := range fields {
-		v, n := binary.Uvarint(body)
-		if n <= 0 {
+	i := 0
+	var err error
+	for _, f := range []*uint64{&m.Version, &m.Seed, &m.Fingerprint, &m.CheckpointDay} {
+		if *f, i, err = framing.Uvarint(body, i); err != nil {
 			return bad("truncated body", nil)
 		}
-		*f = v
-		body = body[n:]
 	}
-	nameLen, n := binary.Uvarint(body)
-	if n <= 0 || nameLen > maxManifestName || uint64(len(body)-n) < nameLen {
+	nameLen, i, err := framing.Uvarint(body, i)
+	if err != nil || nameLen > maxManifestName || uint64(len(body)-i) < nameLen {
 		return bad("bad checkpoint file name", nil)
 	}
-	m.CheckpointFile = string(body[n : n+int(nameLen)])
-	body = body[n+int(nameLen):]
+	m.CheckpointFile = string(body[i : i+int(nameLen)])
+	i += int(nameLen)
 	for _, f := range []*uint64{&m.LiveSegment, &m.LiveOffset, &m.Events} {
-		v, n := binary.Uvarint(body)
-		if n <= 0 {
+		if *f, i, err = framing.Uvarint(body, i); err != nil {
 			return bad("truncated body", nil)
 		}
-		*f = v
-		body = body[n:]
 	}
-	if len(body) != 0 {
-		return bad(fmt.Sprintf("%d trailing bytes", len(body)), nil)
+	if i != len(body) {
+		return bad(fmt.Sprintf("%d trailing bytes", len(body)-i), nil)
 	}
 	if m.Version != manifestVersion {
 		return bad(fmt.Sprintf("unsupported version %d (want %d)", m.Version, manifestVersion), nil)

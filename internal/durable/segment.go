@@ -8,6 +8,8 @@ import (
 	"path"
 	"sort"
 	"strings"
+
+	"footsteps/internal/framing"
 )
 
 // Segment file layout:
@@ -198,18 +200,14 @@ func (s *segScan) dataFrames() uint64 {
 }
 
 func decodeFooter(p []byte) (frames, payloadBytes, events uint64, ok bool) {
-	frames, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, 0, 0, false
+	frames, i, err := framing.Uvarint(p, 0)
+	if err == nil {
+		payloadBytes, i, err = framing.Uvarint(p, i)
 	}
-	p = p[n:]
-	payloadBytes, n = binary.Uvarint(p)
-	if n <= 0 {
-		return 0, 0, 0, false
+	if err == nil {
+		events, i, err = framing.Uvarint(p, i)
 	}
-	p = p[n:]
-	events, n = binary.Uvarint(p)
-	if n <= 0 || n != len(p) {
+	if err != nil || i != len(p) {
 		return 0, 0, 0, false
 	}
 	return frames, payloadBytes, events, true

@@ -18,6 +18,7 @@ import (
 	"net/netip"
 	"time"
 
+	"footsteps/internal/framing"
 	"footsteps/internal/intern"
 	"footsteps/internal/netsim"
 	"footsteps/internal/platform"
@@ -172,23 +173,9 @@ func (e *TruncatedError) Error() string {
 // Unwrap exposes the underlying error for errors.Is/As.
 func (e *TruncatedError) Unwrap() error { return e.Err }
 
-// countingReader tracks how many bytes the buffered layer has pulled
-// from the source, so the Reader can report precise truncation offsets.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // Reader decodes a binary event stream.
 type Reader struct {
-	src     *countingReader
-	r       *bufio.Reader
+	r       *framing.Reader
 	strings []string
 	scratch []byte // reusable string-record read buffer
 	events  uint64
@@ -196,18 +183,15 @@ type Reader struct {
 
 // NewReader validates the header and returns a reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	cr := &countingReader{r: r}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
+	fr := framing.NewReader(r)
+	ok, err := fr.Magic(magic)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
 	}
-	for i := range magic {
-		if head[i] != magic[i] {
-			return nil, ErrBadMagic
-		}
+	if !ok {
+		return nil, ErrBadMagic
 	}
-	return &Reader{src: cr, r: br}, nil
+	return &Reader{r: fr}, nil
 }
 
 // Events returns the number of complete events decoded so far.
@@ -220,16 +204,8 @@ func (r *Reader) Strings() []string {
 	return append([]string(nil), r.strings...)
 }
 
-// offset returns the stream offset of the next undecoded byte.
-func (r *Reader) offset() int64 { return r.src.n - int64(r.r.Buffered()) }
-
-// truncated wraps a mid-record decode failure. A bare io.EOF here means
-// the stream was cut inside a record, so it is promoted to
-// io.ErrUnexpectedEOF before wrapping.
+// truncated wraps a mid-record decode failure.
 func (r *Reader) truncated(start int64, what string, err error) error {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
 	return &TruncatedError{Events: r.events, Offset: start, Err: fmt.Errorf("%s: %w", what, err)}
 }
 
@@ -242,10 +218,10 @@ func (r *Reader) Next() (platform.Event, error) {
 			// io.EOF at a record boundary is a clean end of stream.
 			return platform.Event{}, err
 		}
-		start := r.offset() - 1
+		start := r.r.Offset() - 1
 		switch op {
 		case opString:
-			n, err := binary.ReadUvarint(r.r)
+			n, err := r.r.Uvarint()
 			if err != nil {
 				return platform.Event{}, r.truncated(start, "string length", err)
 			}
@@ -258,14 +234,10 @@ func (r *Reader) Next() (platform.Event, error) {
 			// captures (or re-reading one) of the same world resolves the
 			// same fingerprints to one shared copy instead of fresh
 			// allocations per stream.
-			if cap(r.scratch) < int(n) {
-				r.scratch = make([]byte, n)
-			}
-			buf := r.scratch[:n]
-			if _, err := io.ReadFull(r.r, buf); err != nil {
+			if r.scratch, err = r.r.Append(r.scratch[:0], int(n)); err != nil {
 				return platform.Event{}, r.truncated(start, "string body", err)
 			}
-			r.strings = append(r.strings, intern.Bytes(buf))
+			r.strings = append(r.strings, intern.Bytes(r.scratch))
 		case opEvent:
 			ev, err := r.readEvent(start)
 			if err != nil {
@@ -283,7 +255,7 @@ func (r *Reader) readEvent(start int64) (platform.Event, error) {
 	var ev platform.Event
 	var fields [10]uint64
 	for i := range fields {
-		v, err := binary.ReadUvarint(r.r)
+		v, err := r.r.Uvarint()
 		if err != nil {
 			return ev, r.truncated(start, "event record", err)
 		}
@@ -330,10 +302,6 @@ func (r *Reader) ReadAll() ([]platform.Event, error) {
 	}
 }
 
-// errOverflow is binary.ReadUvarint's overflow error, restated because
-// encoding/binary does not export it: Scanner reports what Reader does.
-var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
-
 // Scanner checks FSEV1 record bytes in place. It makes exactly the
 // record checks Reader.Next makes — a known opcode, a string length of
 // at most 1<<16 with all its bytes present, ten complete
@@ -369,7 +337,7 @@ func (s *Scanner) Scan(p []byte) (int, error) {
 		start := n
 		switch op := p[start]; op {
 		case opString:
-			l, i, err := uvarint(p, start+1)
+			l, i, err := framing.Uvarint(p, start+1)
 			if err != nil {
 				return start, s.truncated(start, "string length", err)
 			}
@@ -391,7 +359,7 @@ func (s *Scanner) Scan(p []byte) (int, error) {
 					i++
 				} else {
 					var err error
-					if v, i, err = uvarint(p, i); err != nil {
+					if v, i, err = framing.Uvarint(p, i); err != nil {
 						return start, s.truncated(start, "event record", err)
 					}
 				}
@@ -413,31 +381,6 @@ func (s *Scanner) Scan(p []byte) (int, error) {
 
 func (s *Scanner) truncated(start int, what string, err error) error {
 	return &TruncatedError{Events: s.events, Offset: int64(start), Err: fmt.Errorf("%s: %w", what, err)}
-}
-
-// uvarint decodes the uvarint at p[i:] by binary.ReadUvarint's rules
-// and returns it with the offset just past it. Running out of bytes is
-// io.ErrUnexpectedEOF, the error Reader reports for a record cut
-// anywhere inside it.
-func uvarint(p []byte, i int) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for k := 0; k < binary.MaxVarintLen64; k++ {
-		if i >= len(p) {
-			return 0, i, io.ErrUnexpectedEOF
-		}
-		b := p[i]
-		i++
-		if b < 0x80 {
-			if k == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, i, errOverflow
-			}
-			return x | uint64(b)<<s, i, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, i, errOverflow
 }
 
 // jsonEvent is the interchange shape for the JSONL codec.

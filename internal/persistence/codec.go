@@ -17,14 +17,16 @@
 // the magic selects the wire version, and the decoder keeps both list
 // readers.
 //
-// The codec mirrors the FSEV1 event codec in internal/eventio: uvarint
-// integers, length-prefixed strings, a fixed magic header, and typed
-// errors with byte offsets so a truncated or corrupt checkpoint is
-// diagnosable. The decoder is hardened against arbitrary input — it
-// must never panic and never allocate proportionally to a lying length
-// prefix — because the snapshot fuzz targets feed it garbage. Loaders
-// size their tables from Rows' hint, which a count can only raise as
-// far as the bytes left in the input could hold.
+// The format is built from uvarint integers, length-prefixed strings and
+// a fixed magic header. Its varints are read with internal/framing, the
+// decoder every binary format shares; this package adds the rule that
+// they be minimally encoded, its caps, and typed errors with byte
+// offsets so a truncated or corrupt checkpoint is diagnosable. The
+// decoder is hardened against arbitrary input — it must never panic and
+// never allocate proportionally to a lying length prefix — because the
+// snapshot fuzz targets feed it garbage. Loaders size their tables from
+// Rows' hint, which a count can only raise as far as the bytes left in
+// the input could hold.
 package persistence
 
 import (
@@ -35,6 +37,7 @@ import (
 	"net/netip"
 	"time"
 
+	"footsteps/internal/framing"
 	"footsteps/internal/rng"
 )
 
@@ -243,16 +246,16 @@ func (d *Decoder) U64() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
+	v, next, err := framing.Uvarint(d.data, d.off)
+	if err != nil {
 		d.fail("short or overlong uvarint")
 		return 0
 	}
-	if n > 1 && d.data[d.off+n-1] == 0 {
+	if next-d.off > 1 && d.data[next-1] == 0 {
 		d.fail("non-minimal uvarint")
 		return 0
 	}
-	d.off += n
+	d.off = next
 	return v
 }
 
@@ -261,16 +264,16 @@ func (d *Decoder) I64() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
+	v, next, err := framing.Varint(d.data, d.off)
+	if err != nil {
 		d.fail("short or overlong varint")
 		return 0
 	}
-	if n > 1 && d.data[d.off+n-1] == 0 {
+	if next-d.off > 1 && d.data[next-1] == 0 {
 		d.fail("non-minimal varint")
 		return 0
 	}
-	d.off += n
+	d.off = next
 	return v
 }
 

@@ -15,11 +15,15 @@ import (
 	"footsteps/internal/wire"
 )
 
-// Serving defaults, overridable via the core.Config Serve* knobs.
+// Serving defaults. The queue depth and pace are overridable via the
+// core.Config Serve* knobs.
 const (
 	DefaultQueueDepth = 8192
 	DefaultPace       = 60.0 // simulated seconds per wall second
-	DefaultMaxBatch   = 4096
+	// DefaultMaxBatch caps how many queued envelopes one drain applies,
+	// keeping worst-case drain latency flat under load; the remainder
+	// stays queued for the next drain.
+	DefaultMaxBatch = 4096
 	// pollInterval is the wall cadence at which the loop advances
 	// simulated time when no ingress arrives.
 	pollInterval = 5 * time.Millisecond
@@ -42,7 +46,6 @@ type Server struct {
 
 	queueDepth int
 	pace       float64
-	maxBatch   int
 
 	ln      net.Listener
 	httpSrv *http.Server
@@ -63,7 +66,7 @@ type Server struct {
 	simStart  time.Time
 	wallStart time.Time
 
-	// pending holds envelopes drained but deferred past a maxBatch cap.
+	// pending holds envelopes drained but deferred past DefaultMaxBatch.
 	pending []item
 
 	// Telemetry (all nil-safe when the world has no registry).
@@ -93,7 +96,6 @@ func New(w *core.World) (*Server, error) {
 		exec:       NewExecutor(w),
 		queueDepth: cfg.ServeQueueDepth,
 		pace:       cfg.ServePace,
-		maxBatch:   cfg.ServeMaxBatch,
 		stopLoop:   make(chan struct{}),
 		loopDone:   make(chan struct{}),
 		sweepStop:  make(chan struct{}),
@@ -103,9 +105,6 @@ func New(w *core.World) (*Server, error) {
 	}
 	if s.pace <= 0 {
 		s.pace = DefaultPace
-	}
-	if s.maxBatch <= 0 {
-		s.maxBatch = DefaultMaxBatch
 	}
 	s.q = core.NewIngestQueue[item](s.queueDepth)
 	s.bcast = newBroadcaster()
@@ -214,15 +213,12 @@ func (s *Server) loop() {
 }
 
 // drainAt advances the world to the instant t and applies at most
-// maxBatch queued envelopes there. Leftovers stay in s.pending for the
+// DefaultMaxBatch queued envelopes there. Leftovers stay in s.pending for the
 // next cycle.
 func (s *Server) drainAt(t time.Time) {
 	s.pending = s.q.Drain(s.pending)
 	s.mQueueDepth.Set(int64(len(s.pending)))
-	n := len(s.pending)
-	if n > s.maxBatch {
-		n = s.maxBatch
-	}
+	n := min(len(s.pending), DefaultMaxBatch)
 	batch := s.pending[:n]
 	if len(batch) == 0 {
 		// Nothing to apply: just keep simulated time tracking the

@@ -52,8 +52,8 @@ func NewEngine(phase *Phase, reg *telemetry.Registry, tr *trace.Tracer) *Engine 
 //
 // Between ticks the slice is truncated, not zeroed: stale intents stay
 // reachable until overwritten but are never observable, because RunInto
-// truncates before planning. The pooled-vs-fresh stream property test in
-// internal/simtest pins this.
+// truncates before planning. The pooled goldens in internal/simtest pin
+// this.
 type Buffer[T any] struct {
 	buf  []T
 	emit func(T)

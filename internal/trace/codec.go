@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"footsteps/internal/framing"
 )
 
 // ftrcMagic identifies a binary trace stream and its version. The header
@@ -143,25 +145,11 @@ func (e *TraceTruncatedError) Error() string {
 // Unwrap exposes the underlying error for errors.Is/As.
 func (e *TraceTruncatedError) Unwrap() error { return e.Err }
 
-// countingReader tracks how many bytes the buffered layer has pulled
-// from the source, so the Reader can report precise truncation offsets.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // Reader decodes an FTRC1 trace stream. Decode is alloc-capped: Next
 // returns a pointer into the reader's reusable span (and stage slice),
 // valid only until the following Next call — copy what you keep.
 type Reader struct {
-	src     *countingReader
-	r       *bufio.Reader
+	r       *framing.Reader
 	payload []byte
 	span    Span
 	spans   uint64
@@ -172,33 +160,22 @@ type Reader struct {
 
 // NewReader validates the header and returns a reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	cr := &countingReader{r: r}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	head := make([]byte, len(ftrcMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
+	fr := framing.NewReader(r)
+	ok, err := fr.Magic(ftrcMagic)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTraceMagic, err)
 	}
-	for i := range ftrcMagic {
-		if head[i] != ftrcMagic[i] {
-			return nil, ErrBadTraceMagic
-		}
+	if !ok {
+		return nil, ErrBadTraceMagic
 	}
-	rd := &Reader{src: cr, r: br}
-	var err error
-	if rd.seed, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("trace: header seed: %w", promoteEOF(err))
+	rd := &Reader{r: fr}
+	if rd.seed, err = fr.Uvarint(); err != nil {
+		return nil, fmt.Errorf("trace: header seed: %w", err)
 	}
-	if rd.sampleN, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("trace: header sample rate: %w", promoteEOF(err))
+	if rd.sampleN, err = fr.Uvarint(); err != nil {
+		return nil, fmt.Errorf("trace: header sample rate: %w", err)
 	}
 	return rd, nil
-}
-
-func promoteEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // Seed returns the sampler seed recorded in the header.
@@ -210,14 +187,10 @@ func (r *Reader) SampleN() uint64 { return r.sampleN }
 // Spans returns the number of complete spans decoded so far.
 func (r *Reader) Spans() uint64 { return r.spans }
 
-// offset returns the stream offset of the next undecoded byte.
-func (r *Reader) offset() int64 { return r.src.n - int64(r.r.Buffered()) }
-
-// truncated wraps a mid-record decode failure, promoting a bare io.EOF
-// (stream cut inside a record) to io.ErrUnexpectedEOF. The error is
-// sticky: further Next calls return it unchanged.
+// truncated wraps a mid-record decode failure. The error is sticky:
+// further Next calls return it unchanged.
 func (r *Reader) truncated(start int64, what string, err error) error {
-	r.err = &TraceTruncatedError{Spans: r.spans, Offset: start, Err: fmt.Errorf("%s: %w", what, promoteEOF(err))}
+	r.err = &TraceTruncatedError{Spans: r.spans, Offset: start, Err: fmt.Errorf("%s: %w", what, err)}
 	return r.err
 }
 
@@ -242,25 +215,21 @@ func (r *Reader) Next() (*Span, error) {
 		}
 		return nil, r.fail(err)
 	}
-	start := r.offset() - 1
+	start := r.r.Offset() - 1
 	if op != opSpan {
 		return nil, r.fail(fmt.Errorf("trace: unknown opcode %d at span %d (byte offset %d)", op, r.spans, start))
 	}
-	n, err := binary.ReadUvarint(r.r)
+	n, err := r.r.Uvarint()
 	if err != nil {
 		return nil, r.truncated(start, "span length", err)
 	}
 	if n > maxSpanPayload {
 		return nil, r.fail(fmt.Errorf("trace: implausible span length %d at span %d (byte offset %d)", n, r.spans, start))
 	}
-	if cap(r.payload) < int(n) {
-		r.payload = make([]byte, n)
-	}
-	buf := r.payload[:n]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
+	if r.payload, err = r.r.Append(r.payload[:0], int(n)); err != nil {
 		return nil, r.truncated(start, "span payload", err)
 	}
-	if err := r.decodeSpan(buf, start); err != nil {
+	if err := r.decodeSpan(r.payload, start); err != nil {
 		return nil, err
 	}
 	r.spans++
@@ -270,16 +239,12 @@ func (r *Reader) Next() (*Span, error) {
 // decodeSpan unpacks one span payload into the reader's reusable span.
 func (r *Reader) decodeSpan(buf []byte, start int64) error {
 	pos := 0
+	var err error // the first field that failed to decode
 	u := func() uint64 {
-		if pos < 0 {
-			return 0
+		var v uint64
+		if err == nil {
+			v, pos, err = framing.Uvarint(buf, pos)
 		}
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			pos = -1
-			return 0
-		}
-		pos += n
 		return v
 	}
 	sp := &r.span
@@ -294,19 +259,13 @@ func (r *Reader) decodeSpan(buf []byte, start int64) error {
 	sp.Target = u()
 	sp.Post = u()
 	sp.ASN = uint32(u())
-	if pos >= 0 {
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			pos = -1
-		} else {
-			pos += n
-			sp.Value = v
-		}
+	if err == nil {
+		sp.Value, pos, err = framing.Varint(buf, pos)
 	}
 	sp.Start = int64(u())
 	sp.Wall = int64(u())
 	nstages := u()
-	if pos < 0 {
+	if err != nil {
 		return r.truncated(start, "span fields", io.ErrUnexpectedEOF)
 	}
 	if nstages > maxSpanStages {
@@ -317,7 +276,7 @@ func (r *Reader) decodeSpan(buf []byte, start int64) error {
 		st := Stage(u())
 		verdict := uint8(u())
 		ns := int64(u())
-		if pos < 0 {
+		if err != nil {
 			return r.truncated(start, "span stages", io.ErrUnexpectedEOF)
 		}
 		sp.Stages = append(sp.Stages, StageRec{Stage: st, Verdict: verdict, Ns: ns})

@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+
+	"footsteps/internal/framing"
 )
 
 // The FING1 ingress log records exactly the network inputs the world
@@ -146,50 +147,38 @@ func (lw *LogWriter) Flush() error {
 // into one buffer that it reuses for the next, so a record's envelopes
 // are valid only until the next call to Next.
 type LogReader struct {
-	r      *bufio.Reader
-	offset int64
-	done   bool
-	buf    []byte   // envelope bytes of the current batch
-	envs   [][]byte // the current batch's envelopes, slicing buf
+	r    *framing.Reader
+	done bool
+	buf  []byte   // envelope bytes of the current batch
+	envs [][]byte // the current batch's envelopes, slicing buf
 }
 
 // NewLogReader checks the magic and returns a reader positioned at the
 // first record.
 func NewLogReader(r io.Reader) (*LogReader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(LogMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	fr := framing.NewReader(r)
+	ok, err := fr.Magic([]byte(LogMagic))
+	if err != nil {
 		return nil, &TruncatedError{Offset: 0}
 	}
-	if string(magic) != LogMagic {
+	if !ok {
 		return nil, ErrBadLogMagic
 	}
-	return &LogReader{r: br, offset: int64(len(LogMagic))}, nil
+	return &LogReader{r: fr}, nil
 }
 
-func (lr *LogReader) readByte() (byte, error) {
-	b, err := lr.r.ReadByte()
-	if err != nil {
-		return 0, &TruncatedError{Offset: lr.offset}
+// uvarint reads one uvarint. A varint past 64 bits is corrupt; any
+// other failure means the stream stopped inside it.
+func (lr *LogReader) uvarint() (uint64, error) {
+	v, err := lr.r.Uvarint()
+	if errors.Is(err, framing.ErrOverflow) {
+		return 0, &CorruptLogError{Offset: lr.r.Offset(), Reason: err.Error()}
 	}
-	lr.offset++
-	return b, nil
-}
-
-func (lr *LogReader) readUvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(lr)
 	if err != nil {
-		if _, ok := err.(*TruncatedError); ok {
-			return 0, err
-		}
-		return 0, &CorruptLogError{Offset: lr.offset, Reason: err.Error()}
+		return 0, &TruncatedError{Offset: lr.r.Offset()}
 	}
 	return v, nil
 }
-
-// ReadByte implements io.ByteReader for binary.ReadUvarint while
-// keeping the offset accurate.
-func (lr *LogReader) ReadByte() (byte, error) { return lr.readByte() }
 
 // Next returns the next record, io.EOF after the end record, a
 // *TruncatedError if the stream stops mid-record or before any end
@@ -198,14 +187,14 @@ func (lr *LogReader) Next() (LogRecord, error) {
 	if lr.done {
 		return LogRecord{}, io.EOF
 	}
-	op, err := lr.readByte()
+	op, err := lr.r.ReadByte()
 	if err != nil {
-		return LogRecord{}, err // no end record seen: truncated
+		return LogRecord{}, &TruncatedError{Offset: lr.r.Offset()} // no end record seen
 	}
 	if op != logOpBatch && op != logOpEnd {
-		return LogRecord{}, &CorruptLogError{Offset: lr.offset - 1, Reason: fmt.Sprintf("unknown record op %d", op)}
+		return LogRecord{}, &CorruptLogError{Offset: lr.r.Offset() - 1, Reason: fmt.Sprintf("unknown record op %d", op)}
 	}
-	at, err := lr.readUvarint()
+	at, err := lr.uvarint()
 	if err != nil {
 		return LogRecord{}, err
 	}
@@ -215,30 +204,29 @@ func (lr *LogReader) Next() (LogRecord, error) {
 		lr.done = true
 		return rec, nil
 	}
-	count, err := lr.readUvarint()
+	count, err := lr.uvarint()
 	if err != nil {
 		return LogRecord{}, err
 	}
 	if count > maxLogBatch {
-		return LogRecord{}, &CorruptLogError{Offset: lr.offset, Reason: fmt.Sprintf("batch declares %d envelopes (max %d)", count, maxLogBatch)}
+		return LogRecord{}, &CorruptLogError{Offset: lr.r.Offset(), Reason: fmt.Sprintf("batch declares %d envelopes (max %d)", count, maxLogBatch)}
 	}
 	// The buffers grow only as envelopes arrive, so a lying count or size
 	// costs at most one envelope's cap beyond what the bytes read need.
 	lr.buf, lr.envs = lr.buf[:0], lr.envs[:0]
 	for i := uint64(0); i < count; i++ {
-		size, err := lr.readUvarint()
+		size, err := lr.uvarint()
 		if err != nil {
 			return LogRecord{}, err
 		}
+		off := lr.r.Offset()
 		if size > MaxEnvelopeBytes {
-			return LogRecord{}, &CorruptLogError{Offset: lr.offset, Reason: fmt.Sprintf("envelope declares %d bytes (max %d)", size, MaxEnvelopeBytes)}
+			return LogRecord{}, &CorruptLogError{Offset: off, Reason: fmt.Sprintf("envelope declares %d bytes (max %d)", size, MaxEnvelopeBytes)}
 		}
 		start := len(lr.buf)
-		lr.buf = slices.Grow(lr.buf, int(size))[:start+int(size)]
-		if _, err := io.ReadFull(lr.r, lr.buf[start:]); err != nil {
-			return LogRecord{}, &TruncatedError{Offset: lr.offset}
+		if lr.buf, err = lr.r.Append(lr.buf, int(size)); err != nil {
+			return LogRecord{}, &TruncatedError{Offset: off}
 		}
-		lr.offset += int64(size)
 		lr.envs = append(lr.envs, lr.buf[start:])
 	}
 	// Growing buf may have moved it: re-slice every envelope from the
