@@ -55,7 +55,7 @@ func TestPhaseGuardTripsOnPlanMutation(t *testing.T) {
 		w, s := newWorld()
 		msg := func() (msg any) {
 			defer func() { msg = recover() }()
-			step.RunInto(w.Steps, nil, 1, func(int, func(struct{})) { tc.call(w, s) }, func(struct{}) {})
+			step.RunInto(w.Steps, new(step.Buffer[struct{}]), 1, func(int, func(struct{})) { tc.call(w, s) }, func(struct{}) {})
 			return nil
 		}()
 		if msg == nil || !strings.Contains(fmt.Sprint(msg), tc.mutator) {
@@ -63,7 +63,7 @@ func TestPhaseGuardTripsOnPlanMutation(t *testing.T) {
 		}
 
 		w, s = newWorld()
-		step.RunInto(w.Steps, nil, 1, func(_ int, emit func(struct{})) { emit(struct{}{}) },
+		step.RunInto(w.Steps, new(step.Buffer[struct{}]), 1, func(_ int, emit func(struct{})) { emit(struct{}{}) },
 			func(struct{}) { tc.call(w, s) })
 	}
 }

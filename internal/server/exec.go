@@ -69,17 +69,26 @@ func (e *Executor) nextToken() string {
 // queue-depth/session gauges).
 func (e *Executor) Sessions() int { return len(e.sessions) }
 
-// Apply executes one admitted envelope against the world at the current
-// simulated instant and returns its outcome. data has already passed
-// wire.ParseRequest at admission; Apply re-parses rather than carrying
-// the struct so that replay — which has only the logged bytes — runs
-// the exact same code path. A parse failure here (possible only if a
-// log was hand-edited) maps to the envelope's typed error.
+// Apply executes one raw envelope: it parses data and hands the result
+// to ApplyRequest. FING1 replay enters here, since a log holds only the
+// envelope bytes; replay therefore parses each logged line once more,
+// where the live loop applies the form its handler already parsed. A
+// parse failure (possible only if a log was hand-edited) maps to the
+// envelope's typed error.
 func (e *Executor) Apply(data []byte) wire.Outcome {
 	req, werr := wire.ParseRequest(data)
 	if werr != nil {
 		return werr.Outcome(req.ID)
 	}
+	return e.ApplyRequest(req)
+}
+
+// ApplyRequest executes one envelope that has passed wire.ParseRequest
+// against the world at the current simulated instant and returns its
+// outcome. The live loop calls it with the request its handler parsed
+// at admission; ParseRequest is a pure function of the bytes, so this
+// is the same request a replay of the logged bytes applies.
+func (e *Executor) ApplyRequest(req wire.Request) wire.Outcome {
 	switch req.Op {
 	case wire.OpRegister:
 		return e.register(req)

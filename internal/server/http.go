@@ -25,10 +25,13 @@ func (s *Server) mux() *http.ServeMux {
 	return mux
 }
 
-func writeOutcome(w http.ResponseWriter, out wire.Outcome) {
+// writeOutcome writes a single-envelope response, encoded in c's
+// response buffer.
+func writeOutcome(w http.ResponseWriter, c *call, out wire.Outcome) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(httpStatusFor(out))
-	_ = json.NewEncoder(w).Encode(out)
+	c.resp = append(wire.AppendOutcomeJSON(c.resp[:0], out), '\n')
+	_, _ = w.Write(c.resp)
 }
 
 // httpStatusFor maps a wire outcome to an HTTP status. Platform-level
@@ -61,81 +64,66 @@ func httpStatusFor(out wire.Outcome) int {
 func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.mLatRequest.Observe(time.Since(start).Nanoseconds()) }()
+	c := getCall()
+	defer putCall(c)
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, wire.MaxEnvelopeBytes+1))
+	body, err := readBody(r.Body, c.scan[:wire.MaxEnvelopeBytes+1])
 	if err != nil {
 		s.mRejected.Inc()
-		writeOutcome(w, wire.Errf(wire.CodeMalformed, "read body: %v", err).Outcome(0))
+		writeOutcome(w, c, wire.Errf(wire.CodeMalformed, "read body: %v", err).Outcome(0))
 		return
 	}
-	req, werr := wire.ParseRequest(body)
-	if werr != nil {
-		s.mRejected.Inc()
-		writeOutcome(w, werr.Outcome(req.ID))
-		return
-	}
-	done, werr := s.submit(body)
-	if werr != nil {
-		writeOutcome(w, werr.Outcome(req.ID))
-		return
-	}
-	writeOutcome(w, <-done)
+	s.stage(c, body)
+	s.admit(c)
+	writeOutcome(w, c, c.outs[0])
 }
 
 // handleBatch serves NDJSON: one envelope per line in, one outcome per
-// line out, order preserved. All lines are admitted before any outcome
-// is awaited, so a whole batch rides a single queue hand-off — this is
-// the throughput path loadgen uses.
+// line out, order preserved. Lines are read and parsed a chunk at a
+// time, s.chunkLines lines or the rest of the body, and a chunk is
+// admitted only once all its lines are parsed. Admission is per line,
+// so a queue that other requests have filled refuses the tail of a
+// chunk as overloaded; but a chunk never holds more lines than the
+// queue, and the next chunk is admitted only once the last is applied,
+// so a batch longer than the queue cannot overload itself. The handler
+// wakes once per chunk and writes the whole response at the end.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.mLatBatch.Observe(time.Since(start).Nanoseconds()) }()
 	s.mBatch.Inc()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
+	c := getCall()
+	defer putCall(c)
 
 	sc := bufio.NewScanner(io.LimitReader(r.Body, maxBatchBody))
-	sc.Buffer(make([]byte, 64<<10), wire.MaxEnvelopeBytes+2)
-
-	type slot struct {
-		done chan wire.Outcome
-		out  wire.Outcome // used when done is nil (rejected at admission)
-	}
-	var slots []slot
+	sc.Buffer(c.scan, wire.MaxEnvelopeBytes+2)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		req, werr := wire.ParseRequest(line)
-		if werr != nil {
-			s.mRejected.Inc()
-			slots = append(slots, slot{out: werr.Outcome(req.ID)})
-			continue
+		s.stage(c, line)
+		if len(c.outs) == s.chunkLines {
+			s.serveChunk(c)
 		}
-		// Scanner reuses its buffer; the queue needs a stable copy.
-		data := append([]byte(nil), line...)
-		done, werr := s.submit(data)
-		if werr != nil {
-			slots = append(slots, slot{out: werr.Outcome(req.ID)})
-			continue
-		}
-		slots = append(slots, slot{done: done})
 	}
 	if err := sc.Err(); err != nil {
 		s.mRejected.Inc()
-		slots = append(slots, slot{out: wire.Errf(wire.CodeTooLarge, "batch line: %v", err).Outcome(0)})
+		c.outs = append(c.outs, wire.Errf(wire.CodeTooLarge, "batch line: %v", err).Outcome(0))
 	}
+	s.serveChunk(c)
 
-	enc := json.NewEncoder(bw)
-	for _, sl := range slots {
-		out := sl.out
-		if sl.done != nil {
-			out = <-sl.done
-		}
-		_ = enc.Encode(out)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	_, _ = w.Write(c.resp)
+}
+
+// serveChunk admits c's staged chunk, waits for it, appends its
+// outcome lines to the response and empties the chunk.
+func (s *Server) serveChunk(c *call) {
+	s.admit(c)
+	for _, out := range c.outs {
+		c.resp = append(wire.AppendOutcomeJSON(c.resp, out), '\n')
 	}
+	c.reset()
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

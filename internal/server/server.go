@@ -30,11 +30,11 @@ const (
 )
 
 // item is one admitted envelope in flight between a handler goroutine
-// and the world loop.
+// and the world loop: staged envelope k of call c.
 type item struct {
-	data []byte
-	done chan wire.Outcome // buffered 1; loop never blocks on it
-	enq  time.Time         // wall time of admission, for the wait histogram
+	c   *call
+	k   int
+	enq time.Time // wall time of admission, for the wait histogram
 }
 
 // Server runs the HTTP/WS front end and the single-writer world loop.
@@ -46,6 +46,9 @@ type Server struct {
 
 	queueDepth int
 	pace       float64
+	// chunkLines is how many lines a handler stages before it admits
+	// them: DefaultMaxBatch, or the queue depth if that is smaller.
+	chunkLines int
 
 	ln      net.Listener
 	httpSrv *http.Server
@@ -68,6 +71,8 @@ type Server struct {
 
 	// pending holds envelopes drained but deferred past DefaultMaxBatch.
 	pending []item
+	// logEnvs is the loop's scratch for one FING1 batch record.
+	logEnvs [][]byte
 
 	// Telemetry (all nil-safe when the world has no registry).
 	mReqs        *telemetry.Counter // admitted request envelopes
@@ -106,6 +111,7 @@ func New(w *core.World) (*Server, error) {
 	if s.pace <= 0 {
 		s.pace = DefaultPace
 	}
+	s.chunkLines = min(DefaultMaxBatch, s.queueDepth)
 	s.q = core.NewIngestQueue[item](s.queueDepth)
 	s.bcast = newBroadcaster()
 	w.Plat.Log().Subscribe(s.bcast.emit)
@@ -228,41 +234,42 @@ func (s *Server) drainAt(t time.Time) {
 		s.w.ServeTick(t, nil)
 		return
 	}
+	// Counted before any call completes, so a handler holding its
+	// outcomes also sees them counted.
+	s.mApplied.Add(int64(len(batch)))
+	s.mDrains.Inc()
 	now := time.Now()
 	s.w.ServeTick(t, func() {
 		if s.logw != nil {
-			envs := make([][]byte, len(batch))
-			for i := range batch {
-				envs[i] = batch[i].data
+			for _, it := range batch {
+				s.logEnvs = append(s.logEnvs, it.c.raw(it.k))
 			}
-			_ = s.logw.Batch(t.UnixNano(), envs)
+			_ = s.logw.Batch(t.UnixNano(), s.logEnvs)
+			clear(s.logEnvs)
+			s.logEnvs = s.logEnvs[:0]
 		}
-		for i := range batch {
-			s.mEnqueueWait.Observe(now.Sub(batch[i].enq).Nanoseconds())
-			out := s.exec.Apply(batch[i].data)
-			batch[i].done <- out
+		for i, it := range batch {
+			s.mEnqueueWait.Observe(now.Sub(it.enq).Nanoseconds())
+			it.c.complete(it.k, s.exec.ApplyRequest(it.c.envs[it.k].req))
 			batch[i] = item{}
 		}
 	})
-	s.mApplied.Add(int64(len(batch)))
-	s.mDrains.Inc()
 	s.mSessions.Set(int64(s.exec.Sessions()))
 	s.pending = append(s.pending[:0], s.pending[n:]...)
 }
 
-// submit admits one already-validated envelope and returns its outcome
-// channel, or a typed admission error (overloaded / shutting down).
-func (s *Server) submit(data []byte) (chan wire.Outcome, *wire.Error) {
+// submit admits staged envelope k of c, or returns a typed admission
+// error (overloaded / shutting down).
+func (s *Server) submit(c *call, k int) *wire.Error {
 	if !s.accepting.Load() {
-		return nil, wire.Errf(wire.CodeShuttingDown, "server is draining")
+		return wire.Errf(wire.CodeShuttingDown, "server is draining")
 	}
-	it := item{data: data, done: make(chan wire.Outcome, 1), enq: time.Now()}
-	if !s.q.TryPush(it) {
+	if !s.q.TryPush(item{c: c, k: k, enq: time.Now()}) {
 		s.mOverloaded.Inc()
-		return nil, wire.Errf(wire.CodeOverloaded, "ingress queue full (%d)", s.queueDepth)
+		return wire.Errf(wire.CodeOverloaded, "ingress queue full (%d)", s.queueDepth)
 	}
 	s.mReqs.Inc()
-	return it.done, nil
+	return nil
 }
 
 // Shutdown closes admission, lets the world loop drain everything
@@ -292,7 +299,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			case <-time.After(pollInterval):
 			}
 			for _, it := range s.q.Drain(nil) {
-				it.done <- reject.Outcome(0)
+				it.c.complete(it.k, reject.Outcome(it.c.envs[it.k].req.ID))
 			}
 		}
 	}()

@@ -131,13 +131,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		"Upgrade: websocket\r\n" +
 		"Connection: Upgrade\r\n" +
 		"Sec-WebSocket-Accept: " + accept + "\r\n\r\n"
-	if _, err := brw.WriteString(resp); err != nil || brw.Flush() != nil {
-		conn.Close()
-		return
-	}
-
+	// Subscribe before the handshake completes: a client that acts as
+	// soon as it reads the 101 must see the events its actions emit.
 	c := &wsConn{conn: conn, ch: make(chan []byte, wsSendBuf), dead: make(chan struct{})}
 	s.bcast.add(c)
+	if _, err := brw.WriteString(resp); err != nil || brw.Flush() != nil {
+		s.bcast.remove(c)
+		return
+	}
 
 	// Reader: we never act on client frames, but reading until error is
 	// how we notice the peer went away (close frame, RST, FIN).

@@ -68,15 +68,11 @@ type Buffer[T any] struct {
 // order. apply is where shared state may mutate; the engine's Phase word
 // enforces this in race-detector builds.
 //
-// b, when non-nil, keeps the intent slice and emit closure for the
-// caller's next tick; nil allocates fresh ones. Reuse is invisible to
-// plan and apply.
+// b keeps the intent slice and emit closure for the caller's next
+// tick. Reuse is invisible to plan and apply.
 func RunInto[T any](e *Engine, b *Buffer[T], n int, plan func(i int, emit func(T)), apply func(T)) {
 	if n <= 0 {
 		return
-	}
-	if b == nil {
-		b = new(Buffer[T])
 	}
 	if b.emit == nil {
 		b.emit = func(v T) { b.buf = append(b.buf, v) }

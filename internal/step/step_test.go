@@ -48,14 +48,14 @@ func TestRunInto(t *testing.T) {
 			if !tc.nilEngine {
 				e = NewEngine(new(Phase), reg, tr)
 			}
-			var buf *Buffer[[2]int]
-			if tc.reuse {
-				buf = new(Buffer[[2]int])
-			}
+			buf := new(Buffer[[2]int])
 
 			state := 0 // shared state: only apply writes it
 			var perSection []int
 			for s := 0; s < tc.sections; s++ {
+				if !tc.reuse {
+					buf = new(Buffer[[2]int])
+				}
 				before := state
 				var emitted, applied [][2]int
 				RunInto(e, buf, tc.actors, func(i int, emit func([2]int)) {
@@ -133,7 +133,7 @@ func TestRunMergeOrderIndependentOfEngine(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64, actors uint8) bool {
 		n := int(actors%33) + 1
-		want := collect(nil, nil, n, seed)
+		want := collect(nil, new(Buffer[string]), n, seed)
 		tr, err := trace.New(io.Discard, 1, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestRunBarrierBeforeApply(t *testing.T) {
 	t.Parallel()
 	planned := 0
 	const actors = 50
-	RunInto(NewEngine(new(Phase), nil, nil), nil, actors, func(i int, emit func(int)) {
+	RunInto(NewEngine(new(Phase), nil, nil), new(Buffer[int]), actors, func(i int, emit func(int)) {
 		planned++
 		emit(i)
 	}, func(int) {
@@ -178,7 +178,7 @@ func TestRunAppliesSerially(t *testing.T) {
 	t.Parallel()
 	inApply := 0
 	applied := 0
-	RunInto(NewEngine(new(Phase), nil, nil), nil, 40, func(i int, emit func(int)) {
+	RunInto(NewEngine(new(Phase), nil, nil), new(Buffer[int]), 40, func(i int, emit func(int)) {
 		for k := 0; k < 5; k++ {
 			emit(i*10 + k)
 		}
@@ -202,7 +202,7 @@ func TestTracerObservesRun(t *testing.T) {
 	t.Parallel()
 	run := func(e *Engine) int {
 		sum := 0
-		RunInto(e, nil, 6, func(i int, emit func(int)) {
+		RunInto(e, new(Buffer[int]), 6, func(i int, emit func(int)) {
 			emit(i)
 			emit(i * 10)
 		}, func(v int) { sum += v })

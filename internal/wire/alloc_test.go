@@ -71,3 +71,18 @@ func TestAllocBudgetLogReaderNext(t *testing.T) {
 		t.Errorf("LogReader.Next: %.1f allocs/batch, budget 0", got)
 	}
 }
+
+// TestAllocBudgetAppendOutcomeJSON pins the outcome encoder at zero
+// allocations into a buffer with room, escapes included.
+func TestAllocBudgetAppendOutcomeJSON(t *testing.T) {
+	outs := []Outcome{
+		{V: Version, ID: 9, Status: StatusAllowed, Applied: true, Token: "t0123456789abcdef"},
+		{V: Version, ID: 10, Status: StatusError, Code: CodeUnknownOp, Detail: "op \"<warp>&\"\x01\xe2\x80\xa8\xff"},
+	}
+	buf := make([]byte, 0, 256)
+	for _, o := range outs {
+		if got := testing.AllocsPerRun(100, func() { buf = AppendOutcomeJSON(buf[:0], o) }); got > 0 {
+			t.Errorf("AppendOutcomeJSON(%+v): %.1f allocs, budget 0", o, got)
+		}
+	}
+}

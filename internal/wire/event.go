@@ -52,15 +52,17 @@ func EventFrom(ev platform.Event) Event {
 // the extended slice. It is a hand-rolled fast path for the WS event
 // broadcaster, which may serialize tens of thousands of events per wall
 // second: no reflection, one allocation at most (the slice growth).
-// Output is canonical — identical to what encoding/json would produce
-// for the Event struct — which the tests pin.
+// The bytes equal json.Marshal(ev): strings go through the same escaper
+// as AppendOutcomeJSON, so a client fingerprint holding control bytes,
+// <, >, & or invalid UTF-8 still yields valid, identical JSON.
+// FuzzAppendEventJSONMatchesJSON holds that equivalence.
 func AppendEventJSON(dst []byte, ev Event) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, ev.Seq, 10)
 	dst = append(dst, `,"t":`...)
 	dst = strconv.AppendInt(dst, ev.TimeNanos, 10)
 	dst = append(dst, `,"action":`...)
-	dst = strconv.AppendQuote(dst, ev.Action)
+	dst = appendJSONString(dst, ev.Action)
 	dst = append(dst, `,"actor":`...)
 	dst = strconv.AppendUint(dst, ev.Actor, 10)
 	if ev.Target != 0 {
@@ -73,7 +75,7 @@ func AppendEventJSON(dst []byte, ev Event) []byte {
 	}
 	if ev.IP != "" {
 		dst = append(dst, `,"ip":`...)
-		dst = strconv.AppendQuote(dst, ev.IP)
+		dst = appendJSONString(dst, ev.IP)
 	}
 	if ev.ASN != 0 {
 		dst = append(dst, `,"asn":`...)
@@ -81,12 +83,12 @@ func AppendEventJSON(dst []byte, ev Event) []byte {
 	}
 	if ev.Client != "" {
 		dst = append(dst, `,"client":`...)
-		dst = strconv.AppendQuote(dst, ev.Client)
+		dst = appendJSONString(dst, ev.Client)
 	}
 	dst = append(dst, `,"api":`...)
-	dst = strconv.AppendQuote(dst, ev.API)
+	dst = appendJSONString(dst, ev.API)
 	dst = append(dst, `,"outcome":`...)
-	dst = strconv.AppendQuote(dst, string(ev.Outcome))
+	dst = appendJSONString(dst, string(ev.Outcome))
 	if ev.Enforcement {
 		dst = append(dst, `,"enforcement":true`...)
 	}

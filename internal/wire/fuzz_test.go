@@ -161,3 +161,43 @@ func checkLogErr(t *testing.T, err error) {
 		t.Fatalf("untyped decode error: %v", err)
 	}
 }
+
+// FuzzAppendOutcomeJSONMatchesJSON is the differential check of the
+// hand-written outcome encoder against json.Marshal. The checked-in
+// corpus covers each escape rule: quotes and backslashes, the short
+// control escapes, other control bytes, HTML-sensitive <, > and &,
+// U+2028/U+2029 and invalid UTF-8.
+func FuzzAppendOutcomeJSONMatchesJSON(f *testing.F) {
+	f.Add(1, uint64(7), "allowed", "", "", true, uint64(3), uint64(0), "t0123456789abcdef")
+	f.Fuzz(func(t *testing.T, v int, id uint64, status, code, detail string, applied bool, account, post uint64, token string) {
+		o := Outcome{V: v, ID: id, Status: Status(status), Code: Code(code), Detail: detail,
+			Applied: applied, Account: account, Post: post, Token: token}
+		want, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendOutcomeJSON([]byte("x"), o); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("AppendOutcomeJSON(%#v) =\n %s\njson.Marshal gives\n %s", o, got[1:], want)
+		}
+	})
+}
+
+// FuzzAppendEventJSONMatchesJSON is the same differential check for the
+// WS event encoder, whose client string comes from wire logins.
+func FuzzAppendEventJSONMatchesJSON(f *testing.F) {
+	f.Add(uint64(1), int64(1504224000000000500), "follow", uint64(3), uint64(9), uint64(0),
+		"203.0.113.7", uint32(64512), "android-7.1", "private", "allowed", false, false)
+	f.Fuzz(func(t *testing.T, seq uint64, tn int64, action string, actor, target, post uint64,
+		ip string, asn uint32, client, api, outcome string, enforcement, duplicate bool) {
+		ev := Event{Seq: seq, TimeNanos: tn, Action: action, Actor: actor, Target: target, Post: post,
+			IP: ip, ASN: asn, Client: client, API: api, Outcome: Status(outcome),
+			Enforcement: enforcement, Duplicate: duplicate}
+		want, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendEventJSON([]byte("x"), ev); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("AppendEventJSON(%#v) =\n %s\njson.Marshal gives\n %s", ev, got[1:], want)
+		}
+	})
+}

@@ -15,8 +15,12 @@
 // (decode.go): no reflection, one allocation per non-empty string field.
 // It accepts exactly what encoding/json accepts into a Request and
 // yields the same value, so ingress logs recorded before it replay
-// unchanged. FuzzParseRequestMatchesJSON holds that equivalence; this
-// package imports encoding/json only in its tests, as that reference.
+// unchanged. FuzzParseRequestMatchesJSON holds that equivalence.
+// Outcomes and WS events are encoded by hand too (AppendOutcomeJSON,
+// AppendEventJSON), byte for byte as json.Marshal writes them, which
+// FuzzAppendOutcomeJSONMatchesJSON and FuzzAppendEventJSONMatchesJSON
+// hold. The package imports encoding/json only in its tests, as that
+// reference.
 //
 // Parsing never panics and never allocates unboundedly: envelopes are
 // size-capped, every malformed input maps to a typed *Error with a

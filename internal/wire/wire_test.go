@@ -167,6 +167,11 @@ func TestAppendEventJSONMatchesEncodingJSON(t *testing.T) {
 			Seq: 3, Time: time.Unix(1504224002, 0), Type: platform.ActionFollow,
 			Actor: 5, Target: 3, Outcome: platform.OutcomeAllowed, Enforcement: true, Duplicate: true,
 		},
+		{
+			// A wire login's client string reaches the stream verbatim.
+			Seq: 4, Time: time.Unix(1504224003, 0), Type: platform.ActionLogin, Actor: 6,
+			Client: "a\x01<b>&\x7f\b\f\xe2\x80\xa8\xff\"\\", Outcome: platform.OutcomeAllowed,
+		},
 	}
 	for _, pev := range evs {
 		ev := EventFrom(pev)
