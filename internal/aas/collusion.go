@@ -452,9 +452,7 @@ func (s *CollusionService) dailyTick(scale float64) {
 		// Sources' daily adaptation windows roll for every enrolled
 		// account, managed or not (honeypots are sources too); the state
 		// is customer-local, so rolling it during planning is safe.
-		for _, ad := range c.adapt {
-			ad.endDay()
-		}
+		c.endDay()
 		if !c.Managed {
 			return
 		}

@@ -77,8 +77,9 @@ type Customer struct {
 	session    *platform.Session // AAS-held session (service infrastructure)
 	ownSession *platform.Session // the human's own session (home network)
 
-	// adaptive per-action-type rate control (block-detection state).
-	adapt map[platform.ActionType]*adaptiveRate
+	// adaptive per-action-type rate control (block-detection state),
+	// indexed by action type; nil until the type is first adapted.
+	adapt [numActionTypes]*adaptiveRate
 
 	// recentFollows is a bounded queue of service-created follows pending
 	// automatic unfollow.
@@ -220,6 +221,18 @@ func (a *adaptiveRate) onBlocked(now time.Time, probeInterval int) {
 	}
 	a.learnedCap = cap
 	a.probeWait = probeInterval
+}
+
+// numActionTypes sizes the per-type adaptation array.
+const numActionTypes = int(platform.ActionLogin) + 1
+
+// endDay rolls the day boundary of every adapted action type.
+func (c *Customer) endDay() {
+	for _, a := range c.adapt {
+		if a != nil {
+			a.endDay()
+		}
+	}
 }
 
 // endDay rolls the day boundary.
@@ -428,7 +441,6 @@ func (b *base) Enroll(username, password string, wants []Offering) (*Customer, e
 		Wants:      wants,
 		EnrolledAt: b.plat.Now(),
 		session:    sess,
-		adapt:      make(map[platform.ActionType]*adaptiveRate),
 		rng:        b.rng.Fork(uint64(len(b.customers))),
 	}
 	// Split is a pure function of the child stream's lineage — it

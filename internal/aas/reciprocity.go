@@ -302,9 +302,7 @@ func (s *ReciprocityService) hourTick() {
 	}, s.applier.apply)
 	if now.Hour() == 23 {
 		for _, c := range active {
-			for _, ad := range c.adapt {
-				ad.endDay()
-			}
+			c.endDay()
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Snapshot/restore support (see internal/persistence). Customer order is
 // preserved verbatim — enrollment order drives Fork lineage and every
-// tick's iteration — while map-backed state (adaptation, totals,
-// delivered tallies) is serialized sorted so the encoded form is
+// tick's iteration — while per-type and map-backed state (adaptation,
+// totals, delivered tallies) is serialized sorted so the encoded form is
 // canonical. Customers are written straight from the engine's records;
 // restore decodes them into a staged engine section, which Commit
 // installs. Both run on the quiescent single timeline.
@@ -167,7 +167,7 @@ func (b *base) header() BaseState {
 
 // CustomerRows yields the customers in enrollment order. Each row's
 // lists alias the customer's own, or buffers reused from row to row for
-// the map-backed state.
+// the per-type and map-backed state.
 func (b *base) CustomerRows() snaprow.Rows[CustomerState] {
 	return snaprow.Rows[CustomerState]{N: len(b.customers), Each: func(yield func(*CustomerState)) {
 		var cs CustomerState
@@ -181,12 +181,14 @@ func (b *base) CustomerRows() snaprow.Rows[CustomerState] {
 		for _, c := range b.customers {
 			adapt = adapt[:0]
 			for t, a := range c.adapt {
+				if a == nil {
+					continue
+				}
 				adapt = append(adapt, AdaptState{
-					Action: t, LearnedCap: a.learnedCap, TodayCount: a.todayCount,
+					Action: platform.ActionType(t), LearnedCap: a.learnedCap, TodayCount: a.todayCount,
 					TodayBlocked: a.todayBlocked, BlockedUntil: a.blockedUntil, ProbeWait: a.probeWait,
 				})
 			}
-			slices.SortFunc(adapt, func(a, b AdaptState) int { return cmp.Compare(a.Action, b.Action) })
 			follows = follows[:0]
 			for _, u := range c.recentFollows {
 				follows = append(follows, UnfollowState{Target: u.target, Due: u.due})
@@ -328,6 +330,14 @@ func (s *stagedBase) LoadCustomers(hint int) func(*CustomerState) {
 			}
 			return
 		}
+		for _, a := range cs.Adapt {
+			if a.Action < 0 || int(a.Action) >= numActionTypes {
+				if s.err == nil {
+					s.err = fmt.Errorf("aas: customer %d adapts unknown action type %d", cs.Account, a.Action)
+				}
+				return
+			}
+		}
 		c := &Customer{
 			Account:              cs.Account,
 			Username:             cs.Username,
@@ -345,7 +355,6 @@ func (s *stagedBase) LoadCustomers(hint int) func(*CustomerState) {
 			FirstPaidBeforeStudy: cs.FirstPaidBeforeStudy,
 			Product:              cs.Product,
 			Tier:                 cs.Tier,
-			adapt:                make(map[platform.ActionType]*adaptiveRate, len(cs.Adapt)),
 			unfollowAfter:        cs.UnfollowAfter,
 			lastFreeRequest:      cs.LastFreeRequest,
 			rng:                  rng.FromState(cs.RNG),

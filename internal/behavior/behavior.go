@@ -127,7 +127,10 @@ type Population struct {
 	rng      *rng.RNG
 	homeASNs []netsim.ASN // residential ASNs for member logins, by country
 
-	members  map[platform.AccountID]*member
+	// members addresses the member records by account ID: members[id]
+	// is nil unless id is a member. Account IDs are minted densely from
+	// 1, so the event subscriber's lookup is a bounds check.
+	members  []*member
 	ids      []platform.AccountID
 	general  []platform.AccountID // members outside any curated pool
 	pools    map[string][]platform.AccountID
@@ -183,7 +186,6 @@ func New(model Model, plat *platform.Platform, sched *clock.Scheduler, r *rng.RN
 		sched:   sched,
 		net:     plat.Net(),
 		rng:     r,
-		members: make(map[platform.AccountID]*member),
 		pools:   make(map[string][]platform.AccountID),
 		Reacted: make(map[string]int),
 	}
@@ -269,7 +271,7 @@ func (p *Population) addFromSpec(label string, spec PoolSpec, n int) []platform.
 			panic(fmt.Sprintf("behavior: register organic member: %v", err))
 		}
 		prof.ID = id
-		p.members[id] = &member{profile: prof, rng: p.rng.Fork(uint64(p.nextName))}
+		p.setMember(&member{profile: prof, rng: p.rng.Fork(uint64(p.nextName))})
 		p.ids = append(p.ids, id)
 		ids = append(ids, id)
 	}
@@ -326,16 +328,30 @@ func (p *Population) Members() []platform.AccountID {
 	return append([]platform.AccountID(nil), p.ids...)
 }
 
-// IsMember reports whether id belongs to the population.
-func (p *Population) IsMember(id platform.AccountID) bool {
-	_, ok := p.members[id]
-	return ok
+// memberOf returns id's member record, nil when id is not a member.
+func (p *Population) memberOf(id platform.AccountID) *member {
+	if uint64(id) < uint64(len(p.members)) {
+		return p.members[id]
+	}
+	return nil
 }
+
+// setMember files m under its account ID.
+func (p *Population) setMember(m *member) {
+	id := m.profile.ID
+	if uint64(id) >= uint64(len(p.members)) {
+		p.members = append(p.members, make([]*member, int(id)+1-len(p.members))...)
+	}
+	p.members[id] = m
+}
+
+// IsMember reports whether id belongs to the population.
+func (p *Population) IsMember(id platform.AccountID) bool { return p.memberOf(id) != nil }
 
 // Profile returns the member's profile.
 func (p *Population) Profile(id platform.AccountID) (Profile, bool) {
-	m, ok := p.members[id]
-	if !ok {
+	m := p.memberOf(id)
+	if m == nil {
 		return Profile{}, false
 	}
 	return m.profile, true
@@ -370,8 +386,8 @@ func (p *Population) Wire() {
 		if ev.Type != platform.ActionLike && ev.Type != platform.ActionFollow {
 			return
 		}
-		m, ok := p.members[ev.Target]
-		if !ok || ev.Actor == ev.Target {
+		m := p.memberOf(ev.Target)
+		if m == nil || ev.Actor == ev.Target {
 			return
 		}
 		p.maybeReciprocate(m, ev)
@@ -434,8 +450,8 @@ func (p *Population) fireReaction(e *pendingReaction) {
 			break
 		}
 	}
-	m, ok := p.members[e.member]
-	if !ok {
+	m := p.memberOf(e.member)
+	if m == nil {
 		return
 	}
 	sess := p.session(m)
@@ -499,7 +515,7 @@ func (p *Population) homeASNFor(country string) netsim.ASN {
 func (p *Population) OutDegrees(ids []platform.AccountID) []int {
 	out := make([]int, 0, len(ids))
 	for _, id := range ids {
-		if m, ok := p.members[id]; ok {
+		if m := p.memberOf(id); m != nil {
 			out = append(out, m.profile.OutDeg)
 		}
 	}
@@ -511,7 +527,7 @@ func (p *Population) OutDegrees(ids []platform.AccountID) []int {
 func (p *Population) InDegrees(ids []platform.AccountID) []int {
 	out := make([]int, 0, len(ids))
 	for _, id := range ids {
-		if m, ok := p.members[id]; ok {
+		if m := p.memberOf(id); m != nil {
 			out = append(out, m.profile.InDeg)
 		}
 	}
@@ -527,7 +543,7 @@ func (p *Population) TagPool(label string, tags ...string) {
 		return
 	}
 	for _, id := range p.pools[label] {
-		m := p.members[id]
+		m := p.memberOf(id)
 		if m == nil {
 			continue
 		}
@@ -554,7 +570,7 @@ func (p *Population) StartPosting(label string, days int, dailyProb float64) {
 		// stream; the posts — which mutate the platform and may lazily log
 		// the member in — apply in member order.
 		step.RunInto(p.steps, &p.postBuf, len(ids), func(i int, emit func(*member)) {
-			if m := p.members[ids[i]]; m != nil && m.rng.Bool(dailyProb) {
+			if m := p.memberOf(ids[i]); m != nil && m.rng.Bool(dailyProb) {
 				emit(m)
 			}
 		}, func(m *member) {

@@ -210,7 +210,11 @@ func (p *Population) Commit(s *Staged) {
 	for _, ps := range s.h.Pools {
 		p.pools[ps.Label] = ps.IDs
 	}
-	p.members = make(map[platform.AccountID]*member, len(s.block))
+	rows := 0
+	for i := range s.block {
+		rows = max(rows, int(s.block[i].m.profile.ID)+1)
+	}
+	p.members = make([]*member, rows)
 	for i := range s.block {
 		sm := &s.block[i]
 		sm.m.rng = &sm.rng

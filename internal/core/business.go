@@ -213,10 +213,10 @@ func (w *World) BusinessStudy() (*BusinessResults, error) {
 		if svc == nil {
 			continue
 		}
-		targets := make([]platform.AccountID, 0, len(svc.Targets))
-		for id := range svc.Targets {
-			if w.Pop.IsMember(id) {
-				targets = append(targets, id)
+		targets := make([]platform.AccountID, 0, svc.Targets())
+		for _, a := range svc.Accounts() {
+			if a.Targeted() && w.Pop.IsMember(a.Account) {
+				targets = append(targets, a.Account)
 			}
 		}
 		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
@@ -254,7 +254,7 @@ func stabilitySeries(tracker *detection.Tracker, days int) map[string]StabilityS
 			Deaths:       make([]int, days),
 		}
 		var dayBuf []int
-		for _, a := range svc.ByAccount {
+		for _, a := range svc.Accounts() {
 			if !a.HasOutbound() && !collusion {
 				continue
 			}
@@ -351,9 +351,9 @@ func overlapStats(tracker *detection.Tracker) OverlapStats {
 	customersOf := func(label string, includeInboundOnly bool) map[platform.AccountID]bool {
 		out := make(map[platform.AccountID]bool)
 		if svc := tracker.Service(label); svc != nil {
-			for id, a := range svc.ByAccount {
+			for _, a := range svc.Accounts() {
 				if a.HasOutbound() || includeInboundOnly {
-					out[id] = true
+					out[a.Account] = true
 				}
 			}
 		}
@@ -393,7 +393,7 @@ func conversionRate(svc *detection.ServiceActivity, cutoff, windowDays int, incl
 	}
 	var newcomers, converted int
 	var dayBuf []int
-	for _, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		if !a.HasOutbound() && !includeInboundOnly {
 			continue
 		}
@@ -424,7 +424,7 @@ func longTermGrowth(svc *detection.ServiceActivity, cutoff, windowDays int, incl
 	lateDay := windowDays - windowDays/6
 	var early, late int
 	var dayBuf []int
-	for _, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		if !a.HasOutbound() && !includeInboundOnly {
 			continue
 		}
@@ -455,11 +455,11 @@ func longTermGrowth(svc *detection.ServiceActivity, cutoff, windowDays int, incl
 func (w *World) customerCountries(svc *detection.ServiceActivity, includeInboundOnly bool) []netsim.CountryFraction {
 	counts := make(map[string]int)
 	total := 0
-	for id, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		if !a.HasOutbound() && !includeInboundOnly {
 			continue
 		}
-		c, ok := w.Plat.MostFrequentLoginCountry(id)
+		c, ok := w.Plat.MostFrequentLoginCountry(a.Account)
 		if !ok || c == "" {
 			c = "OTHER"
 		}
@@ -495,7 +495,7 @@ func (w *World) customerCountries(svc *detection.ServiceActivity, includeInbound
 func actionMix(svc *detection.ServiceActivity) map[platform.ActionType]float64 {
 	total := 0
 	for t, n := range svc.Actions {
-		if t == platform.ActionLogin {
+		if platform.ActionType(t) == platform.ActionLogin {
 			continue
 		}
 		total += n
@@ -505,10 +505,10 @@ func actionMix(svc *detection.ServiceActivity) map[platform.ActionType]float64 {
 		return out
 	}
 	for t, n := range svc.Actions {
-		if t == platform.ActionLogin || n == 0 {
+		if platform.ActionType(t) == platform.ActionLogin || n == 0 {
 			continue
 		}
-		out[t] = float64(n) / float64(total)
+		out[platform.ActionType(t)] = float64(n) / float64(total)
 	}
 	return out
 }

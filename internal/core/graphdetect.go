@@ -112,9 +112,9 @@ func (w *World) GraphDetectionStudy() (*GraphDetectionResults, error) {
 		sig := make(map[platform.AccountID]bool)
 		collusion := label == aas.NameHublaagram || label == aas.NameFollowersgratis
 		if svc := tracker.Service(label); svc != nil {
-			for id, a := range svc.ByAccount {
+			for _, a := range svc.Accounts() {
 				if a.HasOutbound() || collusion {
-					sig[id] = true
+					sig[a.Account] = true
 				}
 			}
 		}

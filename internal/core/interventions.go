@@ -213,7 +213,7 @@ func (w *World) figure5(tracker *detection.Tracker, th detection.Thresholds, cal
 	for d := 0; d < expDays; d++ {
 		trackerDay := warmupless(calibDays) + d
 		var block, delay, control []int
-		for id, a := range svc.ByAccount {
+		for _, a := range svc.Accounts() {
 			if !a.HasOutbound() {
 				continue
 			}
@@ -221,7 +221,7 @@ func (w *World) figure5(tracker *detection.Tracker, th detection.Thresholds, cal
 			if n == 0 {
 				continue
 			}
-			switch intervention.BinOf(id) {
+			switch intervention.BinOf(a.Account) {
 			case blockBin:
 				block = append(block, n)
 			case delayBin:

@@ -220,6 +220,9 @@ func (st *staged) fits(w *World, now time.Time) error {
 	if err := w.Pop.Matches(st.pop); err != nil {
 		return &persistence.StateError{Component: "behavior", Err: err}
 	}
+	if err := st.hp.Registered(st.plat.NumAccounts()); err != nil {
+		return &persistence.StateError{Component: "honeypot", Err: err}
+	}
 	var recip, coll []string
 	for _, name := range w.ServiceNames() {
 		if _, ok := w.Recip[name]; ok {

@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"testing"
 
+	"footsteps/internal/aas"
 	"footsteps/internal/persistence"
+	"footsteps/internal/platform"
 )
 
 // allocBudgetSnapshot bounds the allocations of one snapshot into a
@@ -191,4 +193,60 @@ func FuzzRestoreNoPanic(f *testing.F) {
 			t.Fatalf("restored world re-snapshots to %d bytes that differ from its %d-byte input", again.Len(), len(data))
 		}
 	})
+}
+
+// TestRestoreRejectsRowsOutOfRange: honeypots are addressed by account
+// ID and service adaptation by action type, so a snapshot listing a
+// honeypot the platform does not list, or adapting an action type that
+// does not exist, restores to a StateError: not a table sized by a
+// corrupt ID, not an index panic.
+func TestRestoreRejectsRowsOutOfRange(t *testing.T) {
+	cfg := fuzzRestoreConfig()
+	w := NewWorld(cfg)
+	w.RunAll()
+	if _, err := w.TrainClassifier(1); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := w.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	valid := snap.Bytes()
+	if _, err := RestoreWorld(cfg, bytes.NewReader(valid)); err != nil {
+		t.Fatalf("valid snapshot: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*persistence.WorldState)
+	}{
+		{"honeypot-past-accounts", func(st *persistence.WorldState) {
+			st.Honeypots.Accounts[0].ID = platform.AccountID(len(st.Platform.Accounts) + 1)
+		}},
+		{"honeypot-huge-id", func(st *persistence.WorldState) { st.Honeypots.Accounts[0].ID = 1 << 62 }},
+		{"honeypot-zero-id", func(st *persistence.WorldState) { st.Honeypots.Accounts[0].ID = 0 }},
+		{"adapt-unknown-type", func(st *persistence.WorldState) {
+			c := &st.Recip[0].State.Base.Customers[0]
+			c.Adapt = append(c.Adapt, aas.AdaptState{Action: platform.ActionLogin + 1})
+		}},
+		{"adapt-negative-type", func(st *persistence.WorldState) {
+			c := &st.Recip[0].State.Base.Customers[0]
+			c.Adapt = append([]aas.AdaptState{{Action: -1}}, c.Adapt...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, st, err := persistence.DecodeBytes(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Honeypots.Accounts) == 0 || len(st.Recip) == 0 || len(st.Recip[0].State.Base.Customers) == 0 {
+				t.Fatal("snapshot has no honeypots or customers to corrupt")
+			}
+			tc.corrupt(st)
+			got, err := RestoreWorld(cfg, bytes.NewReader(persistence.EncodeBytes(h, st)))
+			var se *persistence.StateError
+			if got != nil || !errors.As(err, &se) {
+				t.Fatalf("restore gave world %v, error %v; want a StateError", got != nil, err)
+			}
+		})
+	}
 }

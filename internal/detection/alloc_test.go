@@ -2,7 +2,9 @@ package detection
 
 import (
 	"testing"
+	"time"
 
+	"footsteps/internal/clock"
 	"footsteps/internal/platform"
 )
 
@@ -16,6 +18,36 @@ const allocBudgetAppendActiveDays = 0
 // in-place increments of the compact vector — no map lookups, no
 // per-day heap objects.
 const allocBudgetSameDayTally = 0
+
+// allocBudgetTrackerObserve pins the tracker's per-event fold: once an
+// account has its row, the day its tally entry and the post its like
+// count, an attributed event is a fingerprint probe, two row lookups and
+// in-place increments.
+const allocBudgetTrackerObserve = 0
+
+func TestAllocBudgetTrackerObserve(t *testing.T) {
+	tr := newTestTracker()
+	at := clock.Epoch.Add(3*clock.Day + time.Hour)
+	like := trackedEvent(1, 2, platform.ActionLike, at, 7)
+	follow := trackedEvent(1, 3, platform.ActionFollow, at, 0)
+	organic := trackedEvent(4, 2, platform.ActionLike, at, 7)
+	organic.Client = "mobile-official"
+	for _, ev := range []platform.Event{like, follow, organic} {
+		tr.Observe(ev) // warm the rows, the day entries and the post tally
+	}
+	got := testing.AllocsPerRun(100, func() {
+		tr.Observe(like)
+		tr.Observe(follow)
+		tr.Observe(organic)
+	})
+	if got > allocBudgetTrackerObserve {
+		t.Errorf("detection.Tracker.Observe allocates %.1f/op on a warm account and day, budget %d",
+			got, allocBudgetTrackerObserve)
+	}
+	if n := tr.Service("Svc").Actions[platform.ActionLike]; n < 100 {
+		t.Fatalf("%d likes tallied; measurement is vacuous", n)
+	}
+}
 
 func TestAllocBudgetAppendActiveDays(t *testing.T) {
 	a := &AccountActivity{}

@@ -6,6 +6,7 @@ package detection
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"footsteps/internal/netsim"
@@ -38,18 +39,26 @@ type Signature struct {
 // inability to separate the franchises.
 type Classifier struct {
 	rules map[Signature]string
-	byFP  map[string]string
+	// byFP maps a fingerprint to its label's index in labels, so the
+	// tracker resolves an event to its service row with one probe.
+	byFP   map[string]int
+	labels []string // distinct learned labels, in learning order
 }
 
 // NewClassifier returns an empty classifier.
 func NewClassifier() *Classifier {
-	return &Classifier{rules: make(map[Signature]string), byFP: make(map[string]string)}
+	return &Classifier{rules: make(map[Signature]string), byFP: make(map[string]int)}
 }
 
 // Learn associates a signature with an AAS label.
 func (c *Classifier) Learn(sig Signature, label string) {
 	c.rules[sig] = label
-	c.byFP[sig.Fingerprint] = label
+	i := slices.Index(c.labels, label)
+	if i < 0 {
+		i = len(c.labels)
+		c.labels = append(c.labels, label)
+	}
+	c.byFP[sig.Fingerprint] = i
 }
 
 // TrainFromHoneypots ingests events observed on honeypot accounts.
@@ -73,19 +82,24 @@ func (c *Classifier) TrainFromHoneypots(events []platform.Event, enrolledWith fu
 // Classify attributes one event. The second result is false for traffic
 // matching no learned fingerprint.
 func (c *Classifier) Classify(ev platform.Event) (string, bool) {
-	label, ok := c.byFP[ev.Client]
-	return label, ok
+	i, ok := c.byFP[ev.Client]
+	if !ok {
+		return "", false
+	}
+	return c.labels[i], true
 }
 
 // Labels returns the distinct service labels the classifier knows, sorted.
 func (c *Classifier) Labels() []string {
-	seen := make(map[string]bool)
-	for _, l := range c.byFP {
-		seen[l] = true
+	seen := make([]bool, len(c.labels))
+	for _, i := range c.byFP {
+		seen[i] = true
 	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
+	out := make([]string, 0, len(c.labels))
+	for i, l := range c.labels {
+		if seen[i] {
+			out = append(out, l)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -174,7 +174,7 @@ func TestTrackerDailyActivityAndLongTerm(t *testing.T) {
 	if svc == nil || svc.Customers() < 2 {
 		t.Fatalf("service %+v", svc)
 	}
-	a1 := svc.ByAccount[1]
+	a1 := svc.Account(1)
 	if a1.MaxConsecutiveDays() != 10 {
 		t.Fatalf("a1 run %d", a1.MaxConsecutiveDays())
 	}
@@ -184,14 +184,14 @@ func TestTrackerDailyActivityAndLongTerm(t *testing.T) {
 	if a1.OutboundOnDay(3, platform.ActionFollow) != 5 {
 		t.Fatalf("a1 day-3 follows %d", a1.OutboundOnDay(3, platform.ActionFollow))
 	}
-	a2 := svc.ByAccount[2]
+	a2 := svc.Account(2)
 	if a2.MaxConsecutiveDays() != 2 {
 		t.Fatalf("a2 run %d", a2.MaxConsecutiveDays())
 	}
 	if svc.Actions[platform.ActionFollow] != 53 {
 		t.Fatalf("service follows %d", svc.Actions[platform.ActionFollow])
 	}
-	if !svc.Targets[100] {
+	if !svc.Account(100).Targeted() {
 		t.Fatal("target not recorded")
 	}
 }
@@ -208,7 +208,7 @@ func TestTrackerInboundLikesAndPeakHourly(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tr.Observe(trackedEvent(platform.AccountID(2000+i), 9, platform.ActionLike, at.Add(time.Duration(i)*2*time.Hour), 8))
 	}
-	a := tr.Service("Svc").ByAccount[9]
+	a := tr.Service("Svc").Account(9)
 	if a.PostLikeCount(7) != 200 || a.PostLikeCount(8) != 50 {
 		t.Fatalf("post likes %d, %d", a.PostLikeCount(7), a.PostLikeCount(8))
 	}
@@ -253,7 +253,7 @@ func TestTrackerLoginMarksEnrollment(t *testing.T) {
 	if svc == nil || svc.Customers() != 1 {
 		t.Fatal("login did not register customer")
 	}
-	if svc.ByAccount[42].MaxConsecutiveDays() != 0 {
+	if svc.Account(42).MaxConsecutiveDays() != 0 {
 		t.Fatal("login counted as activity")
 	}
 }

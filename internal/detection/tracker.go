@@ -60,10 +60,19 @@ type AccountActivity struct {
 	curHour      int64
 	curHourCount int
 
+	// targeted marks the account as in its service's target sample
+	// frame; see Targeted.
+	targeted bool
+
 	// dayScratch backs MaxConsecutiveDays' AppendActiveDays call so the
 	// per-account statistic costs no allocation after the first query.
 	dayScratch []int
 }
+
+// Targeted reports whether the account is in its service's target
+// sample frame: it received attributed actions, and was among the
+// service's first targetCap accounts to do so.
+func (a *AccountActivity) Targeted() bool { return a.targeted }
 
 // bumpDay adds n to the (day, t) tally in *days. Events arrive in time
 // order, so the hot paths are "same day as the last record" and "a later
@@ -286,43 +295,64 @@ func (a *AccountActivity) PostsWithAtLeast(n int) int {
 // ServiceActivity aggregates everything attributed to one AAS label.
 type ServiceActivity struct {
 	Label string
-	// ByAccount: service-driven activity per customer account. For
+	// rows addresses the service-driven activity per account by ID:
+	// rows[id] is nil until the service touches account id. For
 	// reciprocity services the customer is the actor; for collusion
 	// networks every actor is a customer and every target is too.
-	ByAccount map[platform.AccountID]*AccountActivity
+	// Account IDs are minted densely from 1, so a lookup is a bounds
+	// check, not a hash probe.
+	rows []*AccountActivity
+	// accounts holds the same rows in first-seen order.
+	accounts []*AccountActivity
 	// Actions tallies all attributed outbound actions by type (Table 11).
-	Actions map[platform.ActionType]int
-	// Targets records distinct organic accounts that received attributed
-	// actions (the Figure 3/4 sample frame). Bounded: sampling keeps the
-	// first cap entries.
-	Targets map[platform.AccountID]bool
+	Actions [numActionTypes]int
+	// targets counts the rows flagged Targeted: distinct accounts that
+	// received attributed actions (the Figure 3/4 sample frame).
+	// Bounded: sampling flags the first targetCap of them.
+	targets int
 	// ASNs is the service's observed network footprint (Table 7).
 	ASNs map[netsim.ASN]bool
 }
 
-func newServiceActivity(label string) *ServiceActivity {
-	return &ServiceActivity{
-		Label:     label,
-		ByAccount: make(map[platform.AccountID]*AccountActivity),
-		Actions:   make(map[platform.ActionType]int),
-		Targets:   make(map[platform.AccountID]bool),
-		ASNs:      make(map[netsim.ASN]bool),
-	}
+// NewServiceActivity returns an empty aggregate for label.
+func NewServiceActivity(label string) *ServiceActivity {
+	return &ServiceActivity{Label: label, ASNs: make(map[netsim.ASN]bool)}
 }
 
-func (s *ServiceActivity) account(id platform.AccountID) *AccountActivity {
-	a := s.ByAccount[id]
-	if a == nil {
-		a = &AccountActivity{Account: id}
-		s.ByAccount[id] = a
+// Account returns the activity row for id, nil when the service never
+// touched the account.
+func (s *ServiceActivity) Account(id platform.AccountID) *AccountActivity {
+	if uint64(id) < uint64(len(s.rows)) {
+		return s.rows[id]
 	}
+	return nil
+}
+
+// Accounts returns every account row in first-seen order. The slice is
+// the service's own; callers must not modify it.
+func (s *ServiceActivity) Accounts() []*AccountActivity { return s.accounts }
+
+// Add returns the activity row for id, adding an empty one when the
+// service has not touched the account yet.
+func (s *ServiceActivity) Add(id platform.AccountID) *AccountActivity {
+	if uint64(id) >= uint64(len(s.rows)) {
+		s.rows = append(s.rows, make([]*AccountActivity, int(id)+1-len(s.rows))...)
+	} else if a := s.rows[id]; a != nil {
+		return a
+	}
+	a := &AccountActivity{Account: id}
+	s.rows[id] = a
+	s.accounts = append(s.accounts, a)
 	return a
 }
 
 // Customers returns the number of distinct accounts seen in the service.
-func (s *ServiceActivity) Customers() int { return len(s.ByAccount) }
+func (s *ServiceActivity) Customers() int { return len(s.accounts) }
 
-// targetCap bounds the Targets sample frame.
+// Targets returns the number of accounts in the target sample frame.
+func (s *ServiceActivity) Targets() int { return s.targets }
+
+// targetCap bounds the target sample frame.
 const targetCap = 100000
 
 // Tracker consumes the event stream and maintains per-service activity.
@@ -330,8 +360,11 @@ const targetCap = 100000
 // Observe.
 type Tracker struct {
 	classifier *Classifier
-	services   map[string]*ServiceActivity
-	start      time.Time
+	// services is indexed like the classifier's labels; nil until the
+	// label's first attributed event.
+	services []*ServiceActivity
+	// startNs is the window start in Unix nanoseconds.
+	startNs int64
 
 	telObserved   *telemetry.Counter
 	telAttributed *telemetry.Counter
@@ -340,7 +373,7 @@ type Tracker struct {
 // NewTracker builds a tracker over a trained classifier. start anchors day
 // indices (usually the measurement window's first instant).
 func NewTracker(c *Classifier, start time.Time) *Tracker {
-	return &Tracker{classifier: c, services: make(map[string]*ServiceActivity), start: start}
+	return &Tracker{classifier: c, startNs: start.UnixNano()}
 }
 
 // WireTelemetry registers the tracker's counters on reg: events observed
@@ -355,9 +388,31 @@ func (t *Tracker) WireTelemetry(reg *telemetry.Registry) {
 	t.telAttributed = reg.Counter("detection.events.attributed")
 }
 
-// Day converts an event time to a day index relative to the window start.
+// Day converts an event time to a day index relative to the window start,
+// truncated toward zero as a Duration quotient is. It reads wall clock
+// nanoseconds, which simulated times (built from clock.Epoch) carry
+// exactly; it is valid for the years 1678–2262, as UnixNano is.
 func (t *Tracker) Day(at time.Time) int {
-	return int(at.Sub(t.start) / clock.Day)
+	return int((at.UnixNano() - t.startNs) / int64(clock.Day))
+}
+
+// serviceFor returns the aggregate for the event's fingerprint, creating
+// it on the label's first attributed event; nil for unattributed traffic.
+// One map probe: the classifier's fingerprint index doubles as the row.
+func (t *Tracker) serviceFor(client string) *ServiceActivity {
+	i, ok := t.classifier.byFP[client]
+	if !ok {
+		return nil
+	}
+	if i >= len(t.services) {
+		t.services = append(t.services, make([]*ServiceActivity, i+1-len(t.services))...)
+	}
+	svc := t.services[i]
+	if svc == nil {
+		svc = NewServiceActivity(t.classifier.labels[i])
+		t.services[i] = svc
+	}
+	return svc
 }
 
 // Observe ingests one platform event. Duplicate no-op actions (re-liking
@@ -368,32 +423,30 @@ func (t *Tracker) Observe(ev platform.Event) {
 		return
 	}
 	t.telObserved.Inc()
-	label, ok := t.classifier.Classify(ev)
-	if !ok {
+	svc := t.serviceFor(ev.Client)
+	if svc == nil {
 		return
 	}
 	t.telAttributed.Inc()
-	svc := t.services[label]
-	if svc == nil {
-		svc = newServiceActivity(label)
-		t.services[label] = svc
+	if !svc.ASNs[ev.ASN] {
+		svc.ASNs[ev.ASN] = true
 	}
-	svc.ASNs[ev.ASN] = true
 	if ev.Type == platform.ActionLogin {
 		// Service logins mark the account as enrolled but are not actions.
-		svc.account(ev.Actor)
+		svc.Add(ev.Actor)
 		return
 	}
 	day := t.Day(ev.Time)
 	svc.Actions[ev.Type]++
 
-	svc.account(ev.Actor).AddOutbound(day, ev.Type, 1)
+	svc.Add(ev.Actor).AddOutbound(day, ev.Type, 1)
 
 	if ev.Target != 0 && ev.Target != ev.Actor {
-		if len(svc.Targets) < targetCap {
-			svc.Targets[ev.Target] = true
+		tgt := svc.Add(ev.Target)
+		if !tgt.targeted && svc.targets < targetCap {
+			tgt.targeted = true
+			svc.targets++
 		}
-		tgt := svc.account(ev.Target)
 		tgt.AddInbound(day, ev.Type, 1)
 
 		if ev.Type == platform.ActionLike {
@@ -411,13 +464,22 @@ func (t *Tracker) Observe(ev platform.Event) {
 }
 
 // Service returns the aggregate for a label (nil when unseen).
-func (t *Tracker) Service(label string) *ServiceActivity { return t.services[label] }
+func (t *Tracker) Service(label string) *ServiceActivity {
+	for _, svc := range t.services {
+		if svc != nil && svc.Label == label {
+			return svc
+		}
+	}
+	return nil
+}
 
 // Labels returns the labels with observed activity, sorted.
 func (t *Tracker) Labels() []string {
 	out := make([]string, 0, len(t.services))
-	for l := range t.services {
-		out = append(out, l)
+	for _, svc := range t.services {
+		if svc != nil {
+			out = append(out, svc.Label)
+		}
 	}
 	sort.Strings(out)
 	return out

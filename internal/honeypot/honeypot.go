@@ -110,7 +110,10 @@ type Framework struct {
 	net   *netsim.Registry
 	rng   *rng.RNG
 
-	accounts map[platform.AccountID]*Account
+	// accounts addresses the honeypots by account ID: accounts[id] is
+	// nil unless id is a honeypot. Account IDs are minted densely from
+	// 1, so the monitor's lookups are bounds checks.
+	accounts []*Account
 	ordered  []*Account
 
 	// highProfile accounts (>1M followers in the paper) that lived-in
@@ -124,11 +127,10 @@ type Framework struct {
 // New returns a framework bound to the platform.
 func New(plat *platform.Platform, sched *clock.Scheduler, r *rng.RNG) *Framework {
 	return &Framework{
-		plat:     plat,
-		sched:    sched,
-		net:      plat.Net(),
-		rng:      r,
-		accounts: make(map[platform.AccountID]*Account),
+		plat:  plat,
+		sched: sched,
+		net:   plat.Net(),
+		rng:   r,
 	}
 }
 
@@ -145,10 +147,10 @@ func (f *Framework) Wire() {
 	}
 	f.wired = true
 	f.plat.Log().Subscribe(func(ev platform.Event) {
-		if ev.Type == platform.ActionLogin {
+		if ev.Type == platform.ActionLogin || ev.Outcome != platform.OutcomeAllowed {
 			return
 		}
-		if a, ok := f.accounts[ev.Actor]; ok && !a.deleted && ev.Outcome == platform.OutcomeAllowed {
+		if a := f.row(ev.Actor); a != nil && !a.deleted {
 			switch {
 			case ev.Enforcement:
 				a.Enforcements++
@@ -158,7 +160,7 @@ func (f *Framework) Wire() {
 				a.Outbound[ev.Type]++
 			}
 		}
-		if a, ok := f.accounts[ev.Target]; ok && !a.deleted && ev.Outcome == platform.OutcomeAllowed && ev.Actor != ev.Target {
+		if a := f.row(ev.Target); a != nil && !a.deleted && ev.Actor != ev.Target {
 			switch {
 			case ev.Enforcement:
 				a.Enforcements++
@@ -206,6 +208,9 @@ func (f *Framework) Create(kind Kind) (*Account, error) {
 		Inbound:      make(Counts),
 		Outbound:     make(Counts),
 		InboundDedup: make(map[platform.AccountID]Counts),
+	}
+	if uint64(id) >= uint64(len(f.accounts)) {
+		f.accounts = append(f.accounts, make([]*Account, int(id)+1-len(f.accounts))...)
 	}
 	f.accounts[id] = a
 	f.ordered = append(f.ordered, a)
@@ -261,8 +266,16 @@ func (f *Framework) Accounts() []*Account {
 
 // Account looks up a honeypot by platform ID.
 func (f *Framework) Account(id platform.AccountID) (*Account, bool) {
-	a, ok := f.accounts[id]
-	return a, ok
+	a := f.row(id)
+	return a, a != nil
+}
+
+// row returns id's honeypot, nil when id is not one.
+func (f *Framework) row(id platform.AccountID) *Account {
+	if uint64(id) < uint64(len(f.accounts)) {
+		return f.accounts[id]
+	}
+	return nil
 }
 
 // MarkEnrolled records which AAS the honeypot was registered with.

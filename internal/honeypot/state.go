@@ -179,14 +179,30 @@ func (s *Staged) Finish(h *State) error {
 	return s.err
 }
 
-// Commit installs a staged section. The wired subscription is left
-// alone — Wire runs at construction and the subscription closure reads
-// the maps installed here.
+// Registered reports an error unless every staged honeypot is one of
+// the platform's n accounts: the framework addresses its honeypots by
+// account ID.
+func (s *Staged) Registered(n int) error {
+	for _, a := range s.accounts {
+		if a.ID == 0 || uint64(a.ID) > uint64(n) {
+			return fmt.Errorf("honeypot: account %d is not among the platform's %d accounts", a.ID, n)
+		}
+	}
+	return nil
+}
+
+// Commit installs a staged section whose honeypots are Registered. The
+// wired subscription is left alone — Wire runs at construction and the
+// subscription closure reads the rows installed here.
 func (f *Framework) Commit(s *Staged) {
 	f.rng.SetState(s.h.RNG)
 	f.nextID = s.h.NextID
 	f.highProfile = s.h.HighProfile
-	clear(f.accounts)
+	rows := 0
+	for _, a := range s.accounts {
+		rows = max(rows, int(a.ID)+1)
+	}
+	f.accounts = make([]*Account, rows)
 	f.ordered = s.accounts
 	for _, a := range s.accounts {
 		f.accounts[a.ID] = a

@@ -36,7 +36,7 @@ type Split struct {
 func LongTermSplit(svc *detection.ServiceActivity, minRunDays int, includeInboundOnly bool) Split {
 	var s Split
 	var longActs, allActs int
-	for _, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		acts := a.TotalOutboundAll()
 		if acts == 0 {
 			if !includeInboundOnly {
@@ -84,7 +84,7 @@ func EstimateReciprocity(svc *detection.ServiceActivity, pricing aas.Reciprocity
 		return est
 	}
 	var dayBuf []int
-	for _, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		if !a.HasOutbound() {
 			continue // organic target of the service, not a customer
 		}
@@ -167,7 +167,7 @@ func EstimateCollusion(svc *detection.ServiceActivity, pricing aas.CollusionPric
 		lowestTierMin = pricing.MonthlyTiers[0].MinLikes
 	}
 	requests := 0
-	for _, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		inLikes := a.TotalInbound(platform.ActionLike)
 		inFollows := a.TotalInbound(platform.ActionFollow)
 		outbound := a.TotalOutboundAll()
@@ -253,7 +253,7 @@ func SplitNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.Reciproci
 	trial := pricing.ActualTrialDays()
 	var newRev, oldRev float64
 	var dayBuf []int
-	for _, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		if !a.HasOutbound() {
 			continue
 		}
@@ -300,7 +300,7 @@ func SplitNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.Reciproci
 // revenue proxy.
 func SplitCollusionNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.CollusionPricing, monthStart int) NewVsPreexisting {
 	var newRev, oldRev float64
-	for _, a := range svc.ByAccount {
+	for _, a := range svc.Accounts() {
 		if pricing.FreeLikeHourlyCap <= 0 || a.PeakHourlyLike <= pricing.FreeLikeHourlyCap {
 			continue
 		}

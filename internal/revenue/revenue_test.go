@@ -11,22 +11,16 @@ import (
 
 // mkService builds a synthetic ServiceActivity.
 func mkService() *detection.ServiceActivity {
-	return &detection.ServiceActivity{
-		Label:     "Test",
-		ByAccount: make(map[platform.AccountID]*detection.AccountActivity),
-		Actions:   make(map[platform.ActionType]int),
-		Targets:   make(map[platform.AccountID]bool),
-	}
+	return detection.NewServiceActivity("Test")
 }
 
 // addActor inserts an account active on the given days with n outbound
 // follows per active day.
 func addActor(svc *detection.ServiceActivity, id platform.AccountID, days []int, perDay int) *detection.AccountActivity {
-	a := &detection.AccountActivity{Account: id}
+	a := svc.Add(id)
 	for _, d := range days {
 		a.AddOutbound(d, platform.ActionFollow, perDay)
 	}
-	svc.ByAccount[id] = a
 	return a
 }
 

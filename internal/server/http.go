@@ -86,13 +86,15 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 // chunk as overloaded; but a chunk never holds more lines than the
 // queue, and the next chunk is admitted only once the last is applied,
 // so a batch longer than the queue cannot overload itself. The handler
-// wakes once per chunk and writes the whole response at the end.
+// wakes once per chunk and writes the whole response at the end, unless
+// the response outgrows maxPooledBytes first (see serveChunk).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.mLatBatch.Observe(time.Since(start).Nanoseconds()) }()
 	s.mBatch.Inc()
 	c := getCall()
 	defer putCall(c)
+	w.Header().Set("Content-Type", "application/x-ndjson")
 
 	sc := bufio.NewScanner(io.LimitReader(r.Body, maxBatchBody))
 	sc.Buffer(c.scan, wire.MaxEnvelopeBytes+2)
@@ -103,25 +105,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.stage(c, line)
 		if len(c.outs) == s.chunkLines {
-			s.serveChunk(c)
+			s.serveChunk(w, c)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		s.mRejected.Inc()
 		c.outs = append(c.outs, wire.Errf(wire.CodeTooLarge, "batch line: %v", err).Outcome(0))
 	}
-	s.serveChunk(c)
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	s.serveChunk(w, c)
 	_, _ = w.Write(c.resp)
 }
 
 // serveChunk admits c's staged chunk, waits for it, appends its
-// outcome lines to the response and empties the chunk.
-func (s *Server) serveChunk(c *call) {
+// outcome lines to the response and empties the chunk. Short malformed
+// lines answer with outcomes some 30 times their size, so the response
+// is not held whole: once it grows past maxPooledBytes it is written
+// out. Full duplex goes on first: without it an HTTP/1 server discards
+// up to 256 KiB of the unread body when the response begins. HTTP/2
+// needs no switch and reports it unsupported, which is fine to ignore.
+func (s *Server) serveChunk(w http.ResponseWriter, c *call) {
 	s.admit(c)
 	for _, out := range c.outs {
 		c.resp = append(wire.AppendOutcomeJSON(c.resp, out), '\n')
+		if len(c.resp) > maxPooledBytes {
+			_ = http.NewResponseController(w).EnableFullDuplex()
+			_, _ = w.Write(c.resp)
+			c.resp = c.resp[:0]
+		}
 	}
 	c.reset()
 }
