@@ -25,6 +25,33 @@ const allocBudgetSameDayTally = 0
 // in-place increments.
 const allocBudgetTrackerObserve = 0
 
+// allocBudgetIPVolumeGuardCheck pins the guard's per-request check:
+// once an address has its window, a check hashes one integer key and
+// updates the window in place, and a block bumps an existing
+// fingerprint tally.
+const allocBudgetIPVolumeGuardCheck = 0
+
+func TestAllocBudgetIPVolumeGuardCheck(t *testing.T) {
+	g := NewIPVolumeGuard(200)
+	at := clock.Epoch.Add(3*clock.Day + time.Hour)
+	hot := guardReq("10.0.0.1", "spoof", at)
+	capped := guardReq("10.0.0.2", "spoof", at)
+	for i := 0; i < 200; i++ {
+		g.Check(capped) // fill 10.0.0.2's window
+	}
+	g.Check(hot)
+	g.Check(capped) // warm the throttle tally
+	got := testing.AllocsPerRun(50, func() {
+		if g.Check(hot).Kind != platform.VerdictAllow || g.Check(capped).Kind != platform.VerdictBlock {
+			t.Fatal("warm address verdicts changed")
+		}
+	})
+	if got > allocBudgetIPVolumeGuardCheck {
+		t.Errorf("detection.IPVolumeGuard.Check allocates %.1f/op on a warm address, budget %d",
+			got, allocBudgetIPVolumeGuardCheck)
+	}
+}
+
 func TestAllocBudgetTrackerObserve(t *testing.T) {
 	tr := newTestTracker()
 	at := clock.Epoch.Add(3*clock.Day + time.Hour)

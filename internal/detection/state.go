@@ -48,18 +48,19 @@ func (st *IPVolumeGuardState) LoadThrottled(hint int) func(*ClientCount) {
 }
 func (st *IPVolumeGuardState) Finish() error { return nil }
 
-// WindowRows yields the per-address windows sorted by address.
+// WindowRows yields the per-address windows sorted by address (keys
+// sort as their addresses do; see ipKey).
 func (g *IPVolumeGuard) WindowRows() snaprow.Rows[IPWindowState] {
-	ips := make([]netip.Addr, 0, len(g.counts))
-	for ip := range g.counts {
-		ips = append(ips, ip)
+	keys := make([]ipKey, 0, len(g.counts))
+	for k := range g.counts {
+		keys = append(keys, k)
 	}
-	slices.SortFunc(ips, netip.Addr.Compare)
-	return snaprow.Rows[IPWindowState]{N: len(ips), Each: func(yield func(*IPWindowState)) {
+	slices.Sort(keys)
+	return snaprow.Rows[IPWindowState]{N: len(keys), Each: func(yield func(*IPWindowState)) {
 		var ws IPWindowState
-		for _, ip := range ips {
-			w := g.counts[ip]
-			ws = IPWindowState{IP: ip, Day: w.day, N: w.n}
+		for _, k := range keys {
+			w := g.counts[k]
+			ws = IPWindowState{IP: k.addr(), Day: w.day, N: w.n}
 			yield(&ws)
 		}
 	}}
@@ -85,7 +86,7 @@ func (g *IPVolumeGuard) ThrottledRows() snaprow.Rows[ClientCount] {
 type StagedGuard struct {
 	windows   []IPWindowState
 	clients   []ClientCount
-	counts    map[netip.Addr]ipWindow
+	counts    map[ipKey]ipWindow
 	throttled map[string]int
 }
 
@@ -103,18 +104,13 @@ func (s *StagedGuard) LoadThrottled(hint int) func(*ClientCount) {
 // Finish checks both lists came in the order WindowRows and
 // ThrottledRows write them.
 func (s *StagedGuard) Finish() error {
-	if !snaprow.Sorted(s.windows, func(w *IPWindowState) int64 {
-		if !w.IP.Is4() {
-			return -1
-		}
-		b := w.IP.As4()
-		return int64(b[0])<<24 | int64(b[1])<<16 | int64(b[2])<<8 | int64(b[3])
-	}) || !snaprow.Sorted(s.clients, func(cc *ClientCount) string { return cc.Client }) {
+	if !snaprow.Sorted(s.windows, func(w *IPWindowState) ipKey { return keyOf(w.IP) }) ||
+		!snaprow.Sorted(s.clients, func(cc *ClientCount) string { return cc.Client }) {
 		return fmt.Errorf("detection: guard windows or throttle tallies are not sorted")
 	}
-	s.counts = make(map[netip.Addr]ipWindow, len(s.windows))
+	s.counts = make(map[ipKey]ipWindow, len(s.windows))
 	for _, w := range s.windows {
-		s.counts[w.IP] = ipWindow{day: w.Day, n: w.N}
+		s.counts[keyOf(w.IP)] = ipWindow{day: w.Day, n: w.N}
 	}
 	s.throttled = make(map[string]int, len(s.clients))
 	for _, cc := range s.clients {

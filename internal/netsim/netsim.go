@@ -14,6 +14,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"footsteps/internal/rng"
 )
@@ -61,12 +62,21 @@ type ASInfo struct {
 // 32-bit range [n<<20, (n+1)<<20) mapped into IPv4 space — a /12 per ASN,
 // over a million addresses, allocated sequentially. The mapping is private
 // to the simulator; only Lookup and Country inspect it.
+//
+// Routing generation: Generation names the current routing table. It
+// starts at 1 and moves whenever a route is installed (Register,
+// AnnouncePrefix), never on Allocate, which hands out addresses without
+// changing who owns them. While the generation stands still, Lookup of
+// any address returns the same answer, so a caller may keep a resolved
+// ASN together with the generation it was resolved at and skip the trie
+// until the generation moves (platform sessions do).
 type Registry struct {
 	mu    sync.RWMutex
 	infos map[ASN]ASInfo
 	next  map[ASN]uint32 // next host offset within the ASN's block
 	order []ASN          // registration order, for deterministic iteration
 	rib   *PrefixTrie    // longest-prefix-match ownership table
+	gen   atomic.Uint64  // routing generation; see Generation
 
 	// health, when set, degrades Availability answers per ASN; nil
 	// means the whole network is fully available (see health.go).
@@ -75,12 +85,20 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
+	r := &Registry{
 		infos: make(map[ASN]ASInfo),
 		next:  make(map[ASN]uint32),
 		rib:   NewPrefixTrie(),
 	}
+	r.gen.Store(1)
+	return r
 }
+
+// Generation returns the routing generation (see Registry). It is never
+// 0, so a cache may use 0 for "never resolved". Read it before the
+// Lookup it guards: a route installed between the two then shows up as
+// a newer generation on the next read.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 const hostBits = 20 // 2^20 addresses per ASN
 
@@ -105,6 +123,7 @@ func (r *Registry) Register(asn ASN, name, country string, kind Kind) ASInfo {
 	if err := r.rib.Insert(netip.PrefixFrom(addrFor(asn, 0), 32-hostBits), asn); err != nil {
 		panic(err)
 	}
+	r.gen.Add(1)
 	return info
 }
 
@@ -118,7 +137,11 @@ func (r *Registry) AnnouncePrefix(prefix netip.Prefix, asn ASN) error {
 	if _, ok := r.infos[asn]; !ok {
 		return fmt.Errorf("netsim: AnnouncePrefix for unregistered ASN %d", asn)
 	}
-	return r.rib.Insert(prefix, asn)
+	if err := r.rib.Insert(prefix, asn); err != nil {
+		return err
+	}
+	r.gen.Add(1)
+	return nil
 }
 
 // Info returns the metadata for asn.

@@ -222,3 +222,39 @@ func TestCountryShareFractionsSumToOne(t *testing.T) {
 		t.Fatalf("fractions sum to %v", sum)
 	}
 }
+
+func TestRegistryGenerationFollowsRoutes(t *testing.T) {
+	t.Parallel()
+	r := NewRegistry()
+	g := r.Generation()
+	if g == 0 {
+		t.Fatal("a fresh registry's generation is 0, the value caches reserve for never resolved")
+	}
+	step := func(what string, moves bool) {
+		t.Helper()
+		now := r.Generation()
+		if moved := now != g; moved != moves {
+			t.Fatalf("%s: generation %d -> %d, want moved=%v", what, g, now, moves)
+		}
+		g = now
+	}
+	r.Register(100, "ru-host", "RUS", KindHosting)
+	step("Register", true)
+	a := r.Allocate(100)
+	step("Allocate", false)
+	r.RestoreAlloc(r.SnapshotAlloc())
+	step("RestoreAlloc", false)
+	r.Register(200, "us-host", "USA", KindHosting)
+	step("second Register", true)
+	if err := r.AnnouncePrefix(netip.PrefixFrom(a, 24).Masked(), 200); err != nil {
+		t.Fatal(err)
+	}
+	step("AnnouncePrefix", true)
+	if asn, _ := r.Lookup(a); asn != 200 {
+		t.Fatalf("Lookup after AnnouncePrefix = %d, want 200", asn)
+	}
+	if err := r.AnnouncePrefix(netip.PrefixFrom(a, 24).Masked(), 999); err == nil {
+		t.Fatal("AnnouncePrefix for an unregistered ASN succeeded")
+	}
+	step("rejected AnnouncePrefix", false)
+}

@@ -107,7 +107,7 @@ type Event struct {
 	Target  socialgraph.AccountID // recipient: followee, or post author
 	Post    socialgraph.PostID    // for like/comment/post events
 	IP      netip.Addr
-	ASN     netsim.ASN // resolved at emit time from IP
+	ASN     netsim.ASN // IP's owning ASN under the routes at request time
 	Client  string     // client fingerprint string
 	API     APIKind
 	Outcome Outcome
@@ -140,10 +140,15 @@ type EventLog struct {
 func (l *EventLog) Subscribe(fn func(Event)) { l.subs = append(l.subs, fn) }
 
 // Emit assigns the event a sequence number and delivers it.
-func (l *EventLog) Emit(ev Event) {
+func (l *EventLog) Emit(ev Event) { l.emit(&ev) }
+
+// emit is Emit on the caller's event: it stamps ev.Seq in place, so the
+// platform's pipeline hands its event over without copying it. Each
+// subscriber still receives its own copy.
+func (l *EventLog) emit(ev *Event) {
 	ev.Seq = l.seq.Add(1)
 	for _, fn := range l.subs {
-		fn(ev)
+		fn(*ev)
 	}
 }
 

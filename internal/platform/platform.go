@@ -503,8 +503,12 @@ func (p *Platform) Login(username, password string, ci ClientInfo) (*Session, er
 		return nil, ErrBadCredentials
 	}
 	sp.Stage(trace.StageSession, trace.VerdictOK)
+	// The login's address resolves once: the fault verdict, the
+	// geolocation tally, the event and the new session's ASN cache all
+	// use this answer.
+	gen := p.net.Generation()
+	asn, _ := p.net.Lookup(ci.IP)
 	if p.faults != nil {
-		asn, _ := p.net.Lookup(ci.IP)
 		if d := p.faults.Decide(p.clk.Now(), id, ActionLogin, asn, 0); d.Unavailable {
 			// The auth frontend is down: no session, no event, and no
 			// geolocation update — the request never reached the app tier.
@@ -514,31 +518,25 @@ func (p *Platform) Login(username, password string, ci ClientInfo) (*Session, er
 		}
 	}
 	sp.Stage(trace.StageFaults, trace.VerdictOK)
-	if country := p.net.Country(ci.IP); country != "" {
-		p.accts.bumpLogin(r, country)
+	if info, ok := p.net.Info(asn); ok && info.Country != "" {
+		p.accts.bumpLogin(r, info.Country)
 	}
 	epoch := p.accts.sessionEpochs[r]
 
-	ev := p.emitSpan(Event{
-		Time: p.clk.Now(), Type: ActionLogin, Actor: id, IP: ci.IP,
+	ev := Event{
+		Time: p.clk.Now(), Type: ActionLogin, Actor: id, IP: ci.IP, ASN: asn,
 		Client: ci.Fingerprint, API: ci.API, Outcome: OutcomeAllowed,
-	}, sp)
-	endSpan(sp, ev)
-	return &Session{p: p, id: id, epoch: epoch, client: ci}, nil
+	}
+	p.emitSpan(&ev, sp)
+	endSpan(sp, &ev)
+	return &Session{p: p, id: id, epoch: epoch, client: ci, asn: asn, asnGen: gen}, nil
 }
 
-// emit resolves the ASN and delivers the event. Subscribers may call back
-// into the platform.
-func (p *Platform) emit(ev Event) { p.emitSpan(ev, nil) }
-
-// emitSpan is emit with stage marks on an in-flight span: the telemetry
-// stage covers ASN resolution plus counter increments, the emit stage
-// covers the subscriber fan-out. It returns the event with its ASN
-// resolved so the caller can close the span with attribution fields.
-func (p *Platform) emitSpan(ev Event, sp *trace.Active) Event {
-	if asn, ok := p.net.Lookup(ev.IP); ok {
-		ev.ASN = asn
-	}
+// emitSpan delivers a finished event, its ASN already resolved by the
+// caller, and marks two stages on an in-flight span (nil allowed): the
+// telemetry stage covers the counter increments, the emit stage the
+// subscriber fan-out. Subscribers may call back into the platform.
+func (p *Platform) emitSpan(ev *Event, sp *trace.Active) {
 	if m := p.tel; m != nil {
 		if int(ev.Type) < len(m.events) && int(ev.Outcome) < len(m.events[0]) {
 			m.events[ev.Type][ev.Outcome].Inc()
@@ -554,13 +552,12 @@ func (p *Platform) emitSpan(ev Event, sp *trace.Active) Event {
 		}
 	}
 	sp.Stage(trace.StageTelemetry, trace.VerdictOK)
-	p.log.Emit(ev)
+	p.log.emit(ev)
 	sp.Stage(trace.StageEmit, trace.VerdictOK)
-	return ev
 }
 
 // endSpan closes a request span with the emitted event's terminal
 // attribution fields.
-func endSpan(sp *trace.Active, ev Event) {
+func endSpan(sp *trace.Active, ev *Event) {
 	sp.End(uint8(ev.Outcome), uint64(ev.Target), uint64(ev.Post), uint32(ev.ASN))
 }

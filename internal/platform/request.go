@@ -91,14 +91,18 @@ func (p *Platform) Do(req Request) Response {
 		sp = tr.StartRequest(trace.KindRequest, uint64(s.id), uint8(req.Action))
 	}
 
-	ev := Event{
-		Type:   req.Action,
-		Actor:  s.id,
-		Time:   p.clk.Now(),
-		IP:     s.client.IP,
-		Client: s.client.Fingerprint,
-		API:    s.client.API,
-	}
+	// The ASN resolves here, once: the fault injector, the gatekeeper
+	// and every subscriber see this one answer. ev is filled field by
+	// field because the pipeline hands out its address, and Go builds a
+	// composite literal for such a variable in a temporary and copies it.
+	var ev Event
+	ev.Type = req.Action
+	ev.Actor = s.id
+	ev.Time = p.clk.Now()
+	ev.IP = s.client.IP
+	ev.ASN = s.resolveASN()
+	ev.Client = s.client.Fingerprint
+	ev.API = s.client.API
 
 	// Structural preflight per action kind. Application itself lives in
 	// applyAction — a plain method, not a per-request closure, so the
@@ -109,13 +113,15 @@ func (p *Platform) Do(req Request) Response {
 		author, ok := p.PostAuthor(req.Post)
 		if !ok {
 			sp.Stage(trace.StagePreflight, trace.VerdictFail)
-			return p.failReq(Event{Type: req.Action, Post: req.Post}, s, sp)
+			ev.Post = req.Post
+			return p.failReq(&ev, sp)
 		}
 		ev.Target, ev.Post = author, req.Post
 	case ActionFollow, ActionUnfollow:
 		if !p.Exists(req.Target) {
 			sp.Stage(trace.StagePreflight, trace.VerdictFail)
-			return p.failReq(Event{Type: req.Action, Target: req.Target}, s, sp)
+			ev.Target = req.Target
+			return p.failReq(&ev, sp)
 		}
 		ev.Target = req.Target
 	case ActionPost:
@@ -136,8 +142,7 @@ func (p *Platform) Do(req Request) Response {
 	sp.Stage(trace.StageSession, trace.VerdictOK)
 	var fd FaultDecision
 	if p.faults != nil {
-		asn, _ := p.net.Lookup(ev.IP)
-		fd = p.faults.Decide(ev.Time, s.id, ev.Type, asn, uint64(ev.Target)<<32^uint64(ev.Post))
+		fd = p.faults.Decide(ev.Time, s.id, ev.Type, ev.ASN, uint64(ev.Target)<<32^uint64(ev.Post))
 	}
 	if fd.RevokeSession {
 		// Session-store flap: every live session for the account dies,
@@ -153,8 +158,8 @@ func (p *Platform) Do(req Request) Response {
 		// double-count against the limiter.
 		sp.Stage(trace.StageFaults, trace.VerdictUnavailable)
 		ev.Outcome = OutcomeUnavailable
-		ev = p.emitSpan(ev, sp)
-		endSpan(sp, ev)
+		p.emitSpan(&ev, sp)
+		endSpan(sp, &ev)
 		return Response{Outcome: OutcomeUnavailable, Err: ErrUnavailable}
 	}
 	sp.Stage(trace.StageFaults, trace.VerdictOK)
@@ -188,8 +193,8 @@ func (p *Platform) Do(req Request) Response {
 			}
 		}
 		ev.Outcome = OutcomeRateLimited
-		ev = p.emitSpan(ev, sp)
-		endSpan(sp, ev)
+		p.emitSpan(&ev, sp)
+		endSpan(sp, &ev)
 		return Response{Outcome: OutcomeRateLimited, Err: ErrRateLimited}
 	}
 	sp.Stage(trace.StageRateLimit, trace.VerdictOK)
@@ -198,11 +203,7 @@ func (p *Platform) Do(req Request) Response {
 	if gate := p.gate; gate != nil {
 		// The gatekeeper sees the request with its ASN resolved, exactly
 		// the signal surface detection uses.
-		greq := ev
-		if asn, ok := p.net.Lookup(greq.IP); ok {
-			greq.ASN = asn
-		}
-		verdict = gate.Check(greq)
+		verdict = gate.Check(ev)
 		if m := p.tel; m != nil {
 			m.gateChecks.Inc()
 			switch verdict.Kind {
@@ -223,8 +224,8 @@ func (p *Platform) Do(req Request) Response {
 	}
 	if verdict.Kind == VerdictBlock {
 		ev.Outcome = OutcomeBlocked
-		ev = p.emitSpan(ev, sp)
-		endSpan(sp, ev)
+		p.emitSpan(&ev, sp)
+		endSpan(sp, &ev)
 		return Response{Outcome: OutcomeBlocked, Err: ErrBlocked}
 	}
 
@@ -232,15 +233,15 @@ func (p *Platform) Do(req Request) Response {
 	if err != nil {
 		sp.Stage(trace.StageApply, trace.VerdictFail)
 		ev.Outcome = OutcomeFailed
-		ev = p.emitSpan(ev, sp)
-		endSpan(sp, ev)
+		p.emitSpan(&ev, sp)
+		endSpan(sp, &ev)
 		return Response{Outcome: OutcomeFailed, Err: err}
 	}
 	sp.Stage(trace.StageApply, trace.VerdictOK)
 	ev.Outcome = OutcomeAllowed
 	ev.Duplicate = !applied
-	ev = p.emitSpan(ev, sp)
-	endSpan(sp, ev)
+	p.emitSpan(&ev, sp)
+	endSpan(sp, &ev)
 	resp.Outcome = OutcomeAllowed
 	resp.Applied = applied
 
@@ -290,10 +291,12 @@ func (p *Platform) fireEnforcement(e *pendingEnforcement) {
 		}
 	}
 	p.tracer.Instant(trace.KindEnforcement, uint64(e.from), uint8(ActionUnfollow), trace.VerdictOK, 0, 0)
-	p.emit(Event{
+	// A platform-performed action has no source address, so no ASN.
+	ev := Event{
 		Time: p.clk.Now(), Type: ActionUnfollow, Actor: e.from,
 		Target: e.to, Outcome: OutcomeAllowed, Enforcement: true,
-	})
+	}
+	p.emitSpan(&ev, nil)
 }
 
 // applyAction performs the state mutation for an already-vetted request.
@@ -342,14 +345,9 @@ func (p *Platform) applyAction(req Request, resp *Response, target AccountID) (b
 // does not exist) and returns the failure. The event deliberately skips
 // session, limiter, and gatekeeper checks: a 404 from a stateless
 // frontend, not a policy decision.
-func (p *Platform) failReq(ev Event, s *Session, sp *trace.Active) Response {
-	ev.Actor = s.id
-	ev.Time = p.clk.Now()
-	ev.IP = s.client.IP
-	ev.Client = s.client.Fingerprint
-	ev.API = s.client.API
+func (p *Platform) failReq(ev *Event, sp *trace.Active) Response {
 	ev.Outcome = OutcomeFailed
-	ev = p.emitSpan(ev, sp)
+	p.emitSpan(ev, sp)
 	endSpan(sp, ev)
 	return Response{Outcome: OutcomeFailed,
 		Err: fmt.Errorf("platform: %s target does not exist", ev.Type)}

@@ -48,7 +48,7 @@ const (
 	StageRateLimit              // hourly limiter check
 	StageGatekeep               // gatekeeper (countermeasure) check
 	StageApply                  // state mutation
-	StageTelemetry              // ASN resolve + metric increments
+	StageTelemetry              // event metric increments (Do and Login resolve the ASN earlier)
 	StageEmit                   // event-log fan-out to subscribers
 	StagePlan                   // a step section's plan phase
 	stageCount
