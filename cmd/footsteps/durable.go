@@ -21,7 +21,7 @@ import (
 // reconstructed stream is byte-identical to an uninterrupted run
 // (docs/PERSISTENCE.md). -crash-after-op N kills the process at the
 // Nth filesystem operation, exercising exactly that recovery path.
-func runDurable(cfg footsteps.Config, dir string, resume bool, crashAfterOp uint64, fsyncEvery bool) error {
+func (c *cli) runDurable(cfg footsteps.Config, dir string, resume bool, crashAfterOp uint64, fsyncEvery bool) error {
 	if dir == "" {
 		return fmt.Errorf("run needs -durable DIR for the segment log")
 	}
@@ -30,7 +30,7 @@ func runDurable(cfg footsteps.Config, dir string, resume bool, crashAfterOp uint
 		fsys = durable.NewKillFS(fsys, crashAfterOp, func() {
 			// A real kill, not an error return: recovery must work from
 			// whatever bytes were durable, in a fresh process.
-			fmt.Fprintf(os.Stderr, "footsteps: crash injected at filesystem op %d\n", crashAfterOp)
+			fmt.Fprintf(c.stderr, "footsteps: crash injected at filesystem op %d\n", crashAfterOp)
 			os.Exit(137)
 		})
 	}
@@ -38,7 +38,7 @@ func runDurable(cfg footsteps.Config, dir string, resume bool, crashAfterOp uint
 		Seed:            cfg.Seed,
 		Fingerprint:     cfg.Fingerprint(),
 		FsyncEveryBatch: fsyncEvery,
-		Telemetry:       telReg,
+		Telemetry:       c.reg,
 	}
 
 	var dlog *durable.Log
@@ -51,21 +51,21 @@ func runDurable(cfg footsteps.Config, dir string, resume bool, crashAfterOp uint
 		}
 		rec := dlog.Recovery()
 		if rec.TornTail != nil {
-			fmt.Printf("Torn tail repaired: %v\n", rec.TornTail)
+			fmt.Fprintf(c.stdout, "Torn tail repaired: %v\n", rec.TornTail)
 		}
 		if rec.DiscardedFrames > 0 {
-			fmt.Printf("Discarded %d intact frame(s) past the checkpoint (%d events, re-derived below)\n",
+			fmt.Fprintf(c.stdout, "Discarded %d intact frame(s) past the checkpoint (%d events, re-derived below)\n",
 				rec.DiscardedFrames, rec.DiscardedEvents)
 		}
 		if rec.CheckpointFile == "" {
-			fmt.Printf("Resumed %s at genesis: no checkpoint yet, restarting the run\n", dir)
+			fmt.Fprintf(c.stdout, "Resumed %s at genesis: no checkpoint yet, restarting the run\n", dir)
 			w = core.NewWorld(cfg)
 		} else {
 			w, err = core.RestoreWorld(cfg, bytes.NewReader(rec.Checkpoint))
 			if err != nil {
 				return err
 			}
-			fmt.Printf("Resumed %s from %s: day %d of %d, %d durable events\n",
+			fmt.Fprintf(c.stdout, "Resumed %s from %s: day %d of %d, %d durable events\n",
 				dir, rec.CheckpointFile, rec.CheckpointDay, cfg.Days, rec.Events)
 		}
 	} else {
@@ -75,10 +75,10 @@ func runDurable(cfg footsteps.Config, dir string, resume bool, crashAfterOp uint
 			return err
 		}
 		w = core.NewWorld(cfg)
-		fmt.Printf("Durable run: %d days (seed %d) into %s\n", cfg.Days, cfg.Seed, dir)
+		fmt.Fprintf(c.stdout, "Durable run: %d days (seed %d) into %s\n", cfg.Days, cfg.Seed, dir)
 	}
 
-	telemetryAttach(w)
+	c.telemetryAttach(w)
 	w.OnFinalize(dlog.Err)
 	w.Plat.Log().Subscribe(func(ev platform.Event) { _ = dlog.Append(ev) })
 	if w.DaysRun() == 0 {
@@ -106,8 +106,8 @@ func runDurable(cfg footsteps.Config, dir string, resume bool, crashAfterOp uint
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Stream: %d events, sha256 %x\n", n, h.Sum(nil))
-	fmt.Printf("Durable log sealed in %s (verify with `fsevdump -verify %s`)\n", dir, dir)
-	telemetryReport(w)
+	fmt.Fprintf(c.stdout, "Stream: %d events, sha256 %x\n", n, h.Sum(nil))
+	fmt.Fprintf(c.stdout, "Durable log sealed in %s (verify with `fsevdump -verify %s`)\n", dir, dir)
+	c.telemetryReport(w)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"footsteps"
@@ -18,9 +19,9 @@ import (
 // the -record file, and a snapshot lands in -checkpoint-dir every
 // -checkpoint-every days. The resulting artifacts are what replay
 // consumes.
-func runRecord(cfg footsteps.Config, record string) error {
+func (c *cli) runRecord(cfg footsteps.Config, record string) error {
 	w := core.NewWorld(cfg)
-	telemetryAttach(w)
+	c.telemetryAttach(w)
 	h := sha256.New()
 	var out io.Writer = h
 	if record != "" {
@@ -37,16 +38,16 @@ func runRecord(cfg footsteps.Config, record string) error {
 	}
 	wr.Attach(w.Plat.Log())
 	w.RunAll()
-	fmt.Printf("Recording %d days (seed %d)...\n", cfg.Days, cfg.Seed)
+	fmt.Fprintf(c.stdout, "Recording %d days (seed %d)...\n", cfg.Days, cfg.Seed)
 	if err := w.RunDays(cfg.Days); err != nil {
 		return err
 	}
 	if err := wr.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("Stream: %d events, sha256 %x\n", wr.Count(), h.Sum(nil))
+	fmt.Fprintf(c.stdout, "Stream: %d events, sha256 %x\n", wr.Count(), h.Sum(nil))
 	if record != "" {
-		fmt.Printf("FSEV1 capture written to %s\n", record)
+		fmt.Fprintf(c.stdout, "FSEV1 capture written to %s\n", record)
 	}
 	return nil
 }
@@ -55,14 +56,13 @@ func runRecord(cfg footsteps.Config, record string) error {
 // verifying it against a recorded FSEV1 log.
 //
 // With -from, the state comes out of an FSNAP checkpoint: the world is
-// rebuilt, fast-forwarded, and resumed for the remaining days (or -days
-// more). With -against, the resumed stream is byte-compared to the
-// corresponding suffix of the original log — the CLI face of the
-// resume-equivalence invariant (docs/PERSISTENCE.md). Without -from,
-// the whole run is re-driven from genesis and compared against the full
-// log. The flags must describe the same seed and semantic config as the
+// rebuilt, fast-forwarded, and resumed for the remaining days. With
+// -against, the resumed stream is byte-compared to the corresponding
+// suffix of the original log — the CLI face of the resume-equivalence
+// invariant (docs/PERSISTENCE.md). Without -from, the whole run is
+// re-driven from genesis and compared against the full log. The flags must describe the same seed and semantic config as the
 // original run; mismatches fail with a typed error before any work.
-func runReplay(cfg footsteps.Config, from, against, record string, extraDays int) error {
+func (c *cli) runReplay(cfg footsteps.Config, from, against, record string) error {
 	var w *core.World
 	var cut time.Time
 	if from != "" {
@@ -74,17 +74,14 @@ func runReplay(cfg footsteps.Config, from, against, record string, extraDays int
 		// RestoreFile has checked the snapshot's seed and fingerprint
 		// against cfg, so the world and cfg describe its header.
 		cut = w.SnapshotInstant()
-		fmt.Printf("Restored %s: day %d of %d (seed %d, fingerprint %#x)\n",
+		fmt.Fprintf(c.stdout, "Restored %s: day %d of %d (seed %d, fingerprint %#x)\n",
 			from, w.DaysRun(), cfg.Days, cfg.Seed, cfg.Fingerprint())
 	} else {
 		w = core.NewWorld(cfg)
-		fmt.Printf("Re-driving from genesis: %d days (seed %d)\n", cfg.Days, cfg.Seed)
+		fmt.Fprintf(c.stdout, "Re-driving from genesis: %d days (seed %d)\n", cfg.Days, cfg.Seed)
 	}
 
 	days := cfg.Days - w.DaysRun()
-	if extraDays > 0 {
-		days = extraDays
-	}
 
 	var buf bytes.Buffer
 	wr, err := eventio.NewWriter(&buf)
@@ -101,14 +98,14 @@ func runReplay(cfg footsteps.Config, from, against, record string, extraDays int
 	if err := wr.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("Replayed %d days: %d events, stream sha256 %x\n",
+	fmt.Fprintf(c.stdout, "Replayed %d days: %d events, stream sha256 %x\n",
 		days, wr.Count(), sha256.Sum256(buf.Bytes()))
 
 	if record != "" {
 		if err := os.WriteFile(record, buf.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("Resumed FSEV1 capture written to %s\n", record)
+		fmt.Fprintf(c.stdout, "Resumed FSEV1 capture written to %s\n", record)
 	}
 
 	if against == "" {
@@ -118,12 +115,19 @@ func runReplay(cfg footsteps.Config, from, against, record string, extraDays int
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(want, buf.Bytes()) {
-		off, idx := firstDivergence(want, buf.Bytes())
-		return fmt.Errorf("replay DIVERGED from %s: first difference at byte offset %d, after %d intact events; sha256 %x vs %x (%d vs %d bytes)",
-			against, off, idx, sha256.Sum256(buf.Bytes()), sha256.Sum256(want), buf.Len(), len(want))
+	return c.verifyAgainst("Replay", against, want, buf.Bytes())
+}
+
+// verifyAgainst checks a replayed stream against the capture it must
+// reproduce, and fails with DIVERGED at the first differing byte. what
+// names the replay in the report ("Replay", "Ingress replay").
+func (c *cli) verifyAgainst(what, against string, want, got []byte) error {
+	if !bytes.Equal(want, got) {
+		off, idx := firstDivergence(want, got)
+		return fmt.Errorf("%s DIVERGED from %s: first difference at byte offset %d, after %d intact events; sha256 %x vs %x (%d vs %d bytes)",
+			strings.ToLower(what), against, off, idx, sha256.Sum256(got), sha256.Sum256(want), len(got), len(want))
 	}
-	fmt.Printf("Replay matches %s byte-for-byte.\n", against)
+	fmt.Fprintf(c.stdout, "%s matches %s byte-for-byte.\n", what, against)
 	return nil
 }
 

@@ -22,76 +22,84 @@ import (
 //
 // With no mode flag, -stats is implied. -grep prints matching spans one
 // per line; its spec is comma-separated key=value pairs over actor,
-// action, outcome, day, and kind (names or numeric codes).
-func runTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+// action, outcome, day, and kind (names or numeric codes). It returns
+// the exit code.
+func (c *cli) runTrace(args []string) int {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
 	stats := fs.Bool("stats", false, "print aggregate stage-latency and verdict tables (default mode)")
 	grep := fs.String("grep", "", "print spans matching `spec` (e.g. action=follow,outcome=blocked,day=3)")
 	export := fs.String("export", "", "export format: chrome (chrome://tracing / Perfetto JSON)")
 	out := fs.String("o", "", "output file for -export (default stdout)")
 	limit := fs.Int("n", 0, "stop -grep after this many spans (0 = all)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: footsteps trace [-stats] [-grep spec] [-export chrome] [-o file] <trace.ftrc>")
+		fmt.Fprintln(c.stderr, "usage: footsteps trace [-stats] [-grep spec] [-export chrome] [-o file] <trace.ftrc>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
+		return parseExit(err)
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		return err
+		return c.exit(err)
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		return err
+		return c.exit(err)
 	}
 
 	switch {
 	case *export != "":
-		if *export != "chrome" {
-			return fmt.Errorf("trace: unknown export format %q (want chrome)", *export)
-		}
-		dst := os.Stdout
-		if *out != "" {
-			g, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer g.Close()
-			dst = g
-		}
-		w := bufio.NewWriter(dst)
-		if err := trace.ExportChrome(w, r); err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		if *out != "" {
-			fmt.Printf("Chrome trace: %d spans written to %s\n", r.Spans(), *out)
-		}
-		return nil
+		return c.exit(c.exportTrace(r, *export, *out))
 	case *grep != "":
 		filter, err := parseTraceFilter(*grep)
 		if err != nil {
-			return err
+			return c.exit(err)
 		}
-		return grepTrace(r, filter, *limit)
+		return c.exit(c.grepTrace(r, filter, *limit))
 	default:
 		_ = *stats // -stats is the default mode
 		st := trace.NewStats()
 		if err := st.ObserveAll(r); err != nil {
+			return c.exit(err)
+		}
+		fmt.Fprintf(c.stdout, "Trace: %d spans (seed %d, sample 1/%d)\n\n", r.Spans(), r.Seed(), r.SampleN())
+		fmt.Fprint(c.stdout, st.Format())
+		return 0
+	}
+}
+
+// exportTrace writes the trace in the given format to the file out, or
+// to stdout when out is empty.
+func (c *cli) exportTrace(r *trace.Reader, format, out string) error {
+	if format != "chrome" {
+		return fmt.Errorf("trace: unknown export format %q (want chrome)", format)
+	}
+	dst := c.stdout
+	if out != "" {
+		g, err := os.Create(out)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("Trace: %d spans (seed %d, sample 1/%d)\n\n", r.Spans(), r.Seed(), r.SampleN())
-		fmt.Print(st.Format())
-		return nil
+		defer g.Close()
+		dst = g
 	}
+	w := bufio.NewWriter(dst)
+	if err := trace.ExportChrome(w, r); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if out != "" {
+		fmt.Fprintf(c.stdout, "Chrome trace: %d spans written to %s\n", r.Spans(), out)
+	}
+	return nil
 }
 
 // parseTraceFilter parses a -grep spec: comma-separated key=value pairs.
@@ -161,8 +169,8 @@ func enumCode(val string, count int, name func(uint8) string) (int, error) {
 }
 
 // grepTrace streams the trace and prints matching spans, one per line.
-func grepTrace(r *trace.Reader, f trace.Filter, limit int) error {
-	w := bufio.NewWriter(os.Stdout)
+func (c *cli) grepTrace(r *trace.Reader, f trace.Filter, limit int) error {
+	w := bufio.NewWriter(c.stdout)
 	defer w.Flush()
 	shown := 0
 	for {

@@ -62,16 +62,11 @@ func (h *HealthSchedule) Availability(asn ASN, at time.Time) float64 {
 // SetHealth installs an availability schedule for the registry's ASNs.
 // A nil schedule restores full health.
 func (r *Registry) SetHealth(h *HealthSchedule) {
-	r.mu.Lock()
 	r.health = h
-	r.mu.Unlock()
 }
 
 // Availability reports the fraction of asn's requests the network
 // serves at the given instant (1.0 without a health schedule).
 func (r *Registry) Availability(asn ASN, at time.Time) float64 {
-	r.mu.RLock()
-	h := r.health
-	r.mu.RUnlock()
-	return h.Availability(asn, at)
+	return r.health.Availability(asn, at)
 }

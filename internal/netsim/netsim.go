@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"footsteps/internal/rng"
 )
@@ -54,8 +52,9 @@ type ASInfo struct {
 	Kind    Kind
 }
 
-// Registry owns the ASN table and address allocation. It is safe for
-// concurrent use.
+// Registry owns the ASN table and address allocation. It carries no
+// lock: each world builds its own registry and only its world goroutine
+// touches it (docs/ARCHITECTURE.md, "The ownership rule").
 //
 // Address plan: each registered ASN receives the /8-style block
 // 10.x.0.0/16 is too small for large populations, so each ASN n owns the
@@ -71,12 +70,11 @@ type ASInfo struct {
 // ASN together with the generation it was resolved at and skip the trie
 // until the generation moves (platform sessions do).
 type Registry struct {
-	mu    sync.RWMutex
 	infos map[ASN]ASInfo
 	next  map[ASN]uint32 // next host offset within the ASN's block
 	order []ASN          // registration order, for deterministic iteration
 	rib   *PrefixTrie    // longest-prefix-match ownership table
-	gen   atomic.Uint64  // routing generation; see Generation
+	gen   uint64         // routing generation; see Generation
 
 	// health, when set, degrades Availability answers per ASN; nil
 	// means the whole network is fully available (see health.go).
@@ -85,20 +83,19 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		infos: make(map[ASN]ASInfo),
 		next:  make(map[ASN]uint32),
 		rib:   NewPrefixTrie(),
+		gen:   1,
 	}
-	r.gen.Store(1)
-	return r
 }
 
 // Generation returns the routing generation (see Registry). It is never
 // 0, so a cache may use 0 for "never resolved". Read it before the
 // Lookup it guards: a route installed between the two then shows up as
 // a newer generation on the next read.
-func (r *Registry) Generation() uint64 { return r.gen.Load() }
+func (r *Registry) Generation() uint64 { return r.gen }
 
 const hostBits = 20 // 2^20 addresses per ASN
 
@@ -111,8 +108,6 @@ func (r *Registry) Register(asn ASN, name, country string, kind Kind) ASInfo {
 	if asn == 0 || asn > maxASN {
 		panic(fmt.Sprintf("netsim: ASN %d out of range (1..%d)", asn, maxASN))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, dup := r.infos[asn]; dup {
 		panic(fmt.Sprintf("netsim: ASN %d registered twice", asn))
 	}
@@ -123,7 +118,7 @@ func (r *Registry) Register(asn ASN, name, country string, kind Kind) ASInfo {
 	if err := r.rib.Insert(netip.PrefixFrom(addrFor(asn, 0), 32-hostBits), asn); err != nil {
 		panic(err)
 	}
-	r.gen.Add(1)
+	r.gen++
 	return info
 }
 
@@ -132,37 +127,29 @@ func (r *Registry) Register(asn ASN, name, country string, kind Kind) ASInfo {
 // carved from another ASN's aggregate is owned by the announcer — the
 // mechanics beneath leased proxy space.
 func (r *Registry) AnnouncePrefix(prefix netip.Prefix, asn ASN) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.infos[asn]; !ok {
 		return fmt.Errorf("netsim: AnnouncePrefix for unregistered ASN %d", asn)
 	}
 	if err := r.rib.Insert(prefix, asn); err != nil {
 		return err
 	}
-	r.gen.Add(1)
+	r.gen++
 	return nil
 }
 
 // Info returns the metadata for asn.
 func (r *Registry) Info(asn ASN) (ASInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	info, ok := r.infos[asn]
 	return info, ok
 }
 
 // ASNs returns all registered ASNs in registration order.
 func (r *Registry) ASNs() []ASN {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]ASN(nil), r.order...)
 }
 
 // ByKind returns registered ASNs of the given kind, in registration order.
 func (r *Registry) ByKind(kind Kind) []ASN {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []ASN
 	for _, a := range r.order {
 		if r.infos[a].Kind == kind {
@@ -174,8 +161,6 @@ func (r *Registry) ByKind(kind Kind) []ASN {
 
 // ByCountry returns registered ASNs located in country, in registration order.
 func (r *Registry) ByCountry(country string) []ASN {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []ASN
 	for _, a := range r.order {
 		if r.infos[a].Country == country {
@@ -188,8 +173,6 @@ func (r *Registry) ByCountry(country string) []ASN {
 // Allocate returns a fresh address inside asn's block. It panics if the ASN
 // is unregistered or its block is exhausted.
 func (r *Registry) Allocate(asn ASN) netip.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.infos[asn]; !ok {
 		panic(fmt.Sprintf("netsim: Allocate from unregistered ASN %d", asn))
 	}
@@ -212,8 +195,6 @@ type AllocState struct {
 // SnapshotAlloc returns the allocation cursors of every ASN that has
 // handed out at least one address, sorted by ASN.
 func (r *Registry) SnapshotAlloc() []AllocState {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]AllocState, 0, len(r.next))
 	for asn, n := range r.next {
 		out = append(out, AllocState{ASN: asn, Next: n})
@@ -225,8 +206,6 @@ func (r *Registry) SnapshotAlloc() []AllocState {
 // RestoreAlloc overwrites the allocation cursors with a snapshot taken by
 // SnapshotAlloc. ASNs absent from st reset to an untouched block.
 func (r *Registry) RestoreAlloc(st []AllocState) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	clear(r.next)
 	for _, a := range st {
 		r.next[a.ASN] = a.Next
@@ -241,8 +220,6 @@ func addrFor(asn ASN, host uint32) netip.Addr {
 // Lookup returns the ASN owning addr under longest-prefix-match, or
 // (0, false) for addresses outside any announced block.
 func (r *Registry) Lookup(addr netip.Addr) (ASN, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.rib.Lookup(addr)
 }
 
@@ -254,8 +231,6 @@ func (r *Registry) Country(addr netip.Addr) string {
 	if !ok {
 		return ""
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.infos[asn].Country
 }
 

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"net/netip"
-	"sync/atomic"
 	"time"
 
 	"footsteps/internal/netsim"
@@ -133,7 +132,7 @@ type Event struct {
 // reciprocates a follow in the same instant it lands.
 type EventLog struct {
 	subs []func(Event)
-	seq  atomic.Uint64
+	seq  uint64
 }
 
 // Subscribe registers fn for all future events.
@@ -146,20 +145,21 @@ func (l *EventLog) Emit(ev Event) { l.emit(&ev) }
 // platform's pipeline hands its event over without copying it. Each
 // subscriber still receives its own copy.
 func (l *EventLog) emit(ev *Event) {
-	ev.Seq = l.seq.Add(1)
+	l.seq++
+	ev.Seq = l.seq
 	for _, fn := range l.subs {
 		fn(*ev)
 	}
 }
 
 // Seq returns the number of events emitted so far.
-func (l *EventLog) Seq() uint64 { return l.seq.Load() }
+func (l *EventLog) Seq() uint64 { return l.seq }
 
 // RestoreSeq sets the sequence counter so the next emitted event gets
 // sequence n+1. The snapshot/restore path uses it to keep event numbering
 // continuous across a resume: a restored world's first event must carry
 // the sequence the straight-through run would have assigned.
-func (l *EventLog) RestoreSeq(n uint64) { l.seq.Store(n) }
+func (l *EventLog) RestoreSeq(n uint64) { l.seq = n }
 
 // Collector is a convenience subscriber that retains matching events.
 // Filter may be nil to keep everything. Use only where volume is bounded

@@ -131,16 +131,6 @@ var DurationBuckets = []int64{
 	100_000_000, 300_000_000, 1_000_000_000, 10_000_000_000, // 100ms–10s
 }
 
-// FineDurationBuckets resolves sub-millisecond latencies with 1-2-5
-// spacing up to 1ms, then widening steps to 10s. Loopback request
-// timings cluster in the tens of microseconds, where the decade-spaced
-// DurationBuckets collapse p50 and p95 onto the same 100µs bound.
-var FineDurationBuckets = []int64{
-	1_000, 2_000, 5_000, 10_000, 20_000, 50_000, // 1µs–50µs
-	100_000, 200_000, 500_000, 1_000_000, // 100µs–1ms
-	5_000_000, 30_000_000, 100_000_000, 1_000_000_000, 10_000_000_000,
-}
-
 // Registry is a named instrument set. Lookups take a read lock only when
 // the instrument already exists; hot paths should capture instrument
 // pointers at wire time and skip the registry entirely. A nil *Registry

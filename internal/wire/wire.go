@@ -4,8 +4,8 @@
 // JSON mirror of the platform event stream, and the FING1 ingress-log
 // codec that makes a served run replayable.
 //
-// The package exists so that no client — the loadgen command, a browser,
-// a measurement harness in another language — ever depends on internal
+// The package exists so that no client — a browser, a measurement
+// harness in another language — ever depends on internal
 // Go types. Platform enums (platform.ActionType, platform.Outcome) are
 // integers whose values are an implementation detail; the wire schema
 // maps every one of them to an explicit string that is frozen per wire
