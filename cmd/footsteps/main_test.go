@@ -56,6 +56,29 @@ func TestUsageGolden(t *testing.T) {
 	}
 }
 
+// TestQuickStdoutGolden pins the stdout of six -quick study commands,
+// byte for byte. After a deliberate change to a study's output,
+// regenerate one with
+//
+//	go run ./cmd/footsteps -quick business > cmd/footsteps/testdata/quick_business.golden
+func TestQuickStdoutGolden(t *testing.T) {
+	for _, cmd := range []string{"catalog", "business", "narrow", "broad", "adaptation", "graphdetect"} {
+		t.Run(cmd, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "quick_"+cmd+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := runCLI("-quick", cmd)
+			if code != 0 || stderr != "" {
+				t.Fatalf("-quick %s: exit %d, stderr %q", cmd, code, stderr)
+			}
+			if stdout != string(want) {
+				t.Errorf("-quick %s stdout differs from testdata/quick_%s.golden:\n%s", cmd, cmd, stdout)
+			}
+		})
+	}
+}
+
 // TestExitCodes pins each command line's exit code, and the usage text
 // on stderr wherever the command line itself is at fault.
 func TestExitCodes(t *testing.T) {

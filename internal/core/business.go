@@ -130,12 +130,13 @@ func (w *World) BusinessStudy() (*BusinessResults, error) {
 	windowStart := w.Plat.Now()
 	tracker := detection.NewTracker(classifier, windowStart)
 	tracker.WireTelemetry(w.Cfg.Telemetry)
-	w.Plat.Log().Subscribe(tracker.Observe)
+	w.Plat.Log().Fold(tracker.Fold)
 
 	drift := w.scheduleDriftChecks(classifier)
 
 	w.RunAll()
 	w.Sched.RunFor(time.Duration(w.Cfg.Days) * clock.Day)
+	w.Plat.Log().Sync()
 
 	res := &BusinessResults{
 		Classifier: classifier,

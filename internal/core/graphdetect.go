@@ -41,26 +41,30 @@ func (w *World) GraphDetectionStudy() (*GraphDetectionResults, error) {
 	}
 	tracker := detection.NewTracker(classifier, w.Plat.Now())
 	tracker.WireTelemetry(w.Cfg.Telemetry)
-	w.Plat.Log().Subscribe(tracker.Observe)
+	w.Plat.Log().Fold(tracker.Fold)
 
 	// The baseline sees only the action graph — no signals. Build the
 	// bipartite actor→target graph from every allowed like and follow.
 	graph := fraudar.NewBipartite()
-	w.Plat.Log().Subscribe(func(ev platform.Event) {
-		if ev.Outcome != platform.OutcomeAllowed || ev.Enforcement || ev.Duplicate {
-			return
+	w.Plat.Log().Fold(func(evs []platform.Event) {
+		for i := range evs {
+			ev := &evs[i]
+			if ev.Outcome != platform.OutcomeAllowed || ev.Enforcement || ev.Duplicate {
+				continue
+			}
+			if ev.Type != platform.ActionLike && ev.Type != platform.ActionFollow {
+				continue
+			}
+			if ev.Target == 0 || ev.Target == ev.Actor {
+				continue
+			}
+			graph.AddEdge(fraudar.NodeID(ev.Actor), fraudar.NodeID(ev.Target))
 		}
-		if ev.Type != platform.ActionLike && ev.Type != platform.ActionFollow {
-			return
-		}
-		if ev.Target == 0 || ev.Target == ev.Actor {
-			return
-		}
-		graph.AddEdge(fraudar.NodeID(ev.Actor), fraudar.NodeID(ev.Target))
 	})
 
 	w.RunAll()
 	w.Sched.RunFor(time.Duration(w.Cfg.Days) * clock.Day)
+	w.Plat.Log().Sync()
 
 	res := &GraphDetectionResults{
 		Fraudar:   make(map[string]DetectionScore),

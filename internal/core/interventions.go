@@ -104,21 +104,24 @@ func (w *World) runIntervention(calibDays, expDays int, policy intervention.Poli
 	}
 	tracker := detection.NewTracker(classifier, w.Plat.Now())
 	tracker.WireTelemetry(w.Cfg.Telemetry)
-	w.Plat.Log().Subscribe(tracker.Observe)
+	w.Plat.Log().Fold(tracker.Fold)
 
 	// Complaint model inputs: per-account visible failures.
 	blockedSeen := make(map[platform.AccountID]int)   // AAS customers
 	removedSeen := make(map[platform.AccountID]int)   // enforcement removals
 	benignBlocked := make(map[platform.AccountID]int) // false positives
-	w.Plat.Log().Subscribe(func(ev platform.Event) {
-		switch {
-		case ev.Enforcement && ev.Type == platform.ActionUnfollow:
-			removedSeen[ev.Actor]++
-		case ev.Outcome == platform.OutcomeBlocked:
-			if _, isAAS := classifier.Classify(ev); isAAS {
-				blockedSeen[ev.Actor]++
-			} else {
-				benignBlocked[ev.Actor]++
+	w.Plat.Log().Fold(func(evs []platform.Event) {
+		for i := range evs {
+			ev := &evs[i]
+			switch {
+			case ev.Enforcement && ev.Type == platform.ActionUnfollow:
+				removedSeen[ev.Actor]++
+			case ev.Outcome == platform.OutcomeBlocked:
+				if _, isAAS := classifier.Classify(*ev); isAAS {
+					blockedSeen[ev.Actor]++
+				} else {
+					benignBlocked[ev.Actor]++
+				}
 			}
 		}
 	})
@@ -141,6 +144,7 @@ func (w *World) runIntervention(calibDays, expDays int, policy intervention.Poli
 	w.SetExperimentGatekeeper(ctl)
 	w.Sched.RunFor(time.Duration(expDays) * clock.Day)
 	w.SetExperimentGatekeeper(nil)
+	w.Plat.Log().Sync()
 
 	res := &InterventionResults{
 		Thresholds:     thresholds,

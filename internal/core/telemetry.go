@@ -87,7 +87,9 @@ func (w *World) TelemetrySummary() string {
 	return s
 }
 
-// updateGauges refreshes the point-in-time gauges before a snapshot.
+// updateGauges syncs the event log, so the folds' counters
+// (detection.events.*) cover every event emitted so far, and refreshes
+// the point-in-time gauges before a snapshot.
 // Besides the simulation gauges it samples runtime.MemStats once, so the
 // daily JSONL stream and the end-of-run summary carry the allocator's
 // trajectory (heap in use, GC cycles, cumulative pause). One ReadMemStats
@@ -95,6 +97,7 @@ func (w *World) TelemetrySummary() string {
 // and gauges are never part of hashed report goldens — see
 // docs/DETERMINISM.md.
 func (w *World) updateGauges() {
+	w.Plat.Log().Sync()
 	reg := w.Cfg.Telemetry
 	reg.Gauge("sched.pending").Set(int64(w.Sched.Pending()))
 	reg.Gauge("sim.day").Set(int64(w.Sched.Clock().Day()))

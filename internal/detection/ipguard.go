@@ -22,10 +22,11 @@ type IPVolumeGuard struct {
 	// DailyPerIP caps allowed actions per source address per day.
 	DailyPerIP int
 
-	// counts is a value map keyed by the address's IPv4 value (see
-	// ipKey): one 16-byte window inline per address, hashed as one word
-	// instead of a 24-byte netip.Addr.
-	counts map[ipKey]ipWindow
+	// slot maps an address's IPv4 value (see ipKey), hashed as one word
+	// instead of a 24-byte netip.Addr, to its window in windows: a check
+	// probes the map once and updates the window in place.
+	slot    map[ipKey]int
+	windows []ipWindow
 
 	// Throttled counts actions rejected, by client fingerprint — the
 	// platform's view of who the guard is squeezing.
@@ -68,7 +69,7 @@ func (k ipKey) addr() netip.Addr {
 func NewIPVolumeGuard(dailyPerIP int) *IPVolumeGuard {
 	return &IPVolumeGuard{
 		DailyPerIP: dailyPerIP,
-		counts:     make(map[ipKey]ipWindow),
+		slot:       make(map[ipKey]int),
 		Throttled:  make(map[string]int),
 	}
 }
@@ -93,20 +94,24 @@ func (g *IPVolumeGuard) Check(req platform.Event) platform.Verdict {
 	g.telChecked.Inc()
 	day := req.Time.Unix() / 86400
 	k := keyOf(req.IP)
-	w, ok := g.counts[k]
-	if !ok || w.day != day {
-		w = ipWindow{day: day}
+	i, ok := g.slot[k]
+	if !ok {
+		// A fresh window starts at zero and DailyPerIP > 0 here, so the
+		// address's first request is allowed.
+		g.slot[k] = len(g.windows)
+		g.windows = append(g.windows, ipWindow{day: day, n: 1})
+		return platform.Allow
+	}
+	w := &g.windows[i]
+	if w.day != day {
+		*w = ipWindow{day: day}
 	}
 	if w.n >= g.DailyPerIP {
-		// Only reachable for an existing same-day window (a fresh or
-		// rolled window starts at zero, and DailyPerIP > 0 here), so the
-		// stored entry is already current — no write-back needed.
 		g.Throttled[req.Client]++
 		g.telBlocked.Inc()
 		return platform.Verdict{Kind: platform.VerdictBlock}
 	}
 	w.n++
-	g.counts[k] = w
 	return platform.Allow
 }
 

@@ -51,15 +51,15 @@ func (st *IPVolumeGuardState) Finish() error { return nil }
 // WindowRows yields the per-address windows sorted by address (keys
 // sort as their addresses do; see ipKey).
 func (g *IPVolumeGuard) WindowRows() snaprow.Rows[IPWindowState] {
-	keys := make([]ipKey, 0, len(g.counts))
-	for k := range g.counts {
+	keys := make([]ipKey, 0, len(g.slot))
+	for k := range g.slot {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	return snaprow.Rows[IPWindowState]{N: len(keys), Each: func(yield func(*IPWindowState)) {
 		var ws IPWindowState
 		for _, k := range keys {
-			w := g.counts[k]
+			w := g.windows[g.slot[k]]
 			ws = IPWindowState{IP: k.addr(), Day: w.day, N: w.n}
 			yield(&ws)
 		}
@@ -86,7 +86,8 @@ func (g *IPVolumeGuard) ThrottledRows() snaprow.Rows[ClientCount] {
 type StagedGuard struct {
 	windows   []IPWindowState
 	clients   []ClientCount
-	counts    map[ipKey]ipWindow
+	slot      map[ipKey]int
+	ipWindows []ipWindow
 	throttled map[string]int
 }
 
@@ -108,9 +109,11 @@ func (s *StagedGuard) Finish() error {
 		!snaprow.Sorted(s.clients, func(cc *ClientCount) string { return cc.Client }) {
 		return fmt.Errorf("detection: guard windows or throttle tallies are not sorted")
 	}
-	s.counts = make(map[ipKey]ipWindow, len(s.windows))
+	s.slot = make(map[ipKey]int, len(s.windows))
+	s.ipWindows = make([]ipWindow, 0, len(s.windows))
 	for _, w := range s.windows {
-		s.counts[keyOf(w.IP)] = ipWindow{day: w.Day, n: w.N}
+		s.slot[keyOf(w.IP)] = len(s.ipWindows)
+		s.ipWindows = append(s.ipWindows, ipWindow{day: w.Day, n: w.N})
 	}
 	s.throttled = make(map[string]int, len(s.clients))
 	for _, cc := range s.clients {
@@ -121,6 +124,6 @@ func (s *StagedGuard) Finish() error {
 
 // CommitGuard installs a staged guard section.
 func (g *IPVolumeGuard) CommitGuard(s *StagedGuard) {
-	g.counts = s.counts
+	g.slot, g.windows = s.slot, s.ipWindows
 	g.Throttled = s.throttled
 }

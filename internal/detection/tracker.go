@@ -356,8 +356,9 @@ func (s *ServiceActivity) Targets() int { return s.targets }
 const targetCap = 100000
 
 // Tracker consumes the event stream and maintains per-service activity.
-// Wire it with Subscribe on the platform log, passing classified events to
-// Observe.
+// It reads only the events and its classifier, so it runs as a fold:
+// register its Fold method with the platform log's Fold, and read it only
+// after the log's Sync. Observe ingests a single event.
 type Tracker struct {
 	classifier *Classifier
 	// services is indexed like the classifier's labels; nil until the
@@ -418,7 +419,16 @@ func (t *Tracker) serviceFor(client string) *ServiceActivity {
 // Observe ingests one platform event. Duplicate no-op actions (re-liking
 // a post) count as attempts for attribution purposes but are excluded: the
 // platform state did not change.
-func (t *Tracker) Observe(ev platform.Event) {
+func (t *Tracker) Observe(ev platform.Event) { t.observe(&ev) }
+
+// Fold ingests a batch of events in order, as Observe would one by one.
+func (t *Tracker) Fold(evs []platform.Event) {
+	for i := range evs {
+		t.observe(&evs[i])
+	}
+}
+
+func (t *Tracker) observe(ev *platform.Event) {
 	if ev.Outcome != platform.OutcomeAllowed || ev.Enforcement || ev.Duplicate {
 		return
 	}

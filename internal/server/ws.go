@@ -66,14 +66,15 @@ func (b *broadcaster) emit(ev platform.Event) {
 	}
 	b.scratch = wire.AppendEventJSON(b.scratch[:0], wire.EventFrom(ev))
 	for c := range b.subs {
-		// Each subscriber needs its own copy: the scratch is reused on
-		// the next event, possibly before a slow writer drains.
-		msg := append([]byte(nil), b.scratch...)
-		select {
-		case c.ch <- msg:
-		default:
+		if len(c.ch) == cap(c.ch) {
 			b.dropped.Inc()
+			continue
 		}
+		// Each subscriber needs its own copy: the scratch is reused on
+		// the next event, possibly before a slow writer drains. The send
+		// cannot block: emit, under b.mu, is the channel's only sender,
+		// and the buffer has room.
+		c.ch <- append([]byte(nil), b.scratch...)
 	}
 }
 
