@@ -57,14 +57,6 @@ func (s *ReciprocityService) SetTargetPool(ids []platform.AccountID) {
 	s.pool = append([]platform.AccountID(nil), ids...)
 }
 
-// SetAdaptTypes overrides which action types the block detector watches.
-func (s *ReciprocityService) SetAdaptTypes(types ...platform.ActionType) {
-	s.adaptTypes = make(map[platform.ActionType]bool)
-	for _, t := range types {
-		s.adaptTypes[t] = true
-	}
-}
-
 // EnrollTrial enrolls the credentials on the free trial, restricted to the
 // given offerings (nil = all). This is the honeypot registration path.
 func (s *ReciprocityService) EnrollTrial(username, password string, wants ...Offering) (*Customer, error) {

@@ -25,6 +25,9 @@ package behavior
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"footsteps/internal/clock"
@@ -127,11 +130,15 @@ type Population struct {
 	rng      *rng.RNG
 	homeASNs []netsim.ASN // residential ASNs for member logins, by country
 
-	// members addresses the member records by account ID: members[id]
-	// is nil unless id is a member. Account IDs are minted densely from
-	// 1, so the event subscriber's lookup is a bounds check.
-	members  []*member
+	// members holds the member records in creation order, each with its
+	// RNG stream inline, so a member costs one row and no heap object;
+	// ids lists their account IDs. rowOf[id] is the row of account id's
+	// member plus one, 0 for a non-member. Account IDs are minted densely
+	// from 1, so the event subscriber's lookup is two bounds checks, not
+	// a map probe.
+	members  []member
 	ids      []platform.AccountID
+	rowOf    []uint32
 	general  []platform.AccountID // members outside any curated pool
 	pools    map[string][]platform.AccountID
 	nextName int
@@ -175,7 +182,7 @@ type member struct {
 
 	// rng is the member's private stream, forked at creation, so daily
 	// posting decisions do not depend on who else plans in the section.
-	rng *rng.RNG
+	rng rng.RNG
 }
 
 // New creates an empty population using the given model.
@@ -233,6 +240,8 @@ func (p *Population) ReserveCuratedPool(label string, n int) []platform.AccountI
 	return ids
 }
 
+// reserve lists n reserved IDs as members. Their rows come from the
+// snapshot at Commit.
 func (p *Population) reserve(n int) []platform.AccountID {
 	first := p.plat.ReserveAccounts(n)
 	ids := make([]platform.AccountID, n)
@@ -243,38 +252,64 @@ func (p *Population) reserve(n int) []platform.AccountID {
 	return ids
 }
 
+// Grow makes room for members more members among accounts more account
+// IDs, so adding them copies no table.
+func (p *Population) Grow(members, accounts int) {
+	p.members = slices.Grow(p.members, members)
+	p.ids = slices.Grow(p.ids, members)
+	p.rowOf = slices.Grow(p.rowOf, accounts+1)
+}
+
 // Pool returns the members of a curated pool.
 func (p *Population) Pool(label string) []platform.AccountID {
 	return append([]platform.AccountID(nil), p.pools[label]...)
 }
 
 func (p *Population) addFromSpec(label string, spec PoolSpec, n int) []platform.AccountID {
-	ids := make([]platform.AccountID, 0, n)
-	for i := 0; i < n; i++ {
+	// Every member is drawn before any registers. Registration draws
+	// nothing from p.rng, so the streams are those of registering one at
+	// a time. The batch's passwords are cut from one string, each
+	// username the tail of its password.
+	regs := make([]platform.Registration, n)
+	var num [20]byte
+	var creds strings.Builder
+	creds.Grow(n * (len("pw-org--") + len(label) + len(strconv.AppendInt(num[:0], int64(p.nextName+n), 10))))
+	row := len(p.members)
+	for i := range regs {
 		p.nextName++
 		country := p.pickCountry(spec.Countries)
-		prof := Profile{
+		p.members = append(p.members, member{profile: Profile{
 			Country:        country,
 			OutDeg:         degreeFromMedian(p.rng, spec.OutDegMedian),
 			InDeg:          degreeFromMedian(p.rng, spec.InDegMedian),
 			LikeToLike:     jitterRate(p.rng, spec.LikeToLike),
 			LikeToFollow:   jitterRate(p.rng, spec.LikeToFollow),
 			FollowToFollow: jitterRate(p.rng, spec.FollowToFollow),
+		}, rng: p.rng.ForkValue(uint64(p.nextName))})
+		start := creds.Len()
+		creds.WriteString("pw-org-")
+		creds.WriteString(label)
+		creds.WriteByte('-')
+		creds.Write(strconv.AppendInt(num[:0], int64(p.nextName), 10))
+		pw := creds.String()[start:]
+		regs[i] = platform.Registration{
+			Username: pw[len("pw-"):], Password: pw, HomeCountry: country,
+			// Organic members keep modest profiles: a couple of photos
+			// so their posts can receive likes.
+			Profile: platform.Profile{PhotoCount: 1 + p.rng.Intn(3), HasProfilePic: true, HasBio: true, HasName: true},
 		}
-		username := fmt.Sprintf("org-%s-%d", label, p.nextName)
-		// Organic members keep modest profiles: a couple of photos so
-		// their posts can receive likes.
-		id, err := p.plat.RegisterAccount(username, "pw-"+username, platform.Profile{
-			PhotoCount: 1 + p.rng.Intn(3), HasProfilePic: true, HasBio: true, HasName: true,
-		}, country)
-		if err != nil {
-			panic(fmt.Sprintf("behavior: register organic member: %v", err))
-		}
-		prof.ID = id
-		p.setMember(&member{profile: prof, rng: p.rng.Fork(uint64(p.nextName))})
-		p.ids = append(p.ids, id)
-		ids = append(ids, id)
 	}
+	first, err := p.plat.RegisterAccounts(regs)
+	if err != nil {
+		panic(fmt.Sprintf("behavior: register organic member: %v", err))
+	}
+	ids := make([]platform.AccountID, n)
+	for i := range ids {
+		ids[i] = first + platform.AccountID(i)
+		p.members[row+i].profile.ID = ids[i]
+		p.setRow(ids[i], row+i)
+	}
+	p.ids = append(p.ids, ids...)
 	return ids
 }
 
@@ -330,19 +365,20 @@ func (p *Population) Members() []platform.AccountID {
 
 // memberOf returns id's member record, nil when id is not a member.
 func (p *Population) memberOf(id platform.AccountID) *member {
-	if uint64(id) < uint64(len(p.members)) {
-		return p.members[id]
+	if uint64(id) < uint64(len(p.rowOf)) {
+		if r := p.rowOf[id]; r != 0 {
+			return &p.members[r-1]
+		}
 	}
 	return nil
 }
 
-// setMember files m under its account ID.
-func (p *Population) setMember(m *member) {
-	id := m.profile.ID
-	if uint64(id) >= uint64(len(p.members)) {
-		p.members = append(p.members, make([]*member, int(id)+1-len(p.members))...)
+// setRow files account id's member at row.
+func (p *Population) setRow(id platform.AccountID, row int) {
+	if n := int(id) + 1 - len(p.rowOf); n > 0 {
+		p.rowOf = append(p.rowOf, make([]uint32, n)...)
 	}
-	p.members[id] = m
+	p.rowOf[id] = uint32(row + 1)
 }
 
 // IsMember reports whether id belongs to the population.

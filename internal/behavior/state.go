@@ -12,11 +12,11 @@ import (
 )
 
 // Snapshot/restore support (see internal/persistence). Member order is
-// preserved verbatim — p.ids drives iteration in the posting planner, so
-// the serialized order is the creation order, not a sorted one. Members
-// are written straight from the population's member records; restore
-// decodes them into a Staged population, which Commit installs into a
-// population whose construction only reserved the members' IDs (see
+// preserved verbatim: the serialized order is the creation order, the
+// order of the member rows, not a sorted one. Members are written
+// straight from the population's member records; restore decodes them
+// into a Staged population, which Commit installs into a population
+// whose construction only reserved the members' IDs (see
 // ReserveMembers).
 
 // State is the population section as plain structs: the fixture the
@@ -25,7 +25,7 @@ import (
 type State struct {
 	RNG      rng.State
 	NextName int
-	Members  []MemberState // in creation (p.ids) order
+	Members  []MemberState // in creation order
 	General  []platform.AccountID
 	Pools    []PoolState    // sorted by label
 	Reacted  []ChannelCount // sorted by channel
@@ -95,10 +95,10 @@ func (p *Population) Header() State {
 
 // MemberRows yields the members in creation order.
 func (p *Population) MemberRows() snaprow.Rows[MemberState] {
-	return snaprow.Rows[MemberState]{N: len(p.ids), Each: func(yield func(*MemberState)) {
+	return snaprow.Rows[MemberState]{N: len(p.members), Each: func(yield func(*MemberState)) {
 		var ms MemberState
-		for _, id := range p.ids {
-			m := p.members[id]
+		for i := range p.members {
+			m := &p.members[i]
 			ms = MemberState{
 				Profile: m.profile,
 				Tag:     m.tag,
@@ -132,20 +132,14 @@ func (p *Population) ReactionRows() snaprow.Rows[ReactionState] {
 }
 
 // Staged is a decoded population section, not yet installed. Member
-// records and their RNG streams are decoded into one block; sessions
-// wait as plain states until Commit binds them to the platform.
+// records, their RNG streams inline, are decoded into the rows Commit
+// installs; sessions wait as plain states until Commit binds them to
+// the platform.
 type Staged struct {
 	h         State
-	block     []stagedMember
+	block     []member
 	sessions  []stagedSession // members holding a session
 	reactions []ReactionState
-}
-
-// stagedMember is one member record with its RNG stream inline; the
-// population keeps pointing into the block after Commit.
-type stagedMember struct {
-	m   member
-	rng rng.RNG
 }
 
 type stagedSession struct {
@@ -157,9 +151,9 @@ type stagedSession struct {
 func NewStaged() *Staged { return &Staged{} }
 
 func (s *Staged) LoadMembers(hint int) func(*MemberState) {
-	s.block = make([]stagedMember, 0, hint)
+	s.block = make([]member, 0, hint)
 	return func(ms *MemberState) {
-		s.block = append(s.block, stagedMember{m: member{profile: ms.Profile, tag: ms.Tag}})
+		s.block = append(s.block, member{profile: ms.Profile, tag: ms.Tag})
 		s.block[len(s.block)-1].rng.SetState(ms.RNG)
 		if ms.Session.Present {
 			s.sessions = append(s.sessions, stagedSession{i: len(s.block) - 1, st: ms.Session})
@@ -192,16 +186,17 @@ func (p *Population) Matches(s *Staged) error {
 		return fmt.Errorf("behavior: snapshot lists %d members, this config builds %d", len(s.block), len(p.ids))
 	}
 	for i := range s.block {
-		if id := s.block[i].m.profile.ID; id != p.ids[i] {
+		if id := s.block[i].profile.ID; id != p.ids[i] {
 			return fmt.Errorf("behavior: member %d listed at position %d, where this config builds member %d", id, i, p.ids[i])
 		}
 	}
 	return nil
 }
 
-// Commit installs a staged section that Matches the population. The
-// pending reactions are re-registered separately via RestoreReactions,
-// once the scheduler sits at the snapshot instant.
+// Commit installs a staged section that Matches the population: the
+// staged rows become the member rows. The pending reactions are
+// re-registered separately via RestoreReactions, once the scheduler
+// sits at the snapshot instant.
 func (p *Population) Commit(s *Staged) {
 	p.rng.SetState(s.h.RNG)
 	p.nextName = s.h.NextName
@@ -210,21 +205,17 @@ func (p *Population) Commit(s *Staged) {
 	for _, ps := range s.h.Pools {
 		p.pools[ps.Label] = ps.IDs
 	}
-	rows := 0
-	for i := range s.block {
-		rows = max(rows, int(s.block[i].m.profile.ID)+1)
-	}
-	p.members = make([]*member, rows)
-	for i := range s.block {
-		sm := &s.block[i]
-		sm.m.rng = &sm.rng
-		if sm.m.tag != "" {
-			sm.m.tags = []string{sm.m.tag}
+	p.members = s.block
+	p.rowOf = p.rowOf[:0]
+	for i := range p.members {
+		m := &p.members[i]
+		p.setRow(m.profile.ID, i)
+		if m.tag != "" {
+			m.tags = []string{m.tag}
 		}
-		p.members[sm.m.profile.ID] = &sm.m
 	}
 	for _, ss := range s.sessions {
-		s.block[ss.i].m.session = p.plat.RestoreSession(ss.st)
+		p.members[ss.i].session = p.plat.RestoreSession(ss.st)
 	}
 	clear(p.Reacted)
 	for _, cc := range s.h.Reacted {

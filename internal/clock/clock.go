@@ -29,9 +29,6 @@ type Clock struct {
 // New returns a clock set to Epoch.
 func New() *Clock { return &Clock{now: Epoch} }
 
-// NewAt returns a clock set to the given instant.
-func NewAt(t time.Time) *Clock { return &Clock{now: t} }
-
 // Now returns the current simulated instant.
 func (c *Clock) Now() time.Time { return c.now }
 
@@ -46,6 +43,24 @@ func (c *Clock) Advance(d time.Duration) {
 		panic("clock: Advance with negative duration")
 	}
 	c.now = c.now.Add(d)
+}
+
+// UnixNano returns t as nanoseconds since the Unix epoch, 0 for the zero
+// time: the pointer-free form account tables keep instants in. Simulated
+// instants start at Epoch, so none collides with the zero sentinel.
+func UnixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
+}
+
+// FromUnixNano inverts UnixNano, in UTC as the simulated clock reads.
+func FromUnixNano(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns).UTC()
 }
 
 // event is a scheduled callback.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"footsteps/internal/platform"
+	"footsteps/internal/socialgraph"
 	"footsteps/internal/step"
 )
 
@@ -49,7 +50,7 @@ func TestPhaseGuardTripsOnPlanMutation(t *testing.T) {
 			w.Plat.Graph().Follow(s.Account(), 1)
 		}},
 		{"socialgraph.AddPost", func(w *World, s *platform.Session) {
-			w.Plat.Graph().AddPost(s.Account(), w.Plat.Now())
+			w.Plat.Graph().AddPosts(s.Account(), w.Plat.Now(), make([]socialgraph.PostID, 1))
 		}},
 	} {
 		w, s := newWorld()

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"footsteps/internal/honeypot"
-	"footsteps/internal/platform"
 )
 
 // Replication holds a metric set measured across independent seeds — the
@@ -96,31 +95,6 @@ func ReplicateReciprocation(base Config, seeds []uint64, emptyPer, livedPer int)
 			prefix := fmt.Sprintf("%s/%s/%s", c.Service, kind, c.DriveType)
 			out[prefix+"→like"] = c.InLikeRate
 			out[prefix+"→follow"] = c.InFollowRate
-		}
-		return out, nil
-	})
-}
-
-// ReplicateBusiness reruns the §5 study across seeds and reports the
-// headline metrics (long-term fractions, revenue estimates).
-func ReplicateBusiness(base Config, seeds []uint64) (*Replication, error) {
-	return Replicate(base, seeds, func(w *World) (map[string]float64, error) {
-		res, err := w.BusinessStudy()
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string]float64)
-		for label, split := range res.Table6 {
-			if split.Customers > 0 {
-				out[label+"/longterm-frac"] = float64(split.LongTerm) / float64(split.Customers)
-				out[label+"/lt-action-share"] = split.LongActions
-			}
-		}
-		out["Boostgram/monthly-usd"] = res.Table8Boostgram.Monthly
-		out["Insta*/monthly-usd-low"] = res.Table8InstaLow.Monthly
-		out["Hublaagram/monthly-usd-low"] = res.Table9.MonthlyLow
-		if mix, ok := res.Table11[LabelInstaStar]; ok {
-			out["Insta*/follow-mix"] = mix[platform.ActionFollow]
 		}
 		return out, nil
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"footsteps/internal/aas"
@@ -169,16 +170,33 @@ func newWorld(cfg Config, restoring bool) *World {
 	w.Honeypots = honeypot.New(plat, sched, root.Split("honeypot"))
 	w.Honeypots.Wire()
 
+	// The build registers the organic population, the celebrities, one
+	// curated pool per reciprocity service and the VPN users. Reserving
+	// the tables for all of them at once means no registration copies a
+	// column or rehashes the username index.
+	specs := aas.Catalog()
+	if !cfg.IncludeFollowersgratis {
+		specs = slices.DeleteFunc(specs, func(s *aas.Spec) bool { return s.Name == aas.NameFollowersgratis })
+	}
+	members := cfg.OrganicPopulation
+	for _, spec := range specs {
+		if spec.Technique == aas.TechniqueReciprocity {
+			members += cfg.PoolSize
+		}
+	}
+	plat.Grow(members + celebrities + cfg.VPNUsers)
+
 	w.Pop = behavior.New(behavior.DefaultModel(), plat, sched, root.Split("population"))
 	w.Pop.SetStepEngine(w.Steps)
 	if restoring {
 		w.Pop.ReserveMembers(cfg.OrganicPopulation)
 	} else {
+		w.Pop.Grow(members, members+celebrities)
 		w.Pop.AddMembers(cfg.OrganicPopulation)
 	}
 
 	// High-profile celebrity accounts for lived-in honeypot setup.
-	for i := 0; i < 30; i++ {
+	for i := 0; i < celebrities; i++ {
 		id, err := plat.RegisterAccount(fmt.Sprintf("celebrity-%d", i), "pw-celeb",
 			platform.Profile{PhotoCount: 40, HasProfilePic: true, HasBio: true, HasName: true}, "USA")
 		if err != nil {
@@ -189,10 +207,7 @@ func newWorld(cfg Config, restoring bool) *World {
 	w.Honeypots.SetHighProfile(w.celebIDs)
 
 	// Services with their curated pools.
-	for _, spec := range aas.Catalog() {
-		if spec.Name == aas.NameFollowersgratis && !cfg.IncludeFollowersgratis {
-			continue
-		}
+	for _, spec := range specs {
 		switch spec.Technique {
 		case aas.TechniqueReciprocity:
 			svc := aas.NewReciprocityService(spec, plat, sched, root.Split("svc-"+spec.Name))
@@ -241,6 +256,10 @@ func newWorld(cfg Config, restoring bool) *World {
 	}
 	return w
 }
+
+// celebrities is how many high-profile accounts a world registers for
+// lived-in honeypot setup.
+const celebrities = 30
 
 // setupVPNUsers creates benign users whose traffic shares Hublaagram's US
 // cloud ASN, so that ASN carries blended traffic and takes the

@@ -153,12 +153,6 @@ func (a *AccountActivity) PostLikeCount(pid platform.PostID) int {
 	return 0
 }
 
-// ActiveDays returns the sorted day indices with any (in- or outbound)
-// service activity.
-func (a *AccountActivity) ActiveDays() []int {
-	return a.AppendActiveDays(nil)
-}
-
 // AppendActiveDays appends the sorted active-day indices to dst and
 // returns the extended slice. Report generators that query thousands of
 // accounts pass a reused buffer instead of allocating per account. Both

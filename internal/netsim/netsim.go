@@ -275,13 +275,6 @@ func (p *ProxyPool) PickFrom(r *rng.RNG) netip.Addr {
 // Size returns the number of proxies in the pool.
 func (p *ProxyPool) Size() int { return len(p.addrs) }
 
-// RNGState snapshots the pool's own pick stream (used by Pick, not
-// PickFrom) so restores resume the same pick sequence.
-func (p *ProxyPool) RNGState() rng.State { return p.rng.State() }
-
-// SetRNGState overwrites the pool's pick stream state.
-func (p *ProxyPool) SetRNGState(st rng.State) { p.rng.SetState(st) }
-
 // DistinctASNs reports how many distinct ASNs the pool spans — the paper's
 // measure of post-block IP diversity.
 func (p *ProxyPool) DistinctASNs(reg *Registry) int {

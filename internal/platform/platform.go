@@ -29,6 +29,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
 	"time"
 
@@ -296,40 +297,98 @@ func (p *Platform) SetGatekeeper(gk Gatekeeper) { p.gate = gk }
 // and returns its ID. The homeCountry is where the human behind the account
 // usually logs in from.
 func (p *Platform) RegisterAccount(username, password string, profile Profile, homeCountry string) (AccountID, error) {
-	p.phase.CheckWrite("platform.RegisterAccount")
-	if _, taken := p.byUsername[username]; taken {
-		return 0, fmt.Errorf("%w: %q", ErrUsernameTaken, username)
-	}
-	id := p.graph.CreateAccount(p.clk.Now())
-	r := p.accts.add(id, username, password, profile, homeCountry, p.clk.Now())
-	// The profile's initial photos exist as posts.
-	for i := 0; i < profile.PhotoCount; i++ {
-		p.addPost(r)
-	}
-	p.byUsername[username] = id
-	if m := p.tel; m != nil {
-		m.accounts.Add(1)
-	}
-	return id, nil
+	return p.RegisterAccounts([]Registration{{username, password, profile, homeCountry}})
 }
 
-// addPost creates a post for row r and indexes its author.
+// Registration is one account for RegisterAccounts.
+type Registration struct {
+	Username, Password string
+	Profile            Profile
+	HomeCountry        string
+}
+
+// RegisterAccounts registers each account in regs in order, as one
+// RegisterAccount call each would, and returns the first one's ID; the
+// rest follow it densely. Each account's initial photos exist as posts,
+// and the batch's photo lists are cut from one array. It stops at the
+// first taken username and returns its error, with the accounts listed
+// before it registered.
+func (p *Platform) RegisterAccounts(regs []Registration) (AccountID, error) {
+	p.phase.CheckWrite("platform.RegisterAccount")
+	photos := 0
+	for i := range regs {
+		photos += max(regs[i].Profile.PhotoCount, 0)
+	}
+	backing := make([]PostID, photos)
+	var first AccountID
+	for i := range regs {
+		reg := &regs[i]
+		if _, taken := p.byUsername[reg.Username]; taken {
+			return first, fmt.Errorf("%w: %q", ErrUsernameTaken, reg.Username)
+		}
+		now := p.clk.Now()
+		id := p.graph.CreateAccount(now)
+		if i == 0 {
+			first = id
+		}
+		r := p.accts.add(id, reg.Username, reg.Password, reg.Profile, reg.HomeCountry, now)
+		if k := reg.Profile.PhotoCount; k > 0 {
+			posts := backing[:k:k]
+			backing = backing[k:]
+			p.newPosts(r, posts)
+			p.accts.posts[r] = posts
+		}
+		p.byUsername[reg.Username] = id
+		if m := p.tel; m != nil {
+			m.accounts.Add(1)
+		}
+	}
+	return first, nil
+}
+
+// Grow makes room for n more accounts in the account tables, the
+// graph's included, and the username index, so registering them copies
+// no column and rehashes no index.
+func (p *Platform) Grow(n int) {
+	p.accts.reserve(n)
+	p.graph.Grow(n)
+	if len(p.byUsername) == 0 {
+		p.byUsername = make(map[string]AccountID, n)
+		return
+	}
+	names := make(map[string]AccountID, len(p.byUsername)+n)
+	maps.Copy(names, p.byUsername)
+	p.byUsername = names
+}
+
+// addPost creates a post for row r and appends it to the row's list.
 func (p *Platform) addPost(r uint32) PostID {
+	posts := append(p.accts.posts[r], 0)
+	p.newPosts(r, posts[len(posts)-1:])
+	p.accts.posts[r] = posts
+	return posts[len(posts)-1]
+}
+
+// newPosts mints len(pids) posts authored by row r into pids and
+// indexes their author. In graph mode pids also becomes the graph's
+// post list for the account when it has none (Graph.AddPosts); the
+// platform never writes a listed post ID again, so the two tables may
+// share the array.
+func (p *Platform) newPosts(r uint32, pids []PostID) {
 	id := AccountID(r + 1)
-	var pid PostID
 	if p.cfg.GraphWrites {
-		var err error
-		pid, err = p.graph.AddPost(id, p.clk.Now())
-		if err != nil {
-			panic(fmt.Sprintf("platform: graph post for live account: %v", err))
+		if err := p.graph.AddPosts(id, p.clk.Now(), pids); err != nil {
+			panic(fmt.Sprintf("platform: graph posts for live account: %v", err))
 		}
 	} else {
-		p.nextPost++
-		pid = PostID(p.nextPost)
+		for i := range pids {
+			p.nextPost++
+			pids[i] = PostID(p.nextPost)
+		}
 	}
-	p.accts.posts[r] = append(p.accts.posts[r], pid)
-	p.setAuthor(pid, id)
-	return pid
+	for _, pid := range pids {
+		p.setAuthor(pid, id)
+	}
 }
 
 // setAuthor records id as pid's author in the dense author index; 0
@@ -400,15 +459,6 @@ func (p *Platform) Username(id AccountID) (string, bool) {
 		return "", false
 	}
 	return p.accts.usernames[r], true
-}
-
-// CreatedAt returns the account's registration time.
-func (p *Platform) CreatedAt(id AccountID) (time.Time, bool) {
-	r, ok := p.accts.row(id)
-	if !ok {
-		return time.Time{}, false
-	}
-	return p.accts.created[r], true
 }
 
 // MostFrequentLoginCountry implements the paper's customer-location rule:

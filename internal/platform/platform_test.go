@@ -71,6 +71,58 @@ func TestDuplicateUsername(t *testing.T) {
 	}
 }
 
+// TestRegisterAccountsBatch registers a batch whose photo lists share
+// one backing array: IDs come out dense, each row lists its own photos,
+// a later post reallocates only the posting row, a taken username stops
+// the batch after the accounts before it, Username allocates nothing
+// and Login only its Session.
+func TestRegisterAccountsBatch(t *testing.T) {
+	w := newWorld(t, DefaultConfig())
+	w.register(t, "taken")
+	w.p.Grow(3)
+	first, err := w.p.RegisterAccounts([]Registration{
+		{Username: "a", Password: "pw-a", Profile: Profile{PhotoCount: 2}, HomeCountry: "USA"},
+		{Username: "b", Password: "pw-b", HomeCountry: "IDN"},
+		{Username: "c", Password: "pw-c", Profile: Profile{PhotoCount: 3}, HomeCountry: "USA"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 2 || w.p.NumAccounts() != 4 {
+		t.Fatalf("batch starts at ID %d with %d accounts, want 2 and 4", first, w.p.NumAccounts())
+	}
+	for i, want := range []int{2, 0, 3} {
+		if got := len(w.p.Posts(first + AccountID(i))); got != want {
+			t.Fatalf("account %d lists %d photos, want %d", first+AccountID(i), got, want)
+		}
+	}
+	cPosts := w.p.Posts(first + 2)
+	sa := w.login(t, "a", 10)
+	if err := sa.Do(Request{Action: ActionPost}).Err; err != nil {
+		t.Fatal(err)
+	}
+	if got := len(w.p.Posts(first)); got != 3 {
+		t.Fatalf("poster lists %d posts, want 3", got)
+	}
+	for i, pid := range w.p.Posts(first + 2) {
+		if pid != cPosts[i] {
+			t.Fatalf("a neighbour's post changed the batch's other rows: %v, was %v", w.p.Posts(first+2), cPosts)
+		}
+	}
+
+	next, err := w.p.RegisterAccounts([]Registration{{Username: "d", Password: "pw-d"}, {Username: "taken"}, {Username: "e"}})
+	if !errors.Is(err, ErrUsernameTaken) || next != first+3 || !w.p.Exists(next) || w.p.NumAccounts() != 5 {
+		t.Fatalf("batch with a taken name: first %d, err %v, %d accounts; want %d registered before it", next, err, w.p.NumAccounts(), first+3)
+	}
+	if got := testing.AllocsPerRun(100, func() { w.p.Username(first) }); got != 0 {
+		t.Errorf("Username allocates %.1f/op, want 0", got)
+	}
+	ci := ClientInfo{IP: w.reg.Allocate(10), Fingerprint: "test-client", API: APIPrivate}
+	if got := testing.AllocsPerRun(100, func() { w.p.Login("c", "pw-c", ci) }); got > 1 {
+		t.Errorf("Login allocates %.1f/op, want only its Session", got)
+	}
+}
+
 func TestBadCredentials(t *testing.T) {
 	w := newWorld(t, DefaultConfig())
 	w.register(t, "alice")

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"footsteps/internal/clock"
 	"footsteps/internal/snaprow"
 )
 
@@ -160,8 +161,8 @@ func (p *Platform) AccountRows() snaprow.Rows[AccountState] {
 				Username:       t.usernames[r],
 				Password:       t.passwords[r],
 				Profile:        t.profiles[r],
-				HomeCountry:    t.homeCountries[r],
-				Created:        t.created[r],
+				HomeCountry:    t.countries[t.homes[r]],
+				Created:        clock.FromUnixNano(t.created[r]),
 				Deleted:        t.deleted[r],
 				SessionEpoch:   t.sessionEpochs[r],
 				LoginCountries: t.logins[r],
@@ -402,7 +403,10 @@ func (p *Platform) Commit(s *Staged) {
 func (p *Platform) ReserveAccounts(n int) AccountID {
 	p.phase.CheckWrite("platform.ReserveAccounts")
 	first := p.graph.ReserveAccounts(n)
-	p.accts.grow(n)
+	p.accts.reserve(n)
+	for id := first; id < first+AccountID(n); id++ {
+		p.accts.add(id, "", "", Profile{}, "", time.Time{})
+	}
 	if m := p.tel; m != nil {
 		m.accounts.Add(int64(n))
 	}

@@ -1,36 +1,51 @@
 package platform
 
 import (
+	"slices"
 	"sort"
 	"time"
+
+	"footsteps/internal/clock"
 )
 
 // accountTable is the platform's account records laid out
 // struct-of-arrays: one slice per field, indexed by row. Account IDs are
 // minted densely from 1 by the social graph, and the platform registers
 // every account the moment its ID is minted, so the row of AccountID n
-// is n-1 and a lookup is a bounds check, not a map probe. The table
-// stores an account in a handful of contiguous array cells instead of a
-// heap object plus two maps — the difference between ~1 KB and ~200 B
-// per account, which is what lets a million-account world fit in a few
-// GB (see docs/PERFORMANCE.md, "Scaling to 1M accounts").
+// is n-1 and a lookup is a bounds check, not a map probe.
+//
+// A registration costs one cell per column and no heap object of its
+// own. A world build reserves every column once (reserve), usernames
+// and passwords are substrings of one string per registration batch,
+// the initial photo lists are cut from one array per batch, and the
+// instant and home-country columns hold no pointers. A built
+// 100k-account world holds about 0.1 heap objects per account, where
+// per-row strings, posts slices and member records made it 5.1 (see
+// docs/PERFORMANCE.md, "Scaling to 1M accounts").
 //
 // Rows are never recycled: a deleted account keeps its row with
 // deleted[r] set. Per-account small collections (login-country tallies,
 // per-post like counts) are kept as sorted slices — they are tiny in
 // practice, a sorted slice is half the size of a map, and keeping them
-// sorted makes snapshot encoding a straight copy.
+// sorted makes snapshot encoding a straight copy. A row's slice never
+// has room past its own length, so an append reallocates that row
+// alone, never a neighbour sharing its backing array.
 type accountTable struct {
 	usernames     []string
 	passwords     []string
 	profiles      []Profile
-	homeCountries []string
-	created       []time.Time
+	homes         []uint32 // index into countries
+	created       []int64  // clock.UnixNano
 	deleted       []bool
 	sessionEpochs []uint64
 	logins        [][]CountryCount // sorted by country
 	posts         [][]PostID       // creation order
 	likeCounts    [][]PostCount    // sorted by post ID (stateless-graph mode)
+
+	// countries lists each distinct home country once, in first-seen
+	// order; countryCodes inverts it.
+	countries    []string
+	countryCodes map[string]uint32
 }
 
 // row returns the row for id, if the account has ever been registered
@@ -55,8 +70,8 @@ func (t *accountTable) add(id AccountID, username, password string, prof Profile
 	t.usernames = append(t.usernames, username)
 	t.passwords = append(t.passwords, password)
 	t.profiles = append(t.profiles, prof)
-	t.homeCountries = append(t.homeCountries, home)
-	t.created = append(t.created, created)
+	t.homes = append(t.homes, t.countryCode(home))
+	t.created = append(t.created, clock.UnixNano(created))
 	t.deleted = append(t.deleted, false)
 	t.sessionEpochs = append(t.sessionEpochs, 0)
 	t.logins = append(t.logins, nil)
@@ -65,32 +80,38 @@ func (t *accountTable) add(id AccountID, username, password string, prof Profile
 	return r
 }
 
-// reserve gives an empty table room for n rows.
+// reserve makes room for n more rows, so the next n adds copy no
+// column.
 func (t *accountTable) reserve(n int) {
-	t.usernames = make([]string, 0, n)
-	t.passwords = make([]string, 0, n)
-	t.profiles = make([]Profile, 0, n)
-	t.homeCountries = make([]string, 0, n)
-	t.created = make([]time.Time, 0, n)
-	t.deleted = make([]bool, 0, n)
-	t.sessionEpochs = make([]uint64, 0, n)
-	t.logins = make([][]CountryCount, 0, n)
-	t.posts = make([][]PostID, 0, n)
-	t.likeCounts = make([][]PostCount, 0, n)
+	t.usernames = slices.Grow(t.usernames, n)
+	t.passwords = slices.Grow(t.passwords, n)
+	t.profiles = slices.Grow(t.profiles, n)
+	t.homes = slices.Grow(t.homes, n)
+	t.created = slices.Grow(t.created, n)
+	t.deleted = slices.Grow(t.deleted, n)
+	t.sessionEpochs = slices.Grow(t.sessionEpochs, n)
+	t.logins = slices.Grow(t.logins, n)
+	t.posts = slices.Grow(t.posts, n)
+	t.likeCounts = slices.Grow(t.likeCounts, n)
 }
 
-// grow appends n empty rows (ReserveAccounts).
-func (t *accountTable) grow(n int) {
-	t.usernames = append(t.usernames, make([]string, n)...)
-	t.passwords = append(t.passwords, make([]string, n)...)
-	t.profiles = append(t.profiles, make([]Profile, n)...)
-	t.homeCountries = append(t.homeCountries, make([]string, n)...)
-	t.created = append(t.created, make([]time.Time, n)...)
-	t.deleted = append(t.deleted, make([]bool, n)...)
-	t.sessionEpochs = append(t.sessionEpochs, make([]uint64, n)...)
-	t.logins = append(t.logins, make([][]CountryCount, n)...)
-	t.posts = append(t.posts, make([][]PostID, n)...)
-	t.likeCounts = append(t.likeCounts, make([][]PostCount, n)...)
+// countryCode returns home's index in countries, adding it if new.
+// Registrations come in runs from one country, so the previous row's
+// code is tried before the map.
+func (t *accountTable) countryCode(home string) uint32 {
+	if n := len(t.homes); n > 0 && t.countries[t.homes[n-1]] == home {
+		return t.homes[n-1]
+	}
+	if c, ok := t.countryCodes[home]; ok {
+		return c
+	}
+	if t.countryCodes == nil {
+		t.countryCodes = make(map[string]uint32)
+	}
+	c := uint32(len(t.countries))
+	t.countries = append(t.countries, home)
+	t.countryCodes[home] = c
+	return c
 }
 
 // bumpLogin tallies one login from country on row r, keeping the tally

@@ -28,7 +28,13 @@ type RNG struct {
 // New returns a stream seeded from seed. Two RNGs built from the same seed
 // produce identical sequences.
 func New(seed uint64) *RNG {
-	r := &RNG{lineage: seed}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is New by value.
+func seeded(seed uint64) RNG {
+	r := RNG{lineage: seed}
 	// SplitMix64 expansion of the seed into 256 bits of state, per the
 	// xoshiro reference implementation.
 	sm := seed
@@ -65,13 +71,20 @@ func (r *RNG) Split(label string) *RNG {
 // same section, and in what order, can never change the numbers any
 // actor sees.
 func (r *RNG) Fork(id uint64) *RNG {
+	c := r.ForkValue(id)
+	return &c
+}
+
+// ForkValue is Fork returning the child by value, for a stream held
+// inline in a table row rather than as a heap object of its own.
+func (r *RNG) ForkValue(id uint64) RNG {
 	// SplitMix64 finalizer on the id keeps adjacent ids far apart in seed
 	// space, then mix with the parent's construction-time seed material.
 	z := id + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return New(z ^ (r.lineage * 0xd1342543de82ef95))
+	return seeded(z ^ (r.lineage * 0xd1342543de82ef95))
 }
 
 // State is the complete serializable state of a stream: the xoshiro256**

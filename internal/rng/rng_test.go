@@ -44,6 +44,25 @@ func TestSplitIndependentOfDrawOrder(t *testing.T) {
 	}
 }
 
+// TestForkValueMatchesFork checks that a stream forked by value, as a
+// table row holds it, draws and forks exactly as the heap-allocated
+// Fork of the same id.
+func TestForkValueMatchesFork(t *testing.T) {
+	parent := New(11)
+	parent.Uint64() // a parent's draws must not matter
+	for _, id := range []uint64{0, 1, 42, 1 << 40} {
+		byPtr, byVal := parent.Fork(id), parent.ForkValue(id)
+		if byPtr.State() != byVal.State() {
+			t.Fatalf("Fork(%d) state %+v, ForkValue %+v", id, byPtr.State(), byVal.State())
+		}
+		for i := 0; i < 8; i++ {
+			if a, b := byPtr.Uint64(), byVal.Uint64(); a != b {
+				t.Fatalf("Fork(%d) draw %d: %d by pointer, %d by value", id, i, a, b)
+			}
+		}
+	}
+}
+
 func TestSplitLabelsDiffer(t *testing.T) {
 	t.Parallel()
 	p := New(7)

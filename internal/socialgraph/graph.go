@@ -79,6 +79,10 @@ func (g *Graph) CreateAccount(now time.Time) AccountID {
 	return id
 }
 
+// Grow makes room for n more accounts, so creating them copies no
+// column.
+func (g *Graph) Grow(n int) { g.accts.reserve(n) }
+
 // Exists reports whether id is a live account.
 func (g *Graph) Exists(id AccountID) bool {
 	_, ok := g.accts.row(id)
@@ -254,22 +258,35 @@ func widen[T ~uint64](s []uint32) []T {
 	return out
 }
 
-// AddPost creates a post authored by id.
-func (g *Graph) AddPost(id AccountID, now time.Time) (PostID, error) {
+// AddPosts creates len(pids) posts authored by id, all at now, and
+// writes their IDs into pids. When id has no posts yet, pids becomes its
+// post list, capped at its length, so a batch of new accounts can list
+// their posts in one array the caller shares; the caller must not write
+// pids afterwards.
+func (g *Graph) AddPosts(id AccountID, now time.Time, pids []PostID) error {
 	g.phase.CheckWrite("socialgraph.AddPost")
 	r, ok := g.accts.row(id)
 	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoAccount, id)
+		return fmt.Errorf("%w: %d", ErrNoAccount, id)
 	}
-	if uint64(g.nextPost) >= math.MaxUint32 {
+	if len(pids) == 0 {
+		return nil
+	}
+	if uint64(g.nextPost)+uint64(len(pids)) > math.MaxUint32 {
 		panic("socialgraph: post ID space exceeds uint32 adjacency")
 	}
-	g.nextPost++
-	pid := g.nextPost
-	g.posts.grow(1)
-	g.posts.revive(uint32(pid-1), id, now)
-	g.accts.posts[r] = append(g.accts.posts[r], pid)
-	return pid, nil
+	g.posts.grow(len(pids))
+	for i := range pids {
+		g.nextPost++
+		pids[i] = g.nextPost
+		g.posts.revive(uint32(pids[i]-1), id, now)
+	}
+	if len(g.accts.posts[r]) == 0 {
+		g.accts.posts[r] = pids[:len(pids):len(pids)]
+	} else {
+		g.accts.posts[r] = append(g.accts.posts[r], pids...)
+	}
+	return nil
 }
 
 // Posts returns the IDs of id's posts in creation order.

@@ -11,6 +11,16 @@ import (
 
 var t0 = time.Date(2017, 9, 1, 0, 0, 0, 0, time.UTC)
 
+// addPost creates one post authored by id at t0.
+func addPost(t testing.TB, g *Graph, id AccountID) PostID {
+	t.Helper()
+	pid := make([]PostID, 1)
+	if err := g.AddPosts(id, t0, pid); err != nil {
+		t.Fatal(err)
+	}
+	return pid[0]
+}
+
 func TestCreateAccountIDsUnique(t *testing.T) {
 	t.Parallel()
 	g := New()
@@ -85,10 +95,7 @@ func TestPostsAndLikes(t *testing.T) {
 	t.Parallel()
 	g := New()
 	author, fan := g.CreateAccount(t0), g.CreateAccount(t0)
-	pid, err := g.AddPost(author, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pid := addPost(t, g, author)
 	if got, _ := g.PostAuthor(pid); got != author {
 		t.Fatalf("PostAuthor = %d", got)
 	}
@@ -129,7 +136,7 @@ func TestComments(t *testing.T) {
 	t.Parallel()
 	g := New()
 	author, c1 := g.CreateAccount(t0), g.CreateAccount(t0)
-	pid, _ := g.AddPost(author, t0)
+	pid := addPost(t, g, author)
 	if err := g.AddComment(c1, pid, "nice", t0); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +159,7 @@ func TestEngagementRate(t *testing.T) {
 		fans = append(fans, f)
 		g.Follow(f, author)
 	}
-	pid, _ := g.AddPost(author, t0)
+	pid := addPost(t, g, author)
 	g.Like(fans[0], pid)
 	g.Like(fans[1], pid)
 	g.AddComment(fans[2], pid, "wow", t0)
@@ -178,11 +185,11 @@ func TestDeleteAccountRemovesAllTraces(t *testing.T) {
 	g.Follow(honeypot, other)
 	g.Follow(other, honeypot)
 	// Honeypot likes and comments on other's post.
-	theirPost, _ := g.AddPost(other, t0)
+	theirPost := addPost(t, g, other)
 	g.Like(honeypot, theirPost)
 	g.AddComment(honeypot, theirPost, "hi", t0)
 	// Other likes honeypot's post.
-	myPost, _ := g.AddPost(honeypot, t0)
+	myPost := addPost(t, g, honeypot)
 	g.Like(other, myPost)
 
 	if err := g.DeleteAccount(honeypot); err != nil {
@@ -406,7 +413,7 @@ func TestRestoreStateRejectsBadIDs(t *testing.T) {
 	t.Parallel()
 	g := New()
 	a, b := g.CreateAccount(t0), g.CreateAccount(t0)
-	pid, _ := g.AddPost(a, t0)
+	pid := addPost(t, g, a)
 	g.Follow(a, b)
 	g.Like(b, pid)
 	for name, corrupt := range map[string]func(*State){
@@ -458,7 +465,7 @@ func BenchmarkFollow(b *testing.B) {
 func BenchmarkLike(b *testing.B) {
 	g := New()
 	author := g.CreateAccount(t0)
-	pid, _ := g.AddPost(author, t0)
+	pid := addPost(b, g, author)
 	const n = 1000
 	ids := make([]AccountID, n)
 	for i := range ids {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"footsteps/internal/clock"
 	"footsteps/internal/snaprow"
 )
 
@@ -73,7 +74,7 @@ func (g *Graph) AccountRows() snaprow.Rows[AccountState] {
 				continue
 			}
 			fees = appendWide(fees[:0], a.followees[r])
-			as = AccountState{ID: AccountID(r + 1), Created: a.created[r], Followees: fees, Posts: a.posts[r]}
+			as = AccountState{ID: AccountID(r + 1), Created: clock.FromUnixNano(a.created[r]), Followees: fees, Posts: a.posts[r]}
 			yield(&as)
 		}
 	}}

@@ -2,8 +2,11 @@ package socialgraph
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
+
+	"footsteps/internal/clock"
 )
 
 // Struct-of-arrays storage for the graph's two record families: one
@@ -73,7 +76,7 @@ type acctTable struct {
 	live  []bool
 	nLive int
 
-	created   []time.Time
+	created   []int64    // clock.UnixNano
 	followers [][]uint32 // sorted AccountIDs following this row
 	followees [][]uint32 // sorted AccountIDs this row follows
 	posts     [][]PostID // creation order
@@ -90,10 +93,22 @@ func (t *acctTable) row(id AccountID) (uint32, bool) {
 	return uint32(r), true
 }
 
+// reserve makes room for n more rows, so growing by them copies no
+// column.
+func (t *acctTable) reserve(n int) {
+	t.live = slices.Grow(t.live, n)
+	t.created = slices.Grow(t.created, n)
+	t.followers = slices.Grow(t.followers, n)
+	t.followees = slices.Grow(t.followees, n)
+	t.posts = slices.Grow(t.posts, n)
+	t.likes = slices.Grow(t.likes, n)
+	t.commented = slices.Grow(t.commented, n)
+}
+
 // grow appends n dead rows.
 func (t *acctTable) grow(n int) {
 	t.live = append(t.live, make([]bool, n)...)
-	t.created = append(t.created, make([]time.Time, n)...)
+	t.created = append(t.created, make([]int64, n)...)
 	t.followers = append(t.followers, make([][]uint32, n)...)
 	t.followees = append(t.followees, make([][]uint32, n)...)
 	t.posts = append(t.posts, make([][]PostID, n)...)
@@ -105,7 +120,7 @@ func (t *acctTable) grow(n int) {
 func (t *acctTable) revive(r uint32, now time.Time) {
 	t.live[r] = true
 	t.nLive++
-	t.created[r] = now
+	t.created[r] = clock.UnixNano(now)
 }
 
 // tombstone marks row r deleted and releases its per-row collections.
