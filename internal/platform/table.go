@@ -19,7 +19,7 @@ import (
 // and passwords are substrings of one string per registration batch,
 // the initial photo lists are cut from one array per batch, and the
 // instant and home-country columns hold no pointers. A built
-// 100k-account world holds about 0.1 heap objects per account, where
+// 100k-account world holds under 0.1 heap objects per account, where
 // per-row strings, posts slices and member records made it 5.1 (see
 // docs/PERFORMANCE.md, "Scaling to 1M accounts").
 //
