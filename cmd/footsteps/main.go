@@ -40,6 +40,7 @@ import (
 	"footsteps/internal/core"
 	"footsteps/internal/eventio"
 	"footsteps/internal/faults"
+	"footsteps/internal/server"
 	"footsteps/internal/telemetry"
 	"footsteps/internal/trace"
 )
@@ -119,12 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Telemetry = c.reg
 		cfg.Trace = c.tracer
 		cfg.Faults = faultProfile
-		cfg.CheckpointDir = *checkpointDir
-		cfg.CheckpointEvery = *checkpointEvery
-		cfg.ServeAddr = *serveAddr
-		cfg.ServePace = *servePace
-		cfg.ServeQueueDepth = *serveQueue
-		cfg.ServeIngressLog = *ingressLog
 		if *quick {
 			cfg.Scale = footsteps.TestConfig().Scale
 			cfg.Days = footsteps.TestConfig().Days
@@ -144,11 +139,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"graphdetect":   func() error { return c.runGraphDetect(mkCfg()) },
 		"sweep":         func() error { return c.runSweep(mkCfg(), *seeds) },
 		"faults":        func() error { return c.runFaults(mkCfg()) },
-		"record":        func() error { return c.runRecord(mkCfg(), *record) },
+		"record": func() error {
+			return c.runRecord(mkCfg(), *record, *checkpointDir, *checkpointEvery)
+		},
 		"run": func() error {
 			return c.runDurable(mkCfg(), *durableDir, *resumeFlag, *crashAfterOp, *fsyncEvery)
 		},
-		"serve": func() error { return c.runServe(mkCfg(), *record, sigc) },
+		"serve": func() error {
+			set := server.Settings{Addr: *serveAddr, QueueDepth: *serveQueue, Pace: *servePace, IngressLog: *ingressLog}
+			return c.runServe(mkCfg(), set, *record, sigc)
+		},
 		"replay": func() error {
 			if *ingressLog != "" {
 				return c.runReplayIngress(mkCfg(), *ingressLog, *against, *record)

@@ -79,6 +79,15 @@ func TestQuickStdoutGolden(t *testing.T) {
 	}
 }
 
+// TestCheckPasses runs the calibration check in-process: every band
+// must hold.
+func TestCheckPasses(t *testing.T) {
+	out := mustRun(t, "check")
+	if !strings.HasSuffix(out, "\nAll calibration checks pass.\n") {
+		t.Errorf("check did not end with the pass line:\n%s", out)
+	}
+}
+
 // TestExitCodes pins each command line's exit code, and the usage text
 // on stderr wherever the command line itself is at fault.
 func TestExitCodes(t *testing.T) {

@@ -6,20 +6,21 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"footsteps"
 	"footsteps/internal/core"
 	"footsteps/internal/eventio"
+	"footsteps/internal/persistence"
 )
 
 // runRecord drives the canonical lifecycle (the one the determinism
 // harness pins) with checkpointing live: the full FSEV1 stream goes to
-// the -record file, and a snapshot lands in -checkpoint-dir every
-// -checkpoint-every days. The resulting artifacts are what replay
-// consumes.
-func (c *cli) runRecord(cfg footsteps.Config, record string) error {
+// the -record file, and a snapshot lands in ckptDir every ckptEvery
+// days. The resulting artifacts are what replay consumes.
+func (c *cli) runRecord(cfg footsteps.Config, record, ckptDir string, ckptEvery int) error {
 	w := core.NewWorld(cfg)
 	c.telemetryAttach(w)
 	h := sha256.New()
@@ -39,7 +40,24 @@ func (c *cli) runRecord(cfg footsteps.Config, record string) error {
 	wr.Attach(w.Plat.Log())
 	w.RunAll()
 	fmt.Fprintf(c.stdout, "Recording %d days (seed %d)...\n", cfg.Days, cfg.Seed)
-	if err := w.RunDays(cfg.Days); err != nil {
+	var snap bytes.Buffer // reused from one checkpoint to the next
+	err = w.RunDaysFunc(cfg.Days, func(day int) error {
+		if ckptEvery <= 0 || ckptDir == "" || day%ckptEvery != 0 {
+			return nil
+		}
+		if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+			return err
+		}
+		snap.Reset()
+		if err := w.Snapshot(&snap); err != nil {
+			return err
+		}
+		// The file lands atomically (tmp + fsync + rename + dir fsync), so
+		// a crash mid-write never leaves a half-written snapshot under the
+		// final name.
+		return persistence.AtomicWriteFile(filepath.Join(ckptDir, fmt.Sprintf("checkpoint-day-%03d.fsnap", day)), snap.Bytes())
+	})
+	if err != nil {
 		return err
 	}
 	if err := wr.Flush(); err != nil {

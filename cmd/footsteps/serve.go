@@ -21,7 +21,7 @@ import (
 // drains and seals the FING1 ingress log, the FSEV1 capture flushes,
 // and the stream hash prints — the artifact `footsteps replay
 // -ingress-log` verifies against.
-func (c *cli) runServe(cfg footsteps.Config, record string, sigc <-chan os.Signal) error {
+func (c *cli) runServe(cfg footsteps.Config, set server.Settings, record string, sigc <-chan os.Signal) error {
 	w := core.NewWorld(cfg)
 	c.telemetryAttach(w)
 
@@ -43,17 +43,17 @@ func (c *cli) runServe(cfg footsteps.Config, record string, sigc <-chan os.Signa
 	}
 	wr.Attach(w.Plat.Log())
 
-	s, err := server.New(w)
+	s, err := server.New(w, set)
 	if err != nil {
 		return err
 	}
 	if err := s.Start(); err != nil {
 		return err
 	}
-	fmt.Fprintf(c.stdout, "Serving on http://%s (pace %gx, queue %d)\n", s.Addr(),
-		orDefault(cfg.ServePace, server.DefaultPace), orDefaultInt(cfg.ServeQueueDepth, server.DefaultQueueDepth))
-	if cfg.ServeIngressLog != "" {
-		fmt.Fprintf(c.stdout, "Ingress log: %s\n", cfg.ServeIngressLog)
+	set = s.Settings()
+	fmt.Fprintf(c.stdout, "Serving on http://%s (pace %gx, queue %d)\n", s.Addr(), set.Pace, set.QueueDepth)
+	if set.IngressLog != "" {
+		fmt.Fprintf(c.stdout, "Ingress log: %s\n", set.IngressLog)
 	}
 
 	sig := <-sigc
@@ -73,20 +73,6 @@ func (c *cli) runServe(cfg footsteps.Config, record string, sigc <-chan os.Signa
 	}
 	c.telemetryReport(w)
 	return nil
-}
-
-func orDefault(v, def float64) float64 {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
-
-func orDefaultInt(v, def int) int {
-	if v <= 0 {
-		return def
-	}
-	return v
 }
 
 // runReplayIngress rebuilds the world and re-drives a recorded serve

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	"footsteps"
@@ -16,6 +18,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	cfg := footsteps.TestConfig()
 	cfg.Days = 2 + 4 + 2*8 + 1
 	cfg.Scale = 1.0 / 100
@@ -25,11 +34,11 @@ func main() {
 		aas.NameInstazood:  0.15,
 	}
 	study := footsteps.NewStudy(cfg)
-	fmt.Println("Phase 1: broad synchronous blocking against the services' home ASNs.")
-	fmt.Println("Phase 2: the services move every session onto proxy networks.")
+	fmt.Fprintln(w, "Phase 1: broad synchronous blocking against the services' home ASNs.")
+	fmt.Fprintln(w, "Phase 2: the services move every session onto proxy networks.")
 	res, err := study.Adaptation(4, 8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	labels := make([]string, 0, len(res.Phase1))
@@ -38,10 +47,10 @@ func main() {
 	}
 	sort.Strings(labels)
 
-	fmt.Printf("\n%-12s %16s %16s %12s %14s\n",
+	fmt.Fprintf(w, "\n%-12s %16s %16s %12s %14s\n",
 		"service", "blocked% pre", "blocked% post", "proxy ASNs", "attributable")
 	for _, l := range labels {
-		fmt.Printf("%-12s %15.1f%% %15.1f%% %12d %14d\n",
+		fmt.Fprintf(w, "%-12s %15.1f%% %15.1f%% %12d %14d\n",
 			l,
 			res.Phase1[l].BlockedFraction()*100,
 			res.Phase2[l].BlockedFraction()*100,
@@ -49,9 +58,10 @@ func main() {
 			res.StillAttributable[l])
 	}
 
-	fmt.Println("\nFindings (matching the paper's epilogue):")
-	fmt.Println(" - blocking rates collapse once traffic leaves the thresholded ASNs;")
-	fmt.Println(" - the evaded traffic spans many ASNs (the 'extensive proxy network');")
-	fmt.Println(" - attribution by client signature is untouched by the move;")
-	fmt.Printf(" - Hublaagram out of stock: %v\n", res.HublaagramOutOfStock)
+	fmt.Fprintln(w, "\nFindings (matching the paper's epilogue):")
+	fmt.Fprintln(w, " - blocking rates collapse once traffic leaves the thresholded ASNs;")
+	fmt.Fprintln(w, " - the evaded traffic spans many ASNs (the 'extensive proxy network');")
+	fmt.Fprintln(w, " - attribution by client signature is untouched by the move;")
+	fmt.Fprintf(w, " - Hublaagram out of stock: %v\n", res.HublaagramOutOfStock)
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"footsteps"
 	"footsteps/internal/aas"
@@ -30,36 +32,44 @@ func cfgFor(days int) footsteps.Config {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	// Narrow experiment: 5 calibration days, 3 weeks of countermeasures
 	// against one block bin, one delay bin, one control bin.
-	fmt.Println("=== Narrow intervention (§6.3) ===")
+	fmt.Fprintln(w, "=== Narrow intervention (§6.3) ===")
 	narrow := footsteps.NewStudy(cfgFor(2 + 5 + 21))
 	nres, err := narrow.NarrowIntervention(5, 3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(footsteps.FormatIntervention(nres))
+	fmt.Fprint(w, footsteps.FormatIntervention(nres))
 
 	blockLate := windowMean(nres.Figure5.Block, nres.Figure5.Days/2, nres.Figure5.Days)
 	controlLate := windowMean(nres.Figure5.Control, nres.Figure5.Days/2, nres.Figure5.Days)
-	fmt.Printf("\nLate-experiment Boostgram medians: block arm %.1f follows/user/day, control %.1f (threshold %.0f)\n",
+	fmt.Fprintf(w, "\nLate-experiment Boostgram medians: block arm %.1f follows/user/day, control %.1f (threshold %.0f)\n",
 		blockLate, controlLate, nres.Figure5.Threshold)
-	fmt.Println("→ the blocked service found the threshold and sits under it; the delay arm never noticed.")
+	fmt.Fprintln(w, "→ the blocked service found the threshold and sits under it; the delay arm never noticed.")
 
 	// Broad experiment: 90% of accounts, delay for six days, then block.
-	fmt.Println("\n=== Broad intervention (§6.4) ===")
+	fmt.Fprintln(w, "\n=== Broad intervention (§6.4) ===")
 	broad := footsteps.NewStudy(cfgFor(2 + 5 + 14))
 	bres, err := broad.BroadIntervention(5, 14, 6)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	delayWeek := windowMean(bres.Figure7.Arms[intervention.AssignDelay], 1, 6)
 	blockWeek := windowMean(bres.Figure7.Arms[intervention.AssignBlock], 9, 14)
-	fmt.Printf("Eligible Boostgram follows: %.0f%% during the delay week, %.0f%% after the block switch.\n",
+	fmt.Fprintf(w, "Eligible Boostgram follows: %.0f%% during the delay week, %.0f%% after the block switch.\n",
 		delayWeek*100, blockWeek*100)
-	fmt.Println("→ switching from delay to block immediately told the service what to evade.")
-	fmt.Printf("\nBenign actions touched across both experiments: %d + %d\n",
+	fmt.Fprintln(w, "→ switching from delay to block immediately told the service what to evade.")
+	fmt.Fprintf(w, "\nBenign actions touched across both experiments: %d + %d\n",
 		nres.BenignTouched, bres.BenignTouched)
+	return nil
 }
 
 // windowMean averages the observed values of a day series over [from, to).

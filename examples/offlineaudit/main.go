@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -23,9 +24,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "footsteps-audit")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	capturePath := filepath.Join(dir, "events.fsev")
@@ -39,22 +47,23 @@ func main() {
 
 	f, err := os.Create(capturePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer f.Close()
 	rec, err := eventio.NewWriter(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.Attach(world.Plat.Log())
 
 	world.RunAll()
 	world.Sched.RunFor(14 * 24 * time.Hour)
 	if err := rec.Flush(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	info, _ := f.Stat()
 	f.Close()
-	fmt.Printf("Captured %d events to %s (%.1f MB, %.1f bytes/event)\n",
+	fmt.Fprintf(w, "Captured %d events to %s (%.1f MB, %.1f bytes/event)\n",
 		rec.Count(), capturePath, float64(info.Size())/1e6,
 		float64(info.Size())/float64(rec.Count()))
 
@@ -69,12 +78,12 @@ func main() {
 	// --- Audit phase: replay the capture, no live state needed. --------
 	in, err := os.Open(capturePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer in.Close()
 	r, err := eventio.NewReader(in)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	graph := fraudar.NewBipartite()
 	replayed := 0
@@ -92,18 +101,19 @@ func main() {
 			graph.AddEdge(fraudar.NodeID(ev.Actor), fraudar.NodeID(ev.Target))
 		}
 	}
-	fmt.Printf("Replayed %d events → bipartite graph: %d sources, %d targets, %d edges\n",
+	fmt.Fprintf(w, "Replayed %d events → bipartite graph: %d sources, %d targets, %d edges\n",
 		replayed, graph.Sources(), graph.Targets(), graph.Edges())
 
 	blocks := fraudar.DetectK(graph, 3, 8)
-	fmt.Printf("\nDense blocks found: %d\n", len(blocks))
+	fmt.Fprintf(w, "\nDense blocks found: %d\n", len(blocks))
 	for i, blk := range blocks {
 		nodes := append(append([]fraudar.NodeID(nil), blk.Sources...), blk.Targets...)
 		precision, recall := fraudar.PrecisionRecall(nodes, truth)
-		fmt.Printf("  block %d: %v — vs %s ground truth: precision %.0f%%, recall %.0f%%\n",
+		fmt.Fprintf(w, "  block %d: %v — vs %s ground truth: precision %.0f%%, recall %.0f%%\n",
 			i+1, blk, aas.NameHublaagram, precision*100, recall*100)
 	}
-	fmt.Println("\nThe collusion network is a dense block and falls out of the graph;")
-	fmt.Println("reciprocity-abuse customers do not (their inbound actions are organic) —")
-	fmt.Println("the asymmetry that motivates the paper's signal-based attribution.")
+	fmt.Fprintln(w, "\nThe collusion network is a dense block and falls out of the graph;")
+	fmt.Fprintln(w, "reciprocity-abuse customers do not (their inbound actions are organic) —")
+	fmt.Fprintln(w, "the asymmetry that motivates the paper's signal-based attribution.")
+	return nil
 }

@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"footsteps"
@@ -15,6 +17,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w.
+func run(w io.Writer) error {
 	cfg := footsteps.TestConfig()
 	cfg.GraphWrites = true // honeypot studies want full graph fidelity
 	study := footsteps.NewStudy(cfg)
@@ -24,19 +33,19 @@ func main() {
 	// and follows of a few high-profile accounts (§4.1.1).
 	hp, err := world.Honeypots.Create(honeypot.LivedIn)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Created honeypot %q (account %d)\n", hp.Username, hp.ID)
+	fmt.Fprintf(w, "Created honeypot %q (account %d)\n", hp.Username, hp.ID)
 
 	// Hand its credentials to Boostgram and request the follow service —
 	// exactly what a customer does at registration (§3.3.1).
 	boostgram := world.Recip[aas.NameBoostgram]
 	customer, err := boostgram.EnrollTrial(hp.Username, hp.Password, aas.OfferFollow)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	world.Honeypots.MarkEnrolled(hp, aas.NameBoostgram)
-	fmt.Printf("Enrolled with %s; free trial until %s\n",
+	fmt.Fprintf(w, "Enrolled with %s; free trial until %s\n",
 		aas.NameBoostgram, customer.EngagedUntil.Format("2006-01-02"))
 
 	// Run the simulation through the trial plus two days for delayed
@@ -46,14 +55,15 @@ func main() {
 
 	out := hp.Outbound[platform.ActionFollow]
 	in := hp.Inbound[platform.ActionFollow]
-	fmt.Printf("\nDuring the trial the service drove %d outbound follows.\n", out)
-	fmt.Printf("Organic users reciprocated with %d inbound follows.\n", in)
-	fmt.Printf("Reciprocation rate: %.1f%% (Table 5 reports ≈12%% for lived-in accounts)\n",
+	fmt.Fprintf(w, "\nDuring the trial the service drove %d outbound follows.\n", out)
+	fmt.Fprintf(w, "Organic users reciprocated with %d inbound follows.\n", in)
+	fmt.Fprintf(w, "Reciprocation rate: %.1f%% (Table 5 reports ≈12%% for lived-in accounts)\n",
 		hp.ReciprocationRate(platform.ActionFollow, platform.ActionFollow)*100)
 
 	// End-of-study cleanup removes the honeypot and every action it took.
 	if err := world.Honeypots.Delete(hp); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nHoneypot deleted; all of its actions removed from the platform.")
+	fmt.Fprintln(w, "\nHoneypot deleted; all of its actions removed from the platform.")
+	return nil
 }

@@ -11,6 +11,13 @@
 //	table5, err := study.Reciprocation(9, 3)
 //	fmt.Print(footsteps.FormatTable5(table5))
 //
+// A Config is a plain struct and the one way to describe a world: start
+// from DefaultConfig or TestConfig and set fields. It holds only what
+// the world reads; its Fingerprint, which every snapshot carries, hashes
+// the fields that shape the timeline. Checkpoint cadence and serving
+// settings belong to their users (the record command and
+// internal/server), not to the world.
+//
 // A Study owns one simulated world; each of the paper's experiment
 // families consumes the world's timeline, so build a fresh Study per
 // experiment:
@@ -41,81 +48,11 @@ import (
 // Config sizes a study; see DefaultConfig and TestConfig.
 type Config = core.Config
 
-// Option mutates a Config during construction; see New.
-type Option = core.Option
-
 // DefaultConfig is the 1/500-scale, 90-day harness configuration.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // TestConfig is a small configuration suitable for quick runs and tests.
 func TestConfig() Config { return core.TestConfig() }
-
-// New returns DefaultConfig with the options applied:
-//
-//	cfg := footsteps.New(footsteps.WithDays(30))
-func New(opts ...Option) Config { return core.New(opts...) }
-
-// NewTest returns TestConfig with the options applied.
-func NewTest(opts ...Option) Config { return core.NewTest(opts...) }
-
-// Functional options for New/NewTest, re-exported from the study core
-// and grouped by concern.
-
-// Experiment shape: what is simulated and for how long.
-var (
-	// WithSeed sets the RNG seed every stream derives from.
-	WithSeed = core.WithSeed
-	// WithScale sets the customer-dynamics scale versus the paper.
-	WithScale = core.WithScale
-	// WithDays sets the measurement window length.
-	WithDays = core.WithDays
-	// WithGraphWrites materializes real follow/like edges (honeypot and
-	// graph-detection studies need it; characterization does not).
-	WithGraphWrites = core.WithGraphWrites
-	// WithOrganicPopulation sizes the organic account population.
-	WithOrganicPopulation = core.WithOrganicPopulation
-	// WithPoolSize sizes the reciprocity-service account pools.
-	WithPoolSize = core.WithPoolSize
-	// WithVPNUsers sets how many organic users share VPN egress IPs.
-	WithVPNUsers = core.WithVPNUsers
-	// WithIPDailyBudget caps per-IP daily actions before IP defenses fire.
-	WithIPDailyBudget = core.WithIPDailyBudget
-)
-
-// Observation: pure observers of the run (metrics, traces, faults).
-var (
-	// WithTelemetry attaches a metric registry (see docs/OBSERVABILITY.md).
-	WithTelemetry = core.WithTelemetry
-	// WithTrace attaches a deterministic FTRC1 span tracer.
-	WithTrace = core.WithTrace
-	// WithFaults enables a built-in fault scenario by name.
-	WithFaults = core.WithFaults
-	// WithFaultProfile enables a custom fault profile.
-	WithFaultProfile = core.WithFaultProfile
-)
-
-// Durability: checkpoint artifacts for crash recovery and replay.
-var (
-	// WithCheckpointEvery sets the FSNAP2 checkpoint cadence in days.
-	WithCheckpointEvery = core.WithCheckpointEvery
-	// WithCheckpointDir sets where checkpoints are written.
-	WithCheckpointDir = core.WithCheckpointDir
-)
-
-// Serving: the HTTP/WS /v1 front end (see docs/API.md). The world loop
-// stays single-writer; handlers only validate and enqueue.
-var (
-	// WithServer sets the listen address for footsteps/internal/server.
-	WithServer = core.WithServer
-	// WithServeQueueDepth bounds the ingress queue; beyond it requests
-	// shed with the "overloaded" error code.
-	WithServeQueueDepth = core.WithServeQueueDepth
-	// WithServePace sets sim-seconds advanced per wall-second.
-	WithServePace = core.WithServePace
-	// WithServeIngressLog records every admitted envelope batch to a
-	// FING1 log that `footsteps replay -ingress-log` re-drives.
-	WithServeIngressLog = core.WithServeIngressLog
-)
 
 // Result types, re-exported from the study core.
 type (

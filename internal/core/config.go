@@ -86,51 +86,13 @@ type Config struct {
 	// and report are byte-identical with tracing on or off at any sample
 	// rate (see docs/OBSERVABILITY.md). nil disables tracing.
 	Trace *trace.Tracer
-
-	// CheckpointEvery makes World.RunDays write a snapshot after every
-	// N completed days (see docs/PERSISTENCE.md). 0 disables. It never
-	// changes the event stream, only what gets written to disk alongside
-	// it.
-	CheckpointEvery int
-
-	// CheckpointDir is where periodic checkpoints land. Empty disables
-	// checkpointing even when CheckpointEvery is set.
-	CheckpointDir string
-
-	// Serving-layer knobs (internal/server, cmd/footsteps serve — see
-	// docs/API.md). All of them shape how network ingress reaches the
-	// world loop, never what the world does with it, so like Telemetry
-	// and Trace they are excluded from Fingerprint and a snapshot taken
-	// under one serving config restores under any other.
-
-	// ServeAddr is the listen address for the HTTP/WS front end
-	// (host:port). Empty means serving is off.
-	ServeAddr string
-
-	// ServeQueueDepth bounds the ingress queue between handler
-	// goroutines and the world loop. A full queue fails requests with
-	// the wire "overloaded" code instead of blocking handlers.
-	// 0 means the server default.
-	ServeQueueDepth int
-
-	// ServePace is how many simulated seconds elapse per wall-clock
-	// second while serving (1.0 = real time; 0 means the server
-	// default). Pacing only chooses the drain instants; the recorded
-	// ingress log replays identically at any pace.
-	ServePace float64
-
-	// ServeIngressLog, when non-empty, records every admitted envelope
-	// with its drain instant to this FING1 file, making the served run
-	// replayable (cmd/footsteps replay -ingress-log).
-	ServeIngressLog string
 }
 
 // Fingerprint hashes every semantic config field — the knobs that shape
-// the simulated timeline. Pure performance and observability knobs
-// (Telemetry, Trace, the checkpoint and serving
-// settings) are excluded, so a snapshot taken with them one way restores
-// with them any other way. Seed is also excluded: it travels in the
-// snapshot header as its own field with its own mismatch diagnostic.
+// the simulated timeline. The two observers, Telemetry and Trace, are
+// excluded, so a snapshot taken with them one way restores with them any
+// other way. Seed is also excluded: it travels in the snapshot header as
+// its own field with its own mismatch diagnostic.
 func (c Config) Fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "scale=%g days=%d pop=%d pool=%d vpn=%d graph=%t fgratis=%t ipbudget=%d",

@@ -11,6 +11,7 @@ import (
 	"footsteps/internal/honeypot"
 	"footsteps/internal/intervention"
 	"footsteps/internal/platform"
+	"footsteps/internal/telemetry"
 )
 
 func TestNewWorldWiring(t *testing.T) {
@@ -29,6 +30,29 @@ func TestNewWorldWiring(t *testing.T) {
 	}
 	if len(w.ProxyASNs) == 0 {
 		t.Fatal("no proxy ASNs")
+	}
+}
+
+// TestWorldStepEngineCountsOnTelemetry checks that a world gets a step
+// engine, which carries the plan/apply phase word, and that the engine
+// counts its sections on the configured telemetry registry.
+func TestWorldStepEngineCountsOnTelemetry(t *testing.T) {
+	t.Parallel()
+	reg := telemetry.NewRegistry()
+	cfg := TestConfig()
+	cfg.Days, cfg.OrganicPopulation, cfg.PoolSize, cfg.VPNUsers = 2, 50, 40, 4
+	cfg.Telemetry = reg
+	w := NewWorld(cfg)
+	if w.Steps == nil {
+		t.Fatal("world has no step engine")
+	}
+	w.RunAll()
+	if err := w.RunDays(1); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter("step.sections").Value() == 0 || reg.Counter("step.intents").Value() == 0 {
+		t.Errorf("a stepped day counted %d sections and %d intents; the engine is not wired to telemetry",
+			reg.Counter("step.sections").Value(), reg.Counter("step.intents").Value())
 	}
 }
 

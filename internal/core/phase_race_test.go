@@ -20,7 +20,9 @@ import (
 func TestPhaseGuardTripsOnPlanMutation(t *testing.T) {
 	t.Parallel()
 	newWorld := func() (*World, *platform.Session) {
-		w := NewWorld(NewTest(WithDays(2), WithOrganicPopulation(50), WithPoolSize(40), WithVPNUsers(4)))
+		cfg := TestConfig()
+		cfg.Days, cfg.OrganicPopulation, cfg.PoolSize, cfg.VPNUsers = 2, 50, 40, 4
+		w := NewWorld(cfg)
 		if _, err := w.Plat.RegisterAccount("guard-test", "pw", platform.Profile{}, "USA"); err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"slices"
 	"time"
 
@@ -66,9 +65,16 @@ func (w *World) Snapshot(out io.Writer) error {
 	if !ok {
 		b = new(bytes.Buffer)
 	}
-	b.Grow(w.snapshotSizeHint())
+	b.Grow(snapshotBytesPerAccount * w.Plat.NumAccounts())
 	e := persistence.NewEncoder(b.AvailableBuffer())
-	w.encodeSnapshot(e)
+	persistence.WriteHeader(e, persistence.Header{
+		Version:     persistence.Version,
+		Seed:        w.Cfg.Seed,
+		Fingerprint: w.Cfg.Fingerprint(),
+		Day:         w.daysRun,
+		Now:         w.Sched.Clock().Now(),
+	})
+	persistence.WriteBody(e, w.snapshotSource())
 	if b.Len() == 0 {
 		// The buffer takes the encoder's array as it is: its own when the
 		// stream fit, or the one append grew when it did not. Writing the
@@ -85,23 +91,9 @@ func (w *World) Snapshot(out io.Writer) error {
 	return nil
 }
 
-// encodeSnapshot appends the world's FSNAP2 stream to e.
-func (w *World) encodeSnapshot(e *persistence.Encoder) {
-	persistence.WriteHeader(e, persistence.Header{
-		Version:     persistence.Version,
-		Seed:        w.Cfg.Seed,
-		Fingerprint: w.Cfg.Fingerprint(),
-		Day:         w.daysRun,
-		Now:         w.Sched.Clock().Now(),
-	})
-	persistence.WriteBody(e, w.snapshotSource())
-}
-
-// snapshotSizeHint is the room a snapshot buffer is grown to before
-// encoding: a 100k-account DefaultConfig world writes ~190 bytes per
-// account. A reused buffer that already holds it does not grow again.
-func (w *World) snapshotSizeHint() int { return snapshotBytesPerAccount * w.Plat.NumAccounts() }
-
+// snapshotBytesPerAccount sizes a snapshot buffer before encoding: a
+// 100k-account DefaultConfig world writes ~190 bytes per account. A
+// reused buffer that already holds it does not grow again.
 const snapshotBytesPerAccount = 192
 
 // snapshotSource lists the world's sections: the live components
@@ -417,25 +409,18 @@ func RestoreFile(cfg Config, path string) (*World, error) {
 }
 
 // RunDays advances the world n simulated days, one day per RunFor call
-// (chunked runs replay the same timeline as one long run), writing a
-// checkpoint after every CheckpointEvery completed days when a
-// checkpoint directory is configured.
+// (chunked runs replay the same timeline as one long run).
 func (w *World) RunDays(n int) error { return w.RunDaysFunc(n, nil) }
 
 // RunDaysFunc is RunDays with an after-day hook: after each completed
-// day (and its periodic checkpoint, if armed) it calls after with the
-// total days run so far. A non-nil error stops the run and is returned
-// — the durable log uses this to checkpoint at day boundaries and to
-// halt cleanly when its filesystem has failed.
+// day it calls after with the total days run so far. A non-nil error
+// stops the run and is returned — the record command uses this to write
+// periodic checkpoints, and the durable log to checkpoint at day
+// boundaries and to halt cleanly when its filesystem has failed.
 func (w *World) RunDaysFunc(n int, after func(day int) error) error {
 	for i := 0; i < n; i++ {
 		w.Sched.RunFor(clock.Day)
 		w.daysRun++
-		if w.checkpointEvery > 0 && w.checkpointDir != "" && w.daysRun%w.checkpointEvery == 0 {
-			if _, err := w.WriteCheckpoint(); err != nil {
-				return err
-			}
-		}
 		if after != nil {
 			if err := after(w.daysRun); err != nil {
 				return err
@@ -447,28 +432,6 @@ func (w *World) RunDaysFunc(n int, after func(day int) error) error {
 
 // DaysRun reports how many whole days RunDays has completed.
 func (w *World) DaysRun() int { return w.daysRun }
-
-// WriteCheckpoint snapshots the world into its checkpoint directory as
-// checkpoint-day-NNN.fsnap and returns the path written. The file lands
-// atomically (tmp + fsync + rename + dir fsync), so a crash mid-write
-// can never leave a half-written snapshot under the final name.
-func (w *World) WriteCheckpoint() (string, error) {
-	if w.checkpointDir == "" {
-		return "", fmt.Errorf("core: no checkpoint directory configured")
-	}
-	if err := os.MkdirAll(w.checkpointDir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(w.checkpointDir, fmt.Sprintf("checkpoint-day-%03d.fsnap", w.daysRun))
-	e := &w.snapEnc
-	e.Reset()
-	e.Grow(w.snapshotSizeHint())
-	w.encodeSnapshot(e)
-	if err := persistence.AtomicWriteFile(path, e.Bytes()); err != nil {
-		return "", err
-	}
-	return path, nil
-}
 
 // SnapshotInstant reports the simulated instant a snapshot taken now
 // would carry — the restore target for suffix comparisons.

@@ -12,7 +12,6 @@ import (
 	"footsteps/internal/faults"
 	"footsteps/internal/honeypot"
 	"footsteps/internal/netsim"
-	"footsteps/internal/persistence"
 	"footsteps/internal/platform"
 	"footsteps/internal/rng"
 	"footsteps/internal/socialgraph"
@@ -74,17 +73,9 @@ type World struct {
 	// teardown. See OnFinalize.
 	finalizers []func() error
 
-	// Checkpointing knobs (see RunDays): every checkpointEvery completed
-	// days, RunDays writes a snapshot into checkpointDir. Zero/empty
-	// disables. daysRun counts completed days for the snapshot cursor.
-	checkpointEvery int
-	checkpointDir   string
-	daysRun         int
-
-	// snapEnc is WriteCheckpoint's snapshot buffer, reused from one
-	// checkpoint file to the next. Snapshot encodes into its caller's
-	// buffer instead.
-	snapEnc persistence.Encoder
+	// daysRun counts the days RunDays has completed: the snapshot
+	// cursor.
+	daysRun int
 }
 
 // LabelFor maps a service name to the label the platform can attribute:
@@ -139,9 +130,6 @@ func newWorld(cfg Config, restoring bool) *World {
 		Coll:      make(map[string]*aas.CollusionService),
 		ProxyASNs: proxyASNs,
 		graph:     graph,
-
-		checkpointEvery: cfg.CheckpointEvery,
-		checkpointDir:   cfg.CheckpointDir,
 	}
 	// Fault injection wires in before any traffic exists, so the first
 	// login is already subject to the schedule. The injector's seed comes

@@ -59,8 +59,8 @@ func TestAllocBudgetWriterWrite(t *testing.T) {
 }
 
 // TestAllocBudgetReaderNext pins Reader.Next at zero allocations per
-// event record (string-table records amortize via the shared intern
-// table and the reader's scratch buffer).
+// event record (a string-table record comes once per distinct
+// fingerprint and reads through the reader's scratch buffer).
 func TestAllocBudgetReaderNext(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)

@@ -3,8 +3,9 @@
 //
 // The binary format ("FSEV1") writes one varint-encoded record per event
 // with an inline string table for client fingerprints, which repeat
-// heavily — a 90-day capture compresses to a few bytes per event. Streams
-// are append-only and self-delimiting, so a Reader can consume a capture
+// heavily, so each event carries a small id in their place. A capture
+// costs about 28 bytes per event (examples/offlineaudit prints the
+// figure for its 14-day window). Streams are append-only and self-delimiting, so a Reader can consume a capture
 // while it is still being written.
 package eventio
 
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"footsteps/internal/framing"
-	"footsteps/internal/intern"
 	"footsteps/internal/netsim"
 	"footsteps/internal/platform"
 	"footsteps/internal/socialgraph"
@@ -86,7 +86,8 @@ func (w *Writer) putUvarint(v uint64) {
 	w.w.Write(w.scratch)
 }
 
-// stringRef interns s, emitting a string-table record on first use.
+// stringRef returns s's string-table id, emitting a string-table record
+// on first use.
 func (w *Writer) stringRef(s string) uint64 {
 	if id, ok := w.strings[s]; ok {
 		return id
@@ -228,16 +229,13 @@ func (r *Reader) Next() (platform.Event, error) {
 			if n > 1<<16 {
 				return platform.Event{}, fmt.Errorf("eventio: implausible string length %d at event %d (byte offset %d)", n, r.events, start)
 			}
-			// Read into the reader's reusable scratch, then intern. The
-			// writer emits each distinct string once per stream, so within
-			// one stream interning never dedups — but decoding many
-			// captures (or re-reading one) of the same world resolves the
-			// same fingerprints to one shared copy instead of fresh
-			// allocations per stream.
+			// Read into the reader's reusable scratch, then copy. The
+			// writer emits each distinct string once per stream, so this
+			// is one allocation per distinct fingerprint, not per event.
 			if r.scratch, err = r.r.Append(r.scratch[:0], int(n)); err != nil {
 				return platform.Event{}, r.truncated(start, "string body", err)
 			}
-			r.strings = append(r.strings, intern.Bytes(r.scratch))
+			r.strings = append(r.strings, string(r.scratch))
 		case opEvent:
 			ev, err := r.readEvent(start)
 			if err != nil {
@@ -306,9 +304,9 @@ func (r *Reader) ReadAll() ([]platform.Event, error) {
 // record checks Reader.Next makes — a known opcode, a string length of
 // at most 1<<16 with all its bytes present, ten complete
 // non-overflowing uvarints per event, a client ref inside the string
-// table — and collects the same string table, interned the same way,
-// but it reads a byte slice without copying it and builds no events.
-// internal/durable runs one over each frame payload of a log it resumes.
+// table — and collects the same string table, but it reads a byte slice
+// without copying it and builds no events. internal/durable runs one
+// over each frame payload of a log it resumes.
 //
 // The zero value is ready to use. Successive Scan calls continue one
 // stream: the string table and the event count span them.
@@ -330,7 +328,7 @@ func (s *Scanner) Events() uint64 { return s.events }
 // nil, and otherwise the offset in p of the record that fails. A record
 // cut by the end of p is a *TruncatedError. Errors read as Reader.Next's
 // would for the stream magic+p, except that every byte offset in them is
-// an offset in p. Scan allocates only for a string it has not interned.
+// an offset in p. Scan allocates only for a string-table record.
 func (s *Scanner) Scan(p []byte) (int, error) {
 	n := 0
 	for n < len(p) {
@@ -347,7 +345,7 @@ func (s *Scanner) Scan(p []byte) (int, error) {
 			if l > uint64(len(p)-i) {
 				return start, s.truncated(start, "string body", io.ErrUnexpectedEOF)
 			}
-			s.strs = append(s.strs, intern.Bytes(p[i:i+int(l)]))
+			s.strs = append(s.strs, string(p[i:i+int(l)]))
 			n = i + int(l)
 		case opEvent:
 			i := start + 1

@@ -1,6 +1,6 @@
 package platform
 
-import "footsteps/internal/intern"
+import "strings"
 
 // hashtagIndex tracks recent posts per hashtag. Real feeds expose roughly
 // this surface: given a tag, fetch the most recent media — which is
@@ -31,10 +31,10 @@ func (h *hashtagIndex) add(tag string, pid PostID) {
 	r := h.byTag[tag]
 	if r == nil {
 		// New tags are rare (campaign tag pools are small and fixed);
-		// intern the map key so the index holds the canonical copy and
-		// never pins a caller's larger backing array.
+		// clone the map key so the index never pins a caller's larger
+		// backing array.
 		r = &tagRing{posts: make([]PostID, h.keepup)}
-		h.byTag[intern.String(tag)] = r
+		h.byTag[strings.Clone(tag)] = r
 	}
 	r.posts[r.next] = pid
 	r.next++

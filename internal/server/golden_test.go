@@ -43,11 +43,10 @@ type goldenServer struct {
 }
 
 func newGoldenServer(t *testing.T, cfg core.Config) *goldenServer {
-	cfg.ServeQueueDepth = goldenQueueDepth
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
 	w := core.NewWorld(cfg)
-	s, err := New(w)
+	s, err := New(w, Settings{QueueDepth: goldenQueueDepth})
 	if err != nil {
 		t.Fatal(err)
 	}

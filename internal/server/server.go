@@ -15,8 +15,7 @@ import (
 	"footsteps/internal/wire"
 )
 
-// Serving defaults. The queue depth and pace are overridable via the
-// core.Config Serve* knobs.
+// Serving defaults, for the Settings fields left zero.
 const (
 	DefaultQueueDepth = 8192
 	DefaultPace       = 60.0 // simulated seconds per wall second
@@ -28,6 +27,32 @@ const (
 	// simulated time when no ingress arrives.
 	pollInterval = 5 * time.Millisecond
 )
+
+// Settings shape how network ingress reaches the world loop, never what
+// the world does with it. They are not part of core.Config, so a world
+// served one way restores and replays under any other.
+type Settings struct {
+	// Addr is the listen address (host:port). Empty picks a free
+	// loopback port.
+	Addr string
+
+	// QueueDepth bounds the ingress queue between handler goroutines and
+	// the world loop. A full queue fails requests with the wire
+	// "overloaded" code instead of blocking handlers. 0 means
+	// DefaultQueueDepth.
+	QueueDepth int
+
+	// Pace is how many simulated seconds elapse per wall-clock second
+	// (1.0 = real time; 0 means DefaultPace). Pacing only chooses the
+	// drain instants; the recorded ingress log replays identically at
+	// any pace.
+	Pace float64
+
+	// IngressLog, when non-empty, records every admitted envelope with
+	// its drain instant to this FING1 file, making the served run
+	// replayable (cmd/footsteps replay -ingress-log).
+	IngressLog string
+}
 
 // item is one admitted envelope in flight between a handler goroutine
 // and the world loop: staged envelope k of call c.
@@ -44,8 +69,8 @@ type Server struct {
 	exec *Executor
 	q    *core.IngestQueue[item]
 
-	queueDepth int
-	pace       float64
+	// set is the Settings New was given, with defaults filled in.
+	set Settings
 	// chunkLines is how many lines a handler stages before it admits
 	// them: DefaultMaxBatch, or the queue depth if that is smaller.
 	chunkLines int
@@ -93,30 +118,28 @@ type Server struct {
 // New builds a server over an already-constructed world. The world must
 // not be running yet: New subscribes the event broadcaster, which must
 // complete before the loop emits. Returns an error if the ingress log
-// file (cfg.ServeIngressLog) cannot be created.
-func New(w *core.World) (*Server, error) {
-	cfg := w.Cfg
+// file (set.IngressLog) cannot be created.
+func New(w *core.World, set Settings) (*Server, error) {
+	if set.QueueDepth <= 0 {
+		set.QueueDepth = DefaultQueueDepth
+	}
+	if set.Pace <= 0 {
+		set.Pace = DefaultPace
+	}
 	s := &Server{
 		w:          w,
 		exec:       NewExecutor(w),
-		queueDepth: cfg.ServeQueueDepth,
-		pace:       cfg.ServePace,
+		set:        set,
+		chunkLines: min(DefaultMaxBatch, set.QueueDepth),
+		q:          core.NewIngestQueue[item](set.QueueDepth),
+		bcast:      newBroadcaster(),
 		stopLoop:   make(chan struct{}),
 		loopDone:   make(chan struct{}),
 		sweepStop:  make(chan struct{}),
 	}
-	if s.queueDepth <= 0 {
-		s.queueDepth = DefaultQueueDepth
-	}
-	if s.pace <= 0 {
-		s.pace = DefaultPace
-	}
-	s.chunkLines = min(DefaultMaxBatch, s.queueDepth)
-	s.q = core.NewIngestQueue[item](s.queueDepth)
-	s.bcast = newBroadcaster()
 	w.Plat.Log().Subscribe(s.bcast.emit)
 
-	if reg := cfg.Telemetry; reg != nil {
+	if reg := w.Cfg.Telemetry; reg != nil {
 		s.mReqs = reg.Counter("server.requests")
 		s.mBatch = reg.Counter("server.batch.posts")
 		s.mRejected = reg.Counter("server.rejected")
@@ -134,8 +157,8 @@ func New(w *core.World) (*Server, error) {
 	s.bcast.dropped = s.mWSDropped
 	s.bcast.clients = s.mWSClients
 
-	if cfg.ServeIngressLog != "" {
-		f, err := os.Create(cfg.ServeIngressLog)
+	if set.IngressLog != "" {
+		f, err := os.Create(set.IngressLog)
 		if err != nil {
 			return nil, fmt.Errorf("server: ingress log: %w", err)
 		}
@@ -149,10 +172,13 @@ func New(w *core.World) (*Server, error) {
 	return s, nil
 }
 
-// Start listens on the configured address (cfg.ServeAddr; port 0 picks
+// Settings returns the server's settings, defaults filled in.
+func (s *Server) Settings() Settings { return s.set }
+
+// Start listens on the configured address (Settings.Addr; port 0 picks
 // a free port) and launches the HTTP front end and the world loop.
 func (s *Server) Start() error {
-	addr := s.w.Cfg.ServeAddr
+	addr := s.set.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
@@ -182,7 +208,7 @@ func (s *Server) Addr() string {
 // result is monotone because the wall clock is.
 func (s *Server) targetNow() time.Time {
 	elapsed := time.Since(s.wallStart)
-	return s.simStart.Add(time.Duration(float64(elapsed) * s.pace))
+	return s.simStart.Add(time.Duration(float64(elapsed) * s.set.Pace))
 }
 
 // loop is the single-writer world loop: it alternates between advancing
@@ -266,7 +292,7 @@ func (s *Server) submit(c *call, k int) *wire.Error {
 	}
 	if !s.q.TryPush(item{c: c, k: k, enq: time.Now()}) {
 		s.mOverloaded.Inc()
-		return wire.Errf(wire.CodeOverloaded, "ingress queue full (%d)", s.queueDepth)
+		return wire.Errf(wire.CodeOverloaded, "ingress queue full (%d)", s.set.QueueDepth)
 	}
 	s.mReqs.Inc()
 	return nil

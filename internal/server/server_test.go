@@ -24,10 +24,10 @@ import (
 	"footsteps/internal/wire"
 )
 
-func startServer(t *testing.T, cfg core.Config) (*Server, *core.World) {
+func startServer(t *testing.T, cfg core.Config, set Settings) (*Server, *core.World) {
 	t.Helper()
 	w := core.NewWorld(cfg)
-	s, err := New(w)
+	s, err := New(w, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func postJSON(t *testing.T, url string, body []byte) (int, wire.Outcome) {
 }
 
 func TestServeHTTPRequestFlow(t *testing.T) {
-	s, _ := startServer(t, tinyConfig(31))
+	s, _ := startServer(t, tinyConfig(31), Settings{})
 	base := "http://" + s.Addr()
 
 	code, out := postJSON(t, base+"/v1/request", mustJSON(t, wire.Request{V: 1, ID: 5, Op: wire.OpRegister, Username: "net-alice", Password: "pw"}))
@@ -93,7 +93,7 @@ func TestServeHTTPRequestFlow(t *testing.T) {
 }
 
 func TestServeBatchNDJSON(t *testing.T) {
-	s, _ := startServer(t, tinyConfig(37))
+	s, _ := startServer(t, tinyConfig(37), Settings{})
 	base := "http://" + s.Addr()
 
 	var in bytes.Buffer
@@ -136,7 +136,7 @@ func TestServeTelemetryAndMetricz(t *testing.T) {
 	cfg := tinyConfig(41)
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
-	s, _ := startServer(t, cfg)
+	s, _ := startServer(t, cfg, Settings{})
 	base := "http://" + s.Addr()
 
 	postJSON(t, base+"/v1/request", mustJSON(t, wire.Request{V: 1, Op: wire.OpRegister, Username: "m-1", Password: "pw"}))
@@ -242,7 +242,7 @@ func readTextFrame(t *testing.T, conn net.Conn) []byte {
 }
 
 func TestServeWSEventStream(t *testing.T) {
-	s, _ := startServer(t, tinyConfig(43))
+	s, _ := startServer(t, tinyConfig(43), Settings{})
 	base := "http://" + s.Addr()
 	conn := wsDial(t, s.Addr())
 	defer conn.Close()
@@ -285,7 +285,6 @@ func TestServeGracefulShutdownAndReplay(t *testing.T) {
 	logPath := filepath.Join(dir, "ingress.fing")
 
 	cfg := tinyConfig(47)
-	cfg.ServeIngressLog = logPath
 
 	// Live run: capture the FSEV1 stream from world construction on.
 	w := core.NewWorld(cfg)
@@ -295,7 +294,7 @@ func TestServeGracefulShutdownAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveWriter.Attach(w.Plat.Log())
-	s, err := New(w)
+	s, err := New(w, Settings{IngressLog: logPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +362,8 @@ func TestServeGracefulShutdownAndReplay(t *testing.T) {
 }
 
 func TestServeOverloadedBackpressure(t *testing.T) {
-	cfg := tinyConfig(53)
-	cfg.ServeQueueDepth = 1
-	w := core.NewWorld(cfg)
-	s, err := New(w)
+	w := core.NewWorld(tinyConfig(53))
+	s, err := New(w, Settings{QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,9 +486,7 @@ func TestServeBatchLongerThanQueue(t *testing.T) {
 		{64, 1000},
 	} {
 		t.Run(fmt.Sprintf("depth-%d", tc.depth), func(t *testing.T) {
-			cfg := tinyConfig(71)
-			cfg.ServeQueueDepth = tc.depth
-			s, _ := startServer(t, cfg)
+			s, _ := startServer(t, tinyConfig(71), Settings{QueueDepth: tc.depth})
 			resp, err := http.Post("http://"+s.Addr()+"/v1/batch", "application/x-ndjson",
 				strings.NewReader(strings.Join(registerLines("long", tc.lines), "\n")))
 			if err != nil {
@@ -570,7 +565,6 @@ func TestServeShutdownSplitsBatch(t *testing.T) {
 	if err := liveWriter.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cfg.ServeQueueDepth = goldenQueueDepth
 	w2 := core.NewWorld(cfg)
 	var replayed bytes.Buffer
 	replayWriter, err := eventio.NewWriter(&replayed)
@@ -608,7 +602,7 @@ func TestServeShutdownRacesBatches(t *testing.T) {
 func shutdownRound(t *testing.T, seed uint64) {
 	t.Helper()
 	cfg := tinyConfig(seed)
-	cfg.ServeIngressLog = filepath.Join(t.TempDir(), "ingress.fing")
+	logPath := filepath.Join(t.TempDir(), "ingress.fing")
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
 	w := core.NewWorld(cfg)
@@ -618,7 +612,7 @@ func shutdownRound(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	liveWriter.Attach(w.Plat.Log())
-	s, err := New(w)
+	s, err := New(w, Settings{IngressLog: logPath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,7 +685,7 @@ func shutdownRound(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 
-	logData, err := os.ReadFile(cfg.ServeIngressLog)
+	logData, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}

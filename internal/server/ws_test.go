@@ -25,13 +25,12 @@ import (
 func TestServeWSStalledSubscriber(t *testing.T) {
 	cfg := tinyConfig(53)
 	cfg.Telemetry = telemetry.NewRegistry()
-	// Simulated time all but stands still, so every event after set-up
-	// comes from the batches below.
-	cfg.ServePace = 1e-9
 	w := core.NewWorld(cfg)
 	var lastSeq atomic.Uint64
 	w.Plat.Log().Subscribe(func(ev platform.Event) { lastSeq.Store(ev.Seq) })
-	s, err := New(w)
+	// Simulated time all but stands still, so every event after set-up
+	// comes from the batches below.
+	s, err := New(w, Settings{Pace: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
