@@ -651,10 +651,7 @@ func (c *cli) runSweep(cfg footsteps.Config, nSeeds int) error {
 
 func (c *cli) runCheck() error {
 	fmt.Fprintln(c.stdout, "Calibration check: Table 5 (reciprocation)...")
-	cfgA := footsteps.TestConfig()
-	cfgA.GraphWrites = true
-	cfgA.PoolSize = 1500
-	wA := core.NewWorld(cfgA)
+	wA := core.NewWorld(core.Table5CheckConfig())
 	tbl, err := wA.ReciprocationStudy(5, 2)
 	if err != nil {
 		return err
@@ -663,11 +660,7 @@ func (c *cli) runCheck() error {
 	fmt.Fprint(c.stdout, report)
 
 	fmt.Fprintln(c.stdout, "\nCalibration check: §5 business window...")
-	cfgB := footsteps.TestConfig()
-	cfgB.Days = 45
-	cfgB.Scale = 1.0 / 2000
-	cfgB.ScaleOverride = map[string]float64{aas.NameHublaagram: 4}
-	wB := core.NewWorld(cfgB)
+	wB := core.NewWorld(core.BusinessCheckConfig())
 	res, err := wB.BusinessStudy()
 	if err != nil {
 		return err

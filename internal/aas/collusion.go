@@ -339,7 +339,7 @@ func (s *CollusionService) StartLifecycle(days int, scale float64) {
 }
 
 func (s *CollusionService) seedInitialCohort(scale float64) {
-	n := int(float64(s.spec.Customers.InitialLongTerm)*scale + 0.5)
+	n := s.spec.Customers.InitialCohort(scale)
 	for i := 0; i < n; i++ {
 		c := s.spawnCustomer()
 		if c == nil {

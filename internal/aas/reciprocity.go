@@ -133,7 +133,7 @@ func (s *ReciprocityService) StartLifecycle(days int, scale float64) {
 // seedInitialCohort creates the long-term customers already subscribed when
 // the measurement window opens.
 func (s *ReciprocityService) seedInitialCohort(scale float64) {
-	n := int(float64(s.spec.Customers.InitialLongTerm)*scale + 0.5)
+	n := s.spec.Customers.InitialCohort(scale)
 	period := time.Duration(s.spec.Reciprocity.MinPaidDays) * 24 * time.Hour
 	for i := 0; i < n; i++ {
 		c := s.spawnCustomer()

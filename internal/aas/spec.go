@@ -195,6 +195,12 @@ type CustomerDynamics struct {
 	PayingFractions CollusionPaying
 }
 
+// InitialCohort is how many long-term customers a service seeds at
+// day 0 at the given scale: one platform account each.
+func (c *CustomerDynamics) InitialCohort(scale float64) int {
+	return int(float64(c.InitialLongTerm)*scale + 0.5)
+}
+
 // CollusionPaying describes what fraction of a collusion network's active
 // customers buy each product (derived from Table 9's account counts over
 // the ~1.01M active base).

@@ -150,6 +150,11 @@ type stagedSession struct {
 // NewStaged returns an empty staged population section to decode into.
 func NewStaged() *Staged { return &Staged{} }
 
+// ReserveSessions makes room for n members holding a session, so that
+// loading them does not grow the staged session list by doubling.
+// Call it before LoadMembers.
+func (s *Staged) ReserveSessions(n int) { s.sessions = slices.Grow(s.sessions, n) }
+
 func (s *Staged) LoadMembers(hint int) func(*MemberState) {
 	s.block = make([]member, 0, hint)
 	return func(ms *MemberState) {
@@ -207,11 +212,21 @@ func (p *Population) Commit(s *Staged) {
 	}
 	p.members = s.block
 	p.rowOf = p.rowOf[:0]
+	tagged := 0
 	for i := range p.members {
 		m := &p.members[i]
 		p.setRow(m.profile.ID, i)
 		if m.tag != "" {
-			m.tags = []string{m.tag}
+			tagged++
+		}
+	}
+	// Each tagged member's one-element Tags payload (see TagPool) is cut
+	// from one array, capped so nothing appends into a neighbour's.
+	tags := make([]string, tagged)
+	for i := range p.members {
+		if m := &p.members[i]; m.tag != "" {
+			tags[0] = m.tag
+			m.tags, tags = tags[:1:1], tags[1:]
 		}
 	}
 	for _, ss := range s.sessions {

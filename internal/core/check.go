@@ -33,6 +33,27 @@ func FormatFindings(fs []Finding) (string, bool) {
 
 func within(v, lo, hi float64) bool { return v >= lo && v <= hi }
 
+// Table5CheckConfig is the world the Table 5 calibration check measures
+// reciprocation in: TestConfig with graph writes and curated pools of
+// 1,500 accounts.
+func Table5CheckConfig() Config {
+	cfg := TestConfig()
+	cfg.GraphWrites = true
+	cfg.PoolSize = 1500
+	return cfg
+}
+
+// BusinessCheckConfig is the world the §5 business calibration check
+// measures: a 45-day window at 1/2000 scale, with Hublaagram at four
+// times that.
+func BusinessCheckConfig() Config {
+	cfg := TestConfig()
+	cfg.Days = 45
+	cfg.Scale = 1.0 / 2000
+	cfg.ScaleOverride = map[string]float64{aas.NameHublaagram: 4}
+	return cfg
+}
+
 // CheckTable5 verifies a measured reciprocation table against the paper's
 // Table 5, cell by cell, with bands wide enough for sampling noise at
 // honeypot counts but tight enough to catch calibration drift.

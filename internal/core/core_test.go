@@ -821,10 +821,7 @@ func TestCalibrationChecksPass(t *testing.T) {
 		t.Skip("multi-second integration test")
 	}
 	// Table 5 checks.
-	cfgA := TestConfig()
-	cfgA.GraphWrites = true
-	cfgA.PoolSize = 1500
-	wA := NewWorld(cfgA)
+	wA := NewWorld(Table5CheckConfig())
 	tbl, err := wA.ReciprocationStudy(5, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -835,11 +832,7 @@ func TestCalibrationChecksPass(t *testing.T) {
 	}
 
 	// Business checks.
-	cfgB := TestConfig()
-	cfgB.Days = 45
-	cfgB.Scale = 1.0 / 2000
-	cfgB.ScaleOverride = map[string]float64{aas.NameHublaagram: 4}
-	wB := NewWorld(cfgB)
+	wB := NewWorld(BusinessCheckConfig())
 	res, err := wB.BusinessStudy()
 	if err != nil {
 		t.Fatal(err)

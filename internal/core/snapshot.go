@@ -168,6 +168,19 @@ func (g graphSink) LoadCounters(nextAcct socialgraph.AccountID, nextPost socialg
 	return g.Staged.LoadCounters(nextAcct, nextPost)
 }
 
+// popSink reserves the staged population's session list before its
+// members load: a member holds a session only once it has logged in,
+// so the platform's logged-in accounts bound the sessions listed.
+type popSink struct {
+	*behavior.Staged
+	plat *platform.Staged
+}
+
+func (p popSink) LoadMembers(hint int) func(*behavior.MemberState) {
+	p.ReserveSessions(min(hint, p.plat.NumLoggedIn()))
+	return p.Staged.LoadMembers(hint)
+}
+
 // decodeBody decodes and checks every section of a snapshot body.
 func decodeBody(d *persistence.Decoder, ver uint64) (*staged, error) {
 	st := &staged{
@@ -179,7 +192,7 @@ func decodeBody(d *persistence.Decoder, ver uint64) (*staged, error) {
 	env, err := persistence.ReadBody(d, ver, persistence.Sinks{
 		Platform:  st.plat,
 		Graph:     graphSink{st.graph, st.plat},
-		Behavior:  st.pop,
+		Behavior:  popSink{st.pop, st.plat},
 		Honeypots: st.hp,
 		Guard: func() persistence.GuardSink {
 			st.guard = detection.NewStagedGuard()

@@ -48,6 +48,47 @@ func TestAllocBudgetSnapshot(t *testing.T) {
 	}
 }
 
+// allocBudgetRestore bounds the allocations of one RestoreWorld of the
+// snapshot below. 12,575 are measured, 11,594 of them the rebuild
+// (construction and RunAll, whose hourly automation ticks dominate), the
+// rest the decoded sections: per section, per shared string or list
+// array, per customer and per member session. One allocation per account
+// row would add ~3,900; decoding each row, its strings and its lists into
+// heap objects of their own measured 64,812. Raise it only with a profile
+// showing why (see docs/PERFORMANCE.md).
+const allocBudgetRestore = 14_000
+
+// TestAllocBudgetRestore pins the restore path's allocation behaviour:
+// restoring a 2,000-account TestConfig world with graph writes allocates
+// per section or shared array, not per account or post row.
+func TestAllocBudgetRestore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("table growth allocates under the race detector")
+	}
+	cfg := TestConfig()
+	cfg.OrganicPopulation = 2000
+	cfg.GraphWrites = true
+	w := NewWorld(cfg)
+	w.RunAll()
+	if err := w.RunDays(2); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := RestoreWorld(cfg, bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if accounts := w.Plat.NumAccounts(); got > allocBudgetRestore {
+		t.Errorf("RestoreWorld allocates %.0f per restore of %d accounts, budget %d — a per-row allocation crept into decoding or committing a section",
+			got, accounts, allocBudgetRestore)
+	}
+}
+
 // TestAllocBudgetLyingCount feeds RestoreWorld a sub-100-byte FSNAP2
 // stream whose platform section claims 2^26 account rows. It must fail
 // with a *persistence.TruncatedError, having allocated no more than a

@@ -159,20 +159,23 @@ func newWorld(cfg Config, restoring bool) *World {
 	w.Honeypots.Wire()
 
 	// The build registers the organic population, the celebrities, one
-	// curated pool per reciprocity service and the VPN users. Reserving
-	// the tables for all of them at once means no registration copies a
-	// column or rehashes the username index.
+	// curated pool per reciprocity service and the VPN users, and RunAll
+	// then each service's initial customer cohort. Reserving the tables
+	// for all of them at once means no registration copies a column or
+	// rehashes the username index, whether the world is built to run or
+	// to restore a snapshot into.
 	specs := aas.Catalog()
 	if !cfg.IncludeFollowersgratis {
 		specs = slices.DeleteFunc(specs, func(s *aas.Spec) bool { return s.Name == aas.NameFollowersgratis })
 	}
-	members := cfg.OrganicPopulation
+	members, cohorts := cfg.OrganicPopulation, 0
 	for _, spec := range specs {
 		if spec.Technique == aas.TechniqueReciprocity {
 			members += cfg.PoolSize
 		}
+		cohorts += spec.Customers.InitialCohort(cfg.scaleFor(spec.Name))
 	}
-	plat.Grow(members + celebrities + cfg.VPNUsers)
+	plat.Grow(members + celebrities + cfg.VPNUsers + cohorts)
 
 	w.Pop = behavior.New(behavior.DefaultModel(), plat, sched, root.Split("population"))
 	w.Pop.SetStepEngine(w.Steps)

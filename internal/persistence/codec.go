@@ -27,6 +27,12 @@
 // snapshot fuzz targets feed it garbage. Loaders size their tables from
 // Rows' hint, which a count can only raise as far as the bytes left in
 // the input could hold.
+//
+// Decoding allocates per section and per shared array, not per row:
+// each list's rows are decoded into one reused row value, strings are
+// substrings of shared chunks (Decoder.Str), and the per-row lists of
+// the big sections are cut from shared arrays, each capped at its own
+// length. Every one of those arrays is sized by the input left too.
 package persistence
 
 import (
@@ -35,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"strings"
 	"time"
 
 	"footsteps/internal/framing"
@@ -204,6 +211,7 @@ type Decoder struct {
 	data []byte
 	off  int
 	err  error
+	strs strings.Builder // the chunk Str copies strings into
 }
 
 // NewDecoder wraps a fully read snapshot stream.
@@ -312,7 +320,16 @@ func (d *Decoder) F64() float64 {
 	return v
 }
 
-// Str consumes a length-prefixed string.
+// strChunk caps the size of the chunks Str copies strings into.
+const strChunk = 64 << 10
+
+// Str consumes a length-prefixed string. The string is copied into a
+// chunk shared with the strings decoded before it and returned as a
+// substring of that chunk, so a section's strings cost one allocation
+// per chunk, not one per string. A chunk holds min(64 KiB, the bytes
+// left in the input), or the one string if it is longer, so a lying
+// length prefix allocates no more than the input holds. An empty string
+// allocates nothing.
 func (d *Decoder) Str() string {
 	n := d.U64()
 	if d.err != nil {
@@ -326,9 +343,18 @@ func (d *Decoder) Str() string {
 		d.fail("short string: need %d bytes, have %d", n, len(d.data)-d.off)
 		return ""
 	}
-	s := string(d.data[d.off : d.off+int(n)])
+	if n == 0 {
+		return ""
+	}
+	b := d.data[d.off : d.off+int(n)]
+	if d.strs.Cap()-d.strs.Len() < len(b) {
+		d.strs.Reset()
+		d.strs.Grow(max(len(b), min(strChunk, len(d.data)-d.off)))
+	}
 	d.off += int(n)
-	return s
+	start := d.strs.Len()
+	d.strs.Write(b)
+	return d.strs.String()[start:]
 }
 
 // Count consumes an element count, bounded so a corrupt prefix cannot

@@ -248,7 +248,7 @@ func TestDeltaList(t *testing.T) {
 		var e Encoder
 		encU64sDelta(&e, xs)
 		d := NewDecoder(e.Bytes())
-		got := decU64sDelta[uint64](d)
+		got := decU64sDelta[uint64](d, nil)
 		if err := d.Done(); err != nil {
 			t.Fatalf("delta decode %v: %v", xs, err)
 		}
@@ -277,9 +277,82 @@ func TestDeltaList(t *testing.T) {
 	e.U64(1 << 63)
 	e.U64(1 << 63) // second element wraps past MaxUint64
 	d := NewDecoder(e.Bytes())
-	decU64sDelta[uint64](d)
+	decU64sDelta[uint64](d, nil)
 	if d.Err() == nil {
 		t.Error("overflowing delta list decoded cleanly")
+	}
+}
+
+// TestSharedLists: rows' lists decoded through one lists value share
+// its arrays but are each capped at their own length, so appending to
+// one never writes into the next; a lying count still decodes no more
+// than the input holds and fails.
+func TestSharedLists(t *testing.T) {
+	t.Parallel()
+	want := [][]uint64{{1, 2, 3}, nil, {4}, {5, 6}}
+	var e Encoder
+	for _, xs := range want {
+		encU64sDelta(&e, xs)
+	}
+	d := NewDecoder(e.Bytes())
+	var l lists[uint64]
+	got := make([][]uint64, len(want))
+	for i := range got {
+		got[i] = decU64sDelta(d, &l)
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for i, xs := range got {
+		if len(xs) != len(want[i]) || cap(xs) != len(xs) {
+			t.Fatalf("list %d = %v (cap %d), want %v capped at its length", i, xs, cap(xs), want[i])
+		}
+	}
+	data := e.Bytes()
+	if allocs := testing.AllocsPerRun(10, func() {
+		d := NewDecoder(data)
+		var l lists[uint64]
+		for range want {
+			decU64sDelta(d, &l)
+		}
+	}); allocs > 2 {
+		t.Errorf("decoding %d lists allocates %.0f times, want one shared array and the decoder", len(want), allocs)
+	}
+	got[0] = append(got[0], 99)
+	if got[2][0] != 4 {
+		t.Errorf("appending to one list overwrote the next: %v", got[2])
+	}
+
+	e.Reset()
+	e.U64(1 << 20) // claimed elements
+	e.U64(7)       // the only one present
+	d = NewDecoder(e.Bytes())
+	if xs := decU64s(d, &l); d.Err() == nil || len(xs) > 1 {
+		t.Errorf("lying count decoded %d elements, error %v", len(xs), d.Err())
+	}
+}
+
+// TestStrChunks: decoded strings are copied out of the input, empty
+// strings included, and a short input gets a chunk sized by its length
+// (rounded up to an allocation size class), not a full one.
+func TestStrChunks(t *testing.T) {
+	t.Parallel()
+	var e Encoder
+	for _, s := range []string{"alpha", "", "beta"} {
+		e.Str(s)
+	}
+	data := e.Bytes()
+	d := NewDecoder(data)
+	a, empty, b := d.Str(), d.Str(), d.Str()
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	if a != "alpha" || empty != "" || b != "beta" {
+		t.Fatalf("decoded %q %q %q, want the strings intact after the input is overwritten", a, empty, b)
+	}
+	if c := d.strs.Cap(); c > 2*len(data) {
+		t.Errorf("string chunk holds %d bytes for a %d-byte input", c, len(data))
 	}
 }
 

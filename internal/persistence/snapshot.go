@@ -234,7 +234,7 @@ func WriteBody(e *Encoder, src *Source) {
 func ReadBody(d *Decoder, ver uint64, s Sinks) (Envelope, error) {
 	var env Envelope
 	env.Root = d.RNG()
-	env.NetAlloc = decSlice(d, 2, decAlloc)
+	env.NetAlloc = decSlice(d, 2, nil, decAlloc)
 	if err := decPlatform(d, s.Platform); err != nil {
 		return env, err
 	}
@@ -264,9 +264,9 @@ func ReadBody(d *Decoder, ver uint64, s Sinks) (Envelope, error) {
 	if err := decNamed(d, s.Coll, decColl); err != nil {
 		return env, err
 	}
-	env.VPNRNGs = decSlice(d, 40, func(d *Decoder, st *rng.State) { *st = d.RNG() })
+	env.VPNRNGs = decSlice(d, 40, nil, func(d *Decoder, st *rng.State) { *st = d.RNG() })
 	env.CrossRNG = d.RNG()
-	env.CrossSeen = decSlice(d, 2, func(d *Decoder, sc *ServiceCount) {
+	env.CrossSeen = decSlice(d, 2, nil, func(d *Decoder, sc *ServiceCount) {
 		sc.Name = d.Str()
 		sc.N = d.Int()
 	})
@@ -313,18 +313,60 @@ func encSlice[T any](e *Encoder, xs []T, enc func(*Encoder, *T)) {
 	}
 }
 
-func decSlice[T any](d *Decoder, minRow int, dec func(*Decoder, *T)) []T {
+// decSlice decodes a list, each element in place. With l set the list
+// is cut from l's shared arrays (see lists); with l nil it gets an array
+// of its own, sized to the list.
+func decSlice[T any](d *Decoder, minRow int, l *lists[T], dec func(*Decoder, *T)) []T {
 	n, hint := d.Rows(minRow)
 	if n == 0 {
 		return nil
 	}
-	xs := make([]T, 0, hint)
+	xs := l.take(d, hint)
+	var zero T
 	for i := 0; i < n && d.err == nil; i++ {
-		var x T
-		dec(d, &x)
-		xs = append(xs, x)
+		xs = append(xs, zero)
+		dec(d, &xs[len(xs)-1])
 	}
-	return xs
+	return l.keep(xs)
+}
+
+// lists cuts one section's per-row lists from shared arrays, so
+// decoding the section allocates once per array rather than once per
+// row. Each list is capped at its own length, xs[i:j:j], so an append
+// to one row later reallocates that row alone, never a neighbour. A nil
+// *lists gives each list an array of its own, for a section's one-off
+// lists.
+type lists[T any] struct {
+	free []T // the current array's unused tail
+	n    int // the room take last handed out
+}
+
+// listChunk is how many elements a new shared array holds, unless the
+// input left could not hold as many or one list needs more.
+const listChunk = 8192
+
+// take returns an empty list with room for n elements, where n is a
+// capacity hint the decoder has bounded by the input. A list that
+// outgrows it, which only a lying count can make, reallocates on its
+// own rather than run into the array's next list.
+func (l *lists[T]) take(d *Decoder, n int) []T {
+	if l == nil {
+		return make([]T, 0, n)
+	}
+	if len(l.free) < n {
+		l.free = make([]T, max(n, min(listChunk, len(d.data)-d.off)))
+	}
+	l.n = n
+	return l.free[:0:n]
+}
+
+// keep closes the list take handed out, filled as xs, and returns it
+// capped at its length.
+func (l *lists[T]) keep(xs []T) []T {
+	if l != nil {
+		l.free = l.free[min(len(xs), l.n):]
+	}
+	return xs[:len(xs):len(xs)]
 }
 
 // encRows writes a counted row sequence.
@@ -344,17 +386,20 @@ func encRows[T any](e *Encoder, rows snaprow.Rows[T], enc func(*Encoder, *T)) {
 	}
 }
 
-// decRows decodes a list into a loader. Each row is decoded into a
-// fresh value, so the loader may keep the row's slices and strings; a
-// row is handed over only if it decoded cleanly.
+// decRows decodes a list into a loader. Every row is decoded into one
+// value, reset before each row, so the loader must copy the row it is
+// handed; the row's slices and strings are its own, cut from shared
+// arrays, and the loader may keep them. A row is handed over only if it
+// decoded cleanly.
 func decRows[T any](d *Decoder, minRow int, load snaprow.Loader[T], dec func(*Decoder, *T)) {
 	n, hint := d.Rows(minRow)
 	if d.err != nil {
 		return
 	}
 	add := load(hint)
+	var x, zero T
 	for i := 0; i < n && d.err == nil; i++ {
-		var x T
+		x = zero
 		dec(d, &x)
 		if d.err == nil {
 			add(&x)
@@ -387,15 +432,18 @@ func encU64sDelta[T ~uint64](e *Encoder, xs []T) {
 	}
 }
 
-func decU64sDelta[T ~uint64](d *Decoder) []T {
+func decU64sDelta[T ~uint64](d *Decoder, l *lists[T]) []T {
 	n, hint := d.Rows(1)
 	if n == 0 {
 		return nil
 	}
-	xs := make([]T, 0, hint)
+	xs := l.take(d, hint)
 	prev := uint64(0)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n; i++ {
 		v := prev + d.U64()
+		if d.err != nil {
+			break
+		}
 		if v < prev {
 			d.fail("delta list overflows uint64")
 			break
@@ -403,19 +451,23 @@ func decU64sDelta[T ~uint64](d *Decoder) []T {
 		xs = append(xs, T(v))
 		prev = v
 	}
-	return xs
+	return l.keep(xs)
 }
 
-func decU64s[T ~uint64](d *Decoder) []T {
+func decU64s[T ~uint64](d *Decoder, l *lists[T]) []T {
 	n, hint := d.Rows(1)
 	if n == 0 {
 		return nil
 	}
-	xs := make([]T, 0, hint)
-	for i := 0; i < n && d.err == nil; i++ {
-		xs = append(xs, T(d.U64()))
+	xs := l.take(d, hint)
+	for i := 0; i < n; i++ {
+		v := d.U64()
+		if d.err != nil {
+			break
+		}
+		xs = append(xs, T(v))
 	}
-	return xs
+	return l.keep(xs)
 }
 
 func encInts[T ~int](e *Encoder, xs []T) {
@@ -426,7 +478,7 @@ func encInts[T ~int](e *Encoder, xs []T) {
 }
 
 func decInts[T ~int](d *Decoder) []T {
-	return decSlice(d, 1, func(d *Decoder, x *T) { *x = T(d.Int()) })
+	return decSlice(d, 1, nil, func(d *Decoder, x *T) { *x = T(d.Int()) })
 }
 
 func encStrs(e *Encoder, xs []string) {
@@ -437,7 +489,7 @@ func encStrs(e *Encoder, xs []string) {
 }
 
 func decStrs(d *Decoder) []string {
-	return decSlice(d, 1, func(d *Decoder, s *string) { *s = d.Str() })
+	return decSlice(d, 1, nil, func(d *Decoder, s *string) { *s = d.Str() })
 }
 
 func encRNGs(e *Encoder, xs []rng.State) {
@@ -530,6 +582,9 @@ func encPlatform(e *Encoder, src PlatformSource) {
 func decPlatform(d *Decoder, s PlatformSink) error {
 	nextPost := d.U64()
 	logSeq := d.U64()
+	var logins lists[platform.CountryCount]
+	var posts lists[platform.PostID]
+	var likes lists[platform.PostCount]
 	// An account row is at least 14 bytes: ID, two string lengths, the
 	// photo count, three flags, the country length, the creation time,
 	// the deleted flag, the session epoch and three list counts.
@@ -545,12 +600,12 @@ func decPlatform(d *Decoder, s PlatformSink) error {
 		a.Created = d.Time()
 		a.Deleted = d.Bool()
 		a.SessionEpoch = d.U64()
-		a.LoginCountries = decSlice(d, 2, func(d *Decoder, cc *platform.CountryCount) {
+		a.LoginCountries = decSlice(d, 2, &logins, func(d *Decoder, cc *platform.CountryCount) {
 			cc.Country = d.Str()
 			cc.N = d.Int()
 		})
-		a.Posts = decU64s[platform.PostID](d)
-		a.LikeCounts = decSlice(d, 2, func(d *Decoder, pc *platform.PostCount) {
+		a.Posts = decU64s(d, &posts)
+		a.LikeCounts = decSlice(d, 2, &likes, func(d *Decoder, pc *platform.PostCount) {
 			pc.Post = platform.PostID(d.U64())
 			pc.N = d.Int()
 		})
@@ -562,7 +617,7 @@ func decPlatform(d *Decoder, s PlatformSink) error {
 	})
 	decRows(d, 2, s.LoadTags, func(d *Decoder, t *platform.TagState) {
 		t.Tag = d.Str()
-		t.Posts = decU64s[platform.PostID](d)
+		t.Posts = decU64s(d, &posts)
 	})
 	decRows(d, 3, s.LoadEnforcements, func(d *Decoder, en *platform.EnforcementState) {
 		en.From = platform.AccountID(d.U64())
@@ -612,18 +667,21 @@ func decGraph(d *Decoder, ver uint64, s GraphSink) error {
 	if err := finish(d, "graph", func() error { return s.LoadCounters(nextAcct, nextPost) }); err != nil {
 		return err
 	}
+	var ids lists[socialgraph.AccountID]
+	var posts lists[socialgraph.PostID]
+	var comments lists[socialgraph.Comment]
 	decRows(d, 4, s.LoadAccounts, func(d *Decoder, a *socialgraph.AccountState) {
 		a.ID = socialgraph.AccountID(d.U64())
 		a.Created = d.Time()
-		a.Followees = decSorted(d)
-		a.Posts = decU64s[socialgraph.PostID](d)
+		a.Followees = decSorted(d, &ids)
+		a.Posts = decU64s(d, &posts)
 	})
 	decRows(d, 5, s.LoadPosts, func(d *Decoder, p *socialgraph.PostState) {
 		p.ID = socialgraph.PostID(d.U64())
 		p.Author = socialgraph.AccountID(d.U64())
 		p.Created = d.Time()
-		p.Likes = decSorted(d)
-		p.Comments = decSlice(d, 3, func(d *Decoder, c *socialgraph.Comment) {
+		p.Likes = decSorted(d, &ids)
+		p.Comments = decSlice(d, 3, &comments, func(d *Decoder, c *socialgraph.Comment) {
 			c.Author = socialgraph.AccountID(d.U64())
 			c.Text = d.Str()
 			c.At = d.Time()
@@ -686,12 +744,13 @@ func decBehavior(d *Decoder, s BehaviorSink) error {
 		decSession(d, &m.Session)
 		m.RNG = d.RNG()
 	})
-	h.General = decU64s[platform.AccountID](d)
-	h.Pools = decSlice(d, 2, func(d *Decoder, p *behavior.PoolState) {
+	h.General = decU64s[platform.AccountID](d, nil)
+	var pools lists[platform.AccountID]
+	h.Pools = decSlice(d, 2, nil, func(d *Decoder, p *behavior.PoolState) {
 		p.Label = d.Str()
-		p.IDs = decU64s[platform.AccountID](d)
+		p.IDs = decU64s(d, &pools)
 	})
-	h.Reacted = decSlice(d, 2, func(d *Decoder, cc *behavior.ChannelCount) {
+	h.Reacted = decSlice(d, 2, nil, func(d *Decoder, cc *behavior.ChannelCount) {
 		cc.Channel = d.Str()
 		cc.N = d.Int()
 	})
@@ -715,7 +774,7 @@ func encTypeCounts(e *Encoder, xs []honeypot.TypeCount) {
 }
 
 func decTypeCounts(d *Decoder) []honeypot.TypeCount {
-	return decSlice(d, 2, func(d *Decoder, tc *honeypot.TypeCount) {
+	return decSlice(d, 2, nil, func(d *Decoder, tc *honeypot.TypeCount) {
 		tc.Type = platform.ActionType(d.Int())
 		tc.N = d.Int()
 	})
@@ -749,7 +808,7 @@ func decHoneypots(d *Decoder, s HoneypotSink) error {
 	var h honeypot.State
 	h.RNG = d.RNG()
 	h.NextID = d.Int()
-	h.HighProfile = decU64s[platform.AccountID](d)
+	h.HighProfile = decU64s[platform.AccountID](d, nil)
 	decRows(d, 12, s.LoadAccounts, func(d *Decoder, a *honeypot.AccountState) {
 		a.ID = platform.AccountID(d.U64())
 		a.Username = d.Str()
@@ -759,7 +818,7 @@ func decHoneypots(d *Decoder, s HoneypotSink) error {
 		a.EnrolledWith = d.Str()
 		a.Inbound = decTypeCounts(d)
 		a.Outbound = decTypeCounts(d)
-		a.InboundDedup = decSlice(d, 2, func(d *Decoder, ac *honeypot.ActorCounts) {
+		a.InboundDedup = decSlice(d, 2, nil, func(d *Decoder, ac *honeypot.ActorCounts) {
 			ac.Actor = platform.AccountID(d.U64())
 			ac.Counts = decTypeCounts(d)
 		})
@@ -807,7 +866,7 @@ func encActionCounts(e *Encoder, xs []aas.ActionCount) {
 }
 
 func decActionCounts(d *Decoder) []aas.ActionCount {
-	return decSlice(d, 2, func(d *Decoder, ac *aas.ActionCount) {
+	return decSlice(d, 2, nil, func(d *Decoder, ac *aas.ActionCount) {
 		ac.Action = platform.ActionType(d.Int())
 		ac.N = d.Int()
 	})
@@ -870,7 +929,7 @@ func decCustomer(d *Decoder, c *aas.CustomerState) {
 	c.EngagedUntil = d.Time()
 	c.Churned = d.Bool()
 	c.PaidThrough = d.Time()
-	c.Payments = decSlice(d, 9, func(d *Decoder, p *aas.Payment) {
+	c.Payments = decSlice(d, 9, nil, func(d *Decoder, p *aas.Payment) {
 		p.At = d.Time()
 		p.Amount = d.F64()
 	})
@@ -879,7 +938,7 @@ func decCustomer(d *Decoder, c *aas.CustomerState) {
 	c.Tier = d.Int()
 	decSession(d, &c.Session)
 	decSession(d, &c.OwnSession)
-	c.Adapt = decSlice(d, 13, func(d *Decoder, a *aas.AdaptState) {
+	c.Adapt = decSlice(d, 13, nil, func(d *Decoder, a *aas.AdaptState) {
 		a.Action = platform.ActionType(d.Int())
 		a.LearnedCap = d.F64()
 		a.TodayCount = d.Int()
@@ -887,7 +946,7 @@ func decCustomer(d *Decoder, c *aas.CustomerState) {
 		a.BlockedUntil = d.Time()
 		a.ProbeWait = d.Int()
 	})
-	c.RecentFollows = decSlice(d, 2, func(d *Decoder, u *aas.UnfollowState) {
+	c.RecentFollows = decSlice(d, 2, nil, func(d *Decoder, u *aas.UnfollowState) {
 		u.Target = platform.AccountID(d.U64())
 		u.Due = d.Time()
 	})
@@ -959,7 +1018,7 @@ func encRecip(e *Encoder, src RecipSource) {
 func decRecip(d *Decoder, s RecipSink) error {
 	var h aas.ReciprocityState
 	decBase(d, &h.Base, s.LoadCustomers, s.LoadRetries)
-	h.Pool = decU64s[platform.AccountID](d)
+	h.Pool = decU64s[platform.AccountID](d, nil)
 	h.AdaptTypes = decInts[platform.ActionType](d)
 	h.NextAcct = d.Int()
 	h.AutomationOn = d.Bool()

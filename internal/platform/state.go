@@ -256,6 +256,7 @@ type Staged struct {
 	tags             []TagState
 	enforce          []EnforcementState
 	posts            int // post IDs the account rows list
+	loggedIn         int // account rows with a login tally
 	err              error
 }
 
@@ -291,6 +292,9 @@ func (s *Staged) LoadAccounts(hint int) func(*AccountState) {
 		t.posts[r] = a.Posts
 		t.likeCounts[r] = a.LikeCounts
 		s.posts += len(a.Posts)
+		if len(a.LoginCountries) > 0 {
+			s.loggedIn++
+		}
 	}
 }
 
@@ -356,6 +360,10 @@ func (s *Staged) Finish(nextPost, logSeq uint64) error {
 func (s *Staged) NumAccounts() int { return len(s.accts.usernames) }
 func (s *Staged) NumPosts() int    { return s.posts }
 
+// NumLoggedIn reports how many account rows have ever logged in: a
+// bound on the sessions any other section can hold.
+func (s *Staged) NumLoggedIn() int { return s.loggedIn }
+
 // Pending returns the staged section's pending delayed removals, for
 // RestoreEnforcements.
 func (s *Staged) Pending() []EnforcementState { return s.enforce }
@@ -372,7 +380,9 @@ func (p *Platform) Commit(s *Staged) {
 	p.accts = s.accts
 	p.limiter = s.limiter
 	t := &p.accts
-	p.byUsername = make(map[string]AccountID, len(t.usernames))
+	// The rebuilt world's index was sized for every account it
+	// registers, so refilling it rehashes nothing.
+	clear(p.byUsername)
 	p.authors = make([]AccountID, s.posts)
 	for r, name := range t.usernames {
 		if t.deleted[r] {

@@ -29,8 +29,12 @@ func Of[T any](xs []T) Rows[T] { return Rows[T]{Slice: xs, N: len(xs)} }
 // Loader receives one decoded list. It is called once, with a capacity
 // hint that the decoder has already bounded by the bytes left in the
 // input (never the raw count a corrupt prefix may claim), and returns
-// the function that takes each row. A row's slices and strings are
-// freshly decoded, so the loader may keep them.
+// the function that takes each row. The row pointer is valid only
+// during the call: every row of the list is decoded into the same
+// value, so a loader copies what it keeps of the row. A row's slices
+// are cut from arrays shared with other rows, each capped at its own
+// length, and its strings from shared chunks; the loader may keep
+// them, and an append to a kept slice reallocates that slice alone.
 type Loader[T any] func(hint int) func(*T)
 
 // Into is the loader that appends rows to *xs.

@@ -119,17 +119,49 @@ func ascending(ids []AccountID) bool {
 	return snaprow.Sorted(ids, func(id *AccountID) AccountID { return *id })
 }
 
-// narrow copies a decoded ID list into adjacency form. The IDs have been
+// adjChunk is how many IDs one shared adjacency array of a Staged
+// graph holds, unless one list needs more.
+const adjChunk = 16 << 10
+
+// narrow copies a decoded ID list into adjacency form, cut from the
+// staged graph's current shared array and capped at its length, so an
+// append to the set later reallocates that row alone. The IDs have been
 // checked against the uint32 counters.
-func narrow[T ~uint64](ids []T) []uint32 {
+func (s *Staged) narrow(ids []AccountID) []uint32 {
 	if len(ids) == 0 {
 		return nil
 	}
-	out := make([]uint32, len(ids))
+	if len(s.adj) < len(ids) {
+		s.adj = make([]uint32, max(len(ids), adjChunk))
+	}
+	out := s.adj[:len(ids):len(ids)]
+	s.adj = s.adj[len(ids):]
 	for i, id := range ids {
 		out[i] = uint32(id)
 	}
 	return out
+}
+
+// invert fills sets with the pairs visit yields, each (r, v) adding v
+// to row r's set. The sets are cut from one array, each capped at its
+// length. visit runs twice, once to count and once to fill, and must
+// yield each row's values in ascending order both times, so that every
+// set comes out sorted.
+func invert(sets [][]uint32, visit func(yield func(r, v uint32))) {
+	counts := make([]int32, len(sets))
+	total := 0
+	visit(func(r, _ uint32) {
+		counts[r]++
+		total++
+	})
+	all := make([]uint32, total)
+	for r, n := range counts {
+		if n > 0 {
+			sets[r] = all[:0:n]
+			all = all[n:]
+		}
+	}
+	visit(func(r, v uint32) { sets[r] = append(sets[r], v) })
 }
 
 // Staged is a decoded graph section: fresh tables, not yet installed.
@@ -145,6 +177,7 @@ type Staged struct {
 	nextPost PostID
 	accts    acctTable
 	posts    postTable
+	adj      []uint32 // the unused tail of the current adjacency array
 	prevAcct AccountID
 	prevPost PostID
 	err      error
@@ -214,14 +247,13 @@ func (s *Staged) LoadAccounts(int) func(*AccountState) {
 		}
 		r := uint32(as.ID - 1)
 		s.accts.revive(r, as.Created)
-		s.accts.followees[r] = narrow(as.Followees)
+		s.accts.followees[r] = s.narrow(as.Followees)
 		s.accts.posts[r] = as.Posts
 	}
 }
 
-// LoadPosts revives each listed post and derives the per-account like
-// sets and comment counts from it. Posts arrive in ascending ID order,
-// so each derived like set comes out sorted.
+// LoadPosts revives each listed post and derives the per-account
+// comment counts from it; Finish derives the like sets.
 func (s *Staged) LoadPosts(int) func(*PostState) {
 	a, p := &s.accts, &s.posts
 	return func(ps *PostState) {
@@ -252,14 +284,9 @@ func (s *Staged) LoadPosts(int) func(*PostState) {
 		}
 		r := uint32(ps.ID - 1)
 		p.revive(r, ps.Author, ps.Created)
-		p.likes[r] = narrow(ps.Likes)
+		p.likes[r] = s.narrow(ps.Likes)
 		p.comments[r] = ps.Comments
 		pid := uint32(ps.ID)
-		for _, who := range ps.Likes {
-			if r, ok := a.row(who); ok {
-				a.likes[r] = append(a.likes[r], pid)
-			}
-		}
 		for _, c := range ps.Comments {
 			if r, ok := a.row(c.Author); ok {
 				a.bumpCommented(r, pid, 1)
@@ -268,24 +295,39 @@ func (s *Staged) LoadPosts(int) func(*PostState) {
 	}
 }
 
-// Finish derives the follower sets, now that every account exists.
-// Accounts are visited in ascending ID order, so each set comes out
-// sorted.
+// Finish derives the follower sets from the followee sets and the
+// per-account like sets from the posts' like sets, now that every
+// account and post exists. Accounts and posts are visited in ascending
+// ID order, so each set comes out sorted.
 func (s *Staged) Finish() error {
 	if s.err != nil {
 		return s.err
 	}
-	a := &s.accts
-	for r, live := range a.live {
-		if !live {
-			continue
-		}
-		for _, f := range a.followees[r] {
-			if fr, ok := a.row(AccountID(f)); ok {
-				a.followers[fr] = append(a.followers[fr], uint32(r+1))
+	a, p := &s.accts, &s.posts
+	invert(a.followers, func(yield func(r, v uint32)) {
+		for r, live := range a.live {
+			if !live {
+				continue
+			}
+			for _, f := range a.followees[r] {
+				if fr, ok := a.row(AccountID(f)); ok {
+					yield(fr, uint32(r+1))
+				}
 			}
 		}
-	}
+	})
+	invert(a.likes, func(yield func(r, v uint32)) {
+		for r, live := range p.live {
+			if !live {
+				continue
+			}
+			for _, who := range p.likes[r] {
+				if ar, ok := a.row(AccountID(who)); ok {
+					yield(ar, uint32(r+1))
+				}
+			}
+		}
+	})
 	return nil
 }
 
